@@ -327,14 +327,15 @@ def cmd_dump(args) -> int:
                 min_distance=cfg.min_distance,
                 half_window=cfg.tensor_half_window,
             )
+            xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+            tracks = lkflow.track_points(pi, pj, xy, params)
+            rows = zip(points, (tracks.dxy / cfg.flow_step).tolist(),
+                       tracks.status, tracks.residual.tolist())
             path = os.path.join(args.dump_flow, f"flow_{i:05d}.txt")
             with open(path, "w") as fh:
-                for p, r in zip(points, lkflow.track_points(pi, pj, points, params)):
-                    u = r.dx / cfg.flow_step
-                    v = r.dy / cfg.flow_step
-                    fh.write(
-                        f"{i} {p.x} {p.y} {u} {v} {r.status.value} {r.residual}\n"
-                    )
+                for p, (u, v), status, residual in rows:
+                    name = lkflow.TrackStatus(status).name
+                    fh.write(f"{i} {p.x} {p.y} {u} {v} {name} {residual}\n")
     print("dump complete")
     return 0
 

@@ -56,6 +56,14 @@ class PipelineConfig:
             raise ValueError("window_frames must be >= flow_step + 1")
         if self.feature_size < 1:
             raise ValueError("feature_size must be >= 1")
+        for key in ("pyramid_levels", "track_half_window", "track_max_iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("track_convergence_eps", "track_residual_max",
+                    "jacobian_probe_offset"):
+            # written so that NaN fails too
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
 
     @property
     def stride(self) -> int:

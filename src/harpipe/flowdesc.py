@@ -9,11 +9,11 @@ descriptors over the steps where the point stayed tracked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .lkflow import TrackResult
+from .lkflow import Tracks
 
 DESCRIPTOR_DIM = 12
 
@@ -42,10 +42,12 @@ class PointDescriptor:
 
 @dataclass(frozen=True)
 class FlowJacobian:
-    ux: float
-    uy: float
-    vx: float
-    vy: float
+    """Spatial flow partials, each a float or a per-point array."""
+
+    ux: float | np.ndarray
+    uy: float | np.ndarray
+    vx: float | np.ndarray
+    vy: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ class SampleVector:
     label: Optional[str] = None
 
 
-def flow_velocity(r: TrackResult, frame_step: int = 3) -> tuple[float, float]:
-    if not r.tracked:
-        raise ValueError("flow velocity requires a TRACKED result")
+def flow_velocity(tracks: Tracks, frame_step: int = 3) -> np.ndarray:
+    """(P, 2) flow velocities in pixels per frame; NaN where the point was
+    not TRACKED."""
     if frame_step < 1:
         raise ValueError("frame_step must be >= 1")
-    return r.dx / frame_step, r.dy / frame_step
+    return np.where(tracks.tracked[:, None], tracks.dxy / frame_step, np.nan)
 
 
 def temporal_derivatives(
@@ -81,40 +83,45 @@ def temporal_derivatives(
     )
 
 
+def jacobian_probes(xy: np.ndarray, h: float = 2.0) -> np.ndarray:
+    """(P, 5, 2) points whose flow ``flow_jacobian`` reads: each point of
+    ``xy`` itself, then its probes at +x, -x, +y and -y, h away."""
+    steps = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return xy[:, None, :] + h * steps
+
+
 def flow_jacobian(
-    track_fn: Callable[[float, float], Optional[tuple[float, float]]],
-    p: tuple[float, float],
-    h: float = 2.0,
-) -> FlowJacobian:
-    """Spatial flow partials by central differences of tracked probe points
-    at p +- h along each axis; one-sided when a probe fails."""
-    px, py = p
-    xp = track_fn(px + h, py)
-    xm = track_fn(px - h, py)
-    yp = track_fn(px, py + h)
-    ym = track_fn(px, py - h)
-    if (xp is None and xm is None) or (yp is None and ym is None):
-        raise ValueError("flow jacobian: untrackable neighborhood")
-    center = None
+    uv: np.ndarray, h: float = 2.0
+) -> tuple[FlowJacobian, np.ndarray]:
+    """Spatial flow partials of P points from the (P, 5, 2) velocities at
+    their ``jacobian_probes`` (NaN where a probe was not tracked).
 
-    def axis_diff(fwd, bwd):
-        nonlocal center
-        if fwd is not None and bwd is not None:
-            return ((fwd[0] - bwd[0]) / (2 * h), (fwd[1] - bwd[1]) / (2 * h))
-        if center is None:
-            center = track_fn(px, py)
-            if center is None:
-                raise ValueError("flow jacobian: untrackable neighborhood")
-        one = fwd if fwd is not None else bwd
-        sign = 1.0 if fwd is not None else -1.0
-        return (
-            sign * (one[0] - center[0]) / h,
-            sign * (one[1] - center[1]) / h,
+    Each axis takes the central difference of its probes at p +- h, or the
+    one-sided difference against the point itself when one of them failed.
+    Returns the Jacobian, one (P,) array per partial, and the (P,) mask of
+    points whose neighbourhood was trackable; the partials of the other
+    points are zero.
+    """
+    tracked = ~np.isnan(uv).any(axis=2)
+    centre = uv[:, 0]
+
+    def axis_diff(k: int) -> tuple[np.ndarray, np.ndarray]:
+        fwd, bwd = uv[:, k], uv[:, k + 1]
+        has_fwd, has_bwd = tracked[:, k], tracked[:, k + 1]
+        both = (has_fwd & has_bwd)[:, None]
+        one_sided = np.where(
+            has_fwd[:, None], (fwd - centre) / h, -(bwd - centre) / h
         )
+        diff = np.where(both, (fwd - bwd) / (2 * h), one_sided)
+        usable = (has_fwd & has_bwd) | ((has_fwd | has_bwd) & tracked[:, 0])
+        return diff, usable
 
-    ux, vx = axis_diff(xp, xm)
-    uy, vy = axis_diff(yp, ym)
-    return FlowJacobian(ux=ux, uy=uy, vx=vx, vy=vy)
+    dx, x_ok = axis_diff(1)
+    dy, y_ok = axis_diff(3)
+    ok = x_ok & y_ok
+    dx = np.where(ok[:, None], dx, 0.0)
+    dy = np.where(ok[:, None], dy, 0.0)
+    return FlowJacobian(ux=dx[:, 0], uy=dy[:, 0], vx=dx[:, 1], vy=dy[:, 1]), ok
 
 
 def flow_invariants(j: FlowJacobian) -> tuple[float, float, float, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -93,7 +94,8 @@ def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
 
 
 def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
-    """Decode P2/P5 (grayscale) or P3/P6 (RGB) PNM bytes, maxval <= 255."""
+    """Decode P2/P5 (grayscale) or P3/P6 (RGB) PNM bytes, maxval <= 255;
+    samples are rescaled to 0-255."""
     if len(data) < 2:
         raise MalformedHeaderError("input too short for a PNM magic")
     magic = data[:2].decode("ascii", errors="replace")
@@ -127,6 +129,9 @@ def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
             raise TruncatedDataError(f"non-numeric pixel sample: {e}") from None
     if values.max(initial=0) > maxval:
         raise TruncatedDataError("pixel sample exceeds declared maxval")
+    if maxval != 255:
+        # netpbm: scale to 0-255, round half up, in exact integer arithmetic
+        values = (values * 510 + maxval) // (2 * maxval)
 
     pixels = values.astype(np.uint8)
     if channels == 1:
@@ -199,24 +204,32 @@ def load_sequence(
             spec = spec[: -len(":rgb")]
         try:
             w, h = (int(p) for p in spec.split("x"))
+            if w < 1 or h < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad raw geometry {raw!r}, expected WxH[:rgb]") from None
         frame_bytes = w * h * (3 if is_rgb else 1)
+        # one frame at a time into one reused buffer (a fresh buffer per
+        # frame was measurably slower); a partial tail frame is dropped
+        buf = np.empty(frame_bytes, dtype=np.uint8)
         with open(path_spec, "rb") as fh:
-            data = fh.read()
-        n_frames = len(data) // frame_bytes
-        if n_frames == 0:
-            raise EmptySequenceError(f"{path_spec} holds no complete frame")
-        for i in range(n_frames):
-            buf = np.frombuffer(
-                data, dtype=np.uint8, count=frame_bytes, offset=i * frame_bytes
-            )
-            if is_rgb:
-                fr: Union[Frame, RgbFrame] = RgbFrame(w, h, i, buf.reshape(h, w, 3))
-            else:
-                fr = Frame(w, h, i, buf.reshape(h, w))
-            yield _normalize(fr, working_resolution)
-        return
+            for i in itertools.count():
+                if fh.readinto(buf) < frame_bytes:
+                    if i == 0:
+                        raise EmptySequenceError(
+                            f"{path_spec} holds no complete frame"
+                        )
+                    return
+                if is_rgb:
+                    fr: Union[Frame, RgbFrame] = RgbFrame(
+                        w, h, i, buf.reshape(h, w, 3)
+                    )
+                else:
+                    fr = Frame(w, h, i, buf.reshape(h, w))
+                frame = _normalize(fr, working_resolution)
+                if np.shares_memory(frame.pixels, buf):
+                    frame = Frame(w, h, i, frame.pixels.copy())
+                yield frame
 
     names = sorted(
         n for n in os.listdir(path_spec)

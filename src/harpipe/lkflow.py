@@ -1,10 +1,12 @@
 """Pyramidal iterative translational point tracker.
 
-Coarse-to-fine: each pyramid level refines the displacement by solving the
-2x2 structure-tensor system against the gradient-weighted intensity
-difference, seeding the next finer level with the doubled estimate. Template
-gradients come from the first frame only. Points are dropped on singular
-tensors, out-of-bounds windows, or a final RMS residual above threshold.
+Coarse-to-fine, over a whole point array at once (Bouguet 2000, "Pyramidal
+Implementation of the Lucas Kanade Feature Tracker"): each pyramid level
+refines every point's displacement by solving its 2x2 structure-tensor
+system against the gradient-weighted intensity difference, seeding the next
+finer level with the doubled estimate. Template gradients come from the
+first frame only. Points are dropped on singular tensors, out-of-bounds
+windows, or a final RMS residual above threshold.
 """
 
 from __future__ import annotations
@@ -15,17 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frameio import Frame
-from .goodfeat import FeaturePoint
 
 SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 MIN_COARSEST_SIDE = 16
 
 
-class TrackStatus(enum.Enum):
-    TRACKED = "TRACKED"
-    LOST_RESIDUAL = "LOST_RESIDUAL"
-    LOST_BOUNDS = "LOST_BOUNDS"
-    LOST_SINGULAR = "LOST_SINGULAR"
+class TrackStatus(enum.IntEnum):
+    TRACKED = 0
+    LOST_RESIDUAL = 1
+    LOST_BOUNDS = 2
+    LOST_SINGULAR = 3
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,23 @@ class TrackParams:
 
 
 @dataclass(frozen=True)
-class TrackResult:
-    new_x: float
-    new_y: float
-    dx: float
-    dy: float
-    residual: float
-    status: TrackStatus
+class Tracks:
+    """Tracking result for P points, in input order.
+
+    ``xy`` and ``dxy`` are (P, 2) new positions and displacements,
+    ``residual`` the (P,) RMS window residuals and ``status`` the (P,)
+    ``TrackStatus`` codes. A point lost before its residual was measured
+    keeps its input position, a zero displacement and an infinite residual.
+    """
+
+    xy: np.ndarray
+    dxy: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
 
     @property
-    def tracked(self) -> bool:
-        return self.status is TrackStatus.TRACKED
+    def tracked(self) -> np.ndarray:
+        return self.status == TrackStatus.TRACKED
 
 
 def _smooth_separable(img: np.ndarray) -> np.ndarray:
@@ -90,110 +97,147 @@ def build_pyramid(f: Frame | np.ndarray, levels: int) -> Pyramid:
     return Pyramid(tuple(out))
 
 
-def _sample_window(img: np.ndarray, cx: float, cy: float, hw: int) -> np.ndarray:
-    """Bilinear (2hw+1)^2 window around (cx, cy), clamped at the borders."""
+def _clamped_taps(c: np.ndarray, hw: int, size: int):
+    """Lower and upper sample indices and the fractional weight of each of
+    the 2hw+1 taps along one axis, every tap clamped to the image on its
+    own; (P, 2hw+1) each."""
+    pos = np.clip(c[:, None] + np.arange(-hw, hw + 1, dtype=np.float64),
+                  0.0, size - 1.0)
+    lo = np.floor(pos)
+    frac = pos - lo
+    lo = lo.astype(np.intp)
+    return lo, np.minimum(lo + 1, size - 1), frac
+
+
+def sample_windows(img: np.ndarray, xy: np.ndarray, hw: int) -> np.ndarray:
+    """Bilinear (2hw+1)^2 windows around each point of ``xy`` (P, 2), clamped
+    at the borders; returns (P, 2hw+1, 2hw+1). ``hw=0`` samples the points
+    themselves."""
     h, w = img.shape
-    # unit-spaced sample grid: one shared fractional offset, so an interior
-    # window is four shifted slices of a contiguous region
-    x0 = int(np.floor(cx - hw))
-    y0 = int(np.floor(cy - hw))
     n = 2 * hw + 1
-    if 0 <= x0 and x0 + n < w and 0 <= y0 and y0 + n < h:
-        fx = cx - hw - x0
-        fy = cy - hw - y0
-        r = img[y0 : y0 + n + 1, x0 : x0 + n + 1]
-        top = r[:-1, :-1] * (1 - fx) + r[:-1, 1:] * fx
-        bot = r[1:, :-1] * (1 - fx) + r[1:, 1:] * fx
-        return top * (1 - fy) + bot * fy
-    xs = np.clip(cx + np.arange(-hw, hw + 1, dtype=np.float64), 0.0, w - 1.0)
-    ys = np.clip(cy + np.arange(-hw, hw + 1, dtype=np.float64), 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = (ys - y0)[:, None]
-    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
-    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
+    flat = img.ravel()
+    x0 = np.floor(xy[:, 0] - hw)
+    y0 = np.floor(xy[:, 1] - hw)
+    interior = (0 <= x0) & (x0 + n < w) & (0 <= y0) & (y0 + n < h)
+    out = np.empty((len(xy), n, n))
+
+    # an interior window is unit-spaced from one shared fractional offset:
+    # a blend of shifted slices of one (n+1)^2 patch
+    i = np.flatnonzero(interior)
+    fx = (xy[i, 0] - hw - x0[i])[:, None, None]
+    fy = (xy[i, 1] - hw - y0[i])[:, None, None]
+    grid = np.arange(n + 1)
+    corner = (y0[i] * w + x0[i]).astype(np.intp)
+    patch = flat[corner[:, None, None] + (grid[:, None] * w + grid)]
+    rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx
+    out[i] = rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
+
+    # a window that crosses the border clamps every tap on its own
+    b = np.flatnonzero(~interior)
+    if b.size:
+        col_lo, col_hi, fx = _clamped_taps(xy[b, 0], hw, w)
+        row_lo, row_hi, fy = _clamped_taps(xy[b, 1], hw, h)
+        top_rows = row_lo[:, :, None] * w
+        bot_rows = row_hi[:, :, None] * w
+        col_lo = col_lo[:, None, :]
+        col_hi = col_hi[:, None, :]
+        fx = fx[:, None, :]
+        fy = fy[:, :, None]
+        top = flat[top_rows + col_lo] * (1 - fx) + flat[top_rows + col_hi] * fx
+        bot = flat[bot_rows + col_lo] * (1 - fx) + flat[bot_rows + col_hi] * fx
+        out[b] = top * (1 - fy) + bot * fy
+    return out
 
 
-def track_point(
-    pi: Pyramid, pj: Pyramid, p: FeaturePoint, params: TrackParams = TrackParams()
-) -> TrackResult:
-    hw = params.half_window
-    eigen_floor = params.min_eigen_per_pixel * (2 * hw + 1) ** 2
-    w0, h0 = pi.width, pi.height
-
-    def lost(status: TrackStatus) -> TrackResult:
-        return TrackResult(p.x, p.y, 0.0, 0.0, np.inf, status)
-
-    if not (hw <= p.x <= w0 - 1 - hw and hw <= p.y <= h0 - 1 - hw):
-        return lost(TrackStatus.LOST_BOUNDS)
-
-    n_levels = min(len(pi.levels), len(pj.levels))
-    gx = gy = 0.0  # running guess, in the current level's pixels
-    dx = dy = 0.0
-    for level in reversed(range(n_levels)):
-        imgi = pi.levels[level]
-        imgj = pj.levels[level]
-        lh, lw = imgi.shape
-        px = p.x / (1 << level)
-        py = p.y / (1 << level)
-
-        # one (2hw+3)^2 window yields the template and both gradient windows
-        big = _sample_window(imgi, px, py, hw + 1)
-        iw = big[1:-1, 1:-1]
-        grad_x = (big[1:-1, 2:] - big[1:-1, :-2]) / 2.0
-        grad_y = (big[2:, 1:-1] - big[:-2, 1:-1]) / 2.0
-        zxx = float((grad_x * grad_x).sum())
-        zxy = float((grad_x * grad_y).sum())
-        zyy = float((grad_y * grad_y).sum())
-        det = zxx * zyy - zxy * zxy
-        lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
-        if lam_min < eigen_floor or det <= 0.0:
-            return lost(TrackStatus.LOST_SINGULAR)
-
-        dx = dy = 0.0
-        for _ in range(params.max_iterations):
-            qx = px + gx + dx
-            qy = py + gy + dy
-            if not (0.0 <= qx <= lw - 1 and 0.0 <= qy <= lh - 1):
-                return lost(TrackStatus.LOST_BOUNDS)
-            diff = iw - _sample_window(imgj, qx, qy, hw)
-            ex = float((diff * grad_x).sum())
-            ey = float((diff * grad_y).sum())
-            sx = (zyy * ex - zxy * ey) / det
-            sy = (zxx * ey - zxy * ex) / det
-            dx += sx
-            dy += sy
-            if sx * sx + sy * sy < params.convergence_eps**2:
-                break
-        if level > 0:
-            gx = 2.0 * (gx + dx)
-            gy = 2.0 * (gy + dy)
-
-    tx = gx + dx
-    ty = gy + dy
-    nx = p.x + tx
-    ny = p.y + ty
-    if not (hw <= nx <= w0 - 1 - hw and hw <= ny <= h0 - 1 - hw):
-        return lost(TrackStatus.LOST_BOUNDS)
-    iw = _sample_window(pi.levels[0], p.x, p.y, hw)
-    jw = _sample_window(pj.levels[0], nx, ny, hw)
-    residual = float(np.sqrt(np.mean((iw - jw) ** 2)))
-    status = (
-        TrackStatus.TRACKED
-        if residual <= params.residual_max
-        else TrackStatus.LOST_RESIDUAL
-    )
-    return TrackResult(nx, ny, tx, ty, residual, status)
+def _window_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each (P, n, n) window, in the same order as a 2-D ``sum()``."""
+    return a.reshape(a.shape[0], a.shape[1] * a.shape[2]).sum(axis=1)
 
 
 def track_points(
     pi: Pyramid,
     pj: Pyramid,
-    points: list[FeaturePoint],
+    xy: np.ndarray,
     params: TrackParams = TrackParams(),
-) -> list[TrackResult]:
-    return [track_point(pi, pj, p, params) for p in points]
+) -> Tracks:
+    """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj``."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    hw = params.half_window
+    eigen_floor = params.min_eigen_per_pixel * (2 * hw + 1) ** 2
+    eps_sq = params.convergence_eps**2
+    w0, h0 = pi.width, pi.height
+    status = np.full(len(xy), TrackStatus.TRACKED, dtype=np.int8)
+
+    def inside(pts: np.ndarray, lo: float, hi_x: float, hi_y: float) -> np.ndarray:
+        x, y = pts[:, 0], pts[:, 1]
+        return (lo <= x) & (x <= hi_x) & (lo <= y) & (y <= hi_y)
+
+    status[~inside(xy, hw, w0 - 1 - hw, h0 - 1 - hw)] = TrackStatus.LOST_BOUNDS
+
+    # displacement after the latest level, in that level's pixels
+    shift = np.zeros_like(xy)
+    n_levels = min(len(pi.levels), len(pj.levels))
+    for level in reversed(range(n_levels)):
+        live = np.flatnonzero(status == TrackStatus.TRACKED)
+        if live.size == 0:
+            break
+        imgi = pi.levels[level]
+        imgj = pj.levels[level]
+        lh, lw = imgi.shape
+        p = xy[live] / (1 << level)
+
+        # one (2hw+3)^2 window yields the template and both gradient windows
+        big = sample_windows(imgi, p, hw + 1)
+        grad_x = (big[:, 1:-1, 2:] - big[:, 1:-1, :-2]) / 2.0
+        grad_y = (big[:, 2:, 1:-1] - big[:, :-2, 1:-1]) / 2.0
+        zxx = _window_sums(grad_x * grad_x)
+        zxy = _window_sums(grad_x * grad_y)
+        zyy = _window_sums(grad_y * grad_y)
+        det = zxx * zyy - zxy * zxy
+        lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
+        singular = (lam_min < eigen_floor) | (det <= 0.0)
+        status[live[singular]] = TrackStatus.LOST_SINGULAR
+        keep = ~singular
+        live, p = live[keep], p[keep]
+        iw = big[keep, 1:-1, 1:-1]
+        grad_x, grad_y = grad_x[keep], grad_y[keep]
+        zxx, zxy, zyy, det = zxx[keep], zxy[keep], zyy[keep], det[keep]
+
+        guess = 2.0 * shift[live]
+        d = np.zeros_like(p)
+        active = np.arange(live.size)  # rows of ``live`` still iterating
+        for _ in range(params.max_iterations):
+            if active.size == 0:
+                break
+            q = p[active] + guess[active] + d[active]
+            ok = inside(q, 0.0, lw - 1, lh - 1)
+            status[live[active[~ok]]] = TrackStatus.LOST_BOUNDS
+            active, q = active[ok], q[ok]
+            diff = iw[active] - sample_windows(imgj, q, hw)
+            ex = _window_sums(diff * grad_x[active])
+            ey = _window_sums(diff * grad_y[active])
+            sx = (zyy[active] * ex - zxy[active] * ey) / det[active]
+            sy = (zxx[active] * ey - zxy[active] * ex) / det[active]
+            d[active, 0] += sx
+            d[active, 1] += sy
+            active = active[~(sx * sx + sy * sy < eps_sq)]
+        shift[live] = guess + d
+
+    live = np.flatnonzero(status == TrackStatus.TRACKED)
+    moved = xy[live] + shift[live]
+    ok = inside(moved, hw, w0 - 1 - hw, h0 - 1 - hw)
+    status[live[~ok]] = TrackStatus.LOST_BOUNDS
+    live, moved = live[ok], moved[ok]
+    iw = sample_windows(pi.levels[0], xy[live], hw)
+    jw = sample_windows(pj.levels[0], moved, hw)
+    sq = (iw - jw) ** 2
+    residual = np.sqrt(_window_sums(sq) / (sq.shape[1] * sq.shape[2]))
+    status[live[~(residual <= params.residual_max)]] = TrackStatus.LOST_RESIDUAL
+
+    new_xy = xy.copy()
+    dxy = np.zeros_like(xy)
+    residuals = np.full(len(xy), np.inf)
+    new_xy[live] = moved
+    dxy[live] = shift[live]
+    residuals[live] = residual
+    return Tracks(new_xy, dxy, residuals, status)

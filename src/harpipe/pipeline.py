@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -11,31 +10,6 @@ from . import bgmodel, flowdesc, goodfeat, lkflow, mlp
 from .config import PipelineConfig
 from .frameio import Frame
 from .flowdesc import PointDescriptor, SampleVector
-
-
-def _sample_intensity(img: np.ndarray, x: float, y: float) -> float:
-    h, w = img.shape
-    x = min(max(x, 0.0), w - 1.0)
-    y = min(max(y, 0.0), h - 1.0)
-    x0, y0 = int(x), int(y)
-    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-    fx, fy = x - x0, y - y0
-    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
-    return float(top * (1 - fy) + bot * fy)
-
-
-@dataclass
-class _Slot:
-    x: float
-    y: float
-    alive: bool = True
-    prev_uv: Optional[tuple[float, float]] = None
-    prev_intensity: float = 0.0
-    descriptors: list = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.descriptors = []
 
 
 def track_params(cfg: PipelineConfig) -> lkflow.TrackParams:
@@ -76,63 +50,53 @@ def extract_window_sample(
             p for p in points if foreground[int(round(p.y)), int(round(p.x))]
         ]
     params = track_params(cfg)
-    slots = [_Slot(p.x, p.y) for p in points]
-    for s in slots:
-        s.prev_intensity = _sample_intensity(frames[0].as_float(), s.x, s.y)
+    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    alive = np.ones(len(xy), dtype=bool)
+    descriptors: list[list[PointDescriptor]] = [[] for _ in points]
+    prev_uv = np.zeros_like(xy)
 
-    pyramids = {}
-
-    def pyramid_at(i: int) -> lkflow.Pyramid:
-        if i not in pyramids:
-            pyramids[i] = lkflow.build_pyramid(frames[i], cfg.pyramid_levels)
-        return pyramids[i]
-
+    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+    intensity = lkflow.sample_windows(pi.levels[0], xy, 0)[:, 0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
-        i0 = step * cfg.flow_step
-        i1 = i0 + cfg.flow_step
-        pi, pj = pyramid_at(i0), pyramid_at(i1)
-        img1 = frames[i1].as_float()
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            break
+        pj = lkflow.build_pyramid(
+            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
+        )
 
-        def probe(x: float, y: float) -> Optional[tuple[float, float]]:
-            r = lkflow.track_point(pi, pj, goodfeat.FeaturePoint(x, y, 0.0), params)
-            if not r.tracked:
-                return None
-            return flowdesc.flow_velocity(r, cfg.flow_step)
+        # one call tracks every live slot together with its Jacobian probes
+        probes = flowdesc.jacobian_probes(xy[live], h_probe)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
+        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
+        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
+        alive[live[~centre_ok]] = False
+        live, uv = live[centre_ok], uv[centre_ok]
+        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
+        # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
+        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
+        invariants = np.column_stack(flowdesc.flow_invariants(jac))
+        cur_intensity = lkflow.sample_windows(pj.levels[0], new_xy, 0)[:, 0, 0]
 
-        for slot in slots:
-            if not slot.alive:
-                continue
-            r = lkflow.track_point(
-                pi, pj, goodfeat.FeaturePoint(slot.x, slot.y, 0.0), params
-            )
-            if not r.tracked:
-                slot.alive = False
-                continue
-            uv = flowdesc.flow_velocity(r, cfg.flow_step)
-            try:
-                jac = flowdesc.flow_jacobian(probe, (slot.x, slot.y), h=h_probe)
-                invariants = flowdesc.flow_invariants(jac)
-            except ValueError:
-                invariants = (0.0, 0.0, 0.0, 0.0)
-            cur_intensity = _sample_intensity(img1, r.new_x, r.new_y)
+        for k, slot in enumerate(live):
+            slot_uv = (uv[k, 0, 0], uv[k, 0, 1])
             i_t, u_t, v_t = flowdesc.temporal_derivatives(
-                slot.prev_uv, uv, slot.prev_intensity, cur_intensity,
-                cfg.flow_step,
+                (prev_uv[slot, 0], prev_uv[slot, 1]) if step else None,
+                slot_uv, intensity[slot], cur_intensity[k], cfg.flow_step,
             )
-            slot.descriptors.append(
+            descriptors[slot].append(
                 flowdesc.assemble_descriptor(
-                    slot.x, slot.y, frames[0].width, frames[0].height,
-                    step, steps, i_t, uv, (u_t, v_t), invariants,
+                    xy[slot, 0], xy[slot, 1], frames[0].width, frames[0].height,
+                    step, steps, i_t, slot_uv, (u_t, v_t), tuple(invariants[k]),
                 )
             )
-            slot.x, slot.y = r.new_x, r.new_y
-            slot.prev_uv = uv
-            slot.prev_intensity = cur_intensity
+        xy[live] = new_xy
+        prev_uv[live] = uv[:, 0]
+        intensity[live] = cur_intensity
+        pi = pj
 
-    return flowdesc.aggregate_sample(
-        [s.descriptors for s in slots], n, steps, label=label
-    )
+    return flowdesc.aggregate_sample(descriptors, n, steps, label=label)
 
 
 def window_starts(n_frames: int, cfg: PipelineConfig) -> list[int]:

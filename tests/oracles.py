@@ -2,12 +2,17 @@
 
 These are deliberately written in the most literal, slow style possible —
 plain Python floats, per-pixel loops — so they share no code paths with the
-package under test.
+package under test. The exception is ``track_point``: it tracks one point at
+a time with the same numpy window arithmetic as ``lkflow.track_points``, so
+the batched tracker must reproduce it exactly.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+from harpipe.lkflow import TrackParams, TrackStatus
 
 
 class ScalarGmmOracle:
@@ -167,3 +172,121 @@ def smooth_texture(rng, width, height, passes=2, lo=0, hi=255):
     span = noise.max() - noise.min()
     out = lo + (hi - lo) * (noise - noise.min()) / span
     return np.floor(out + 0.5).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class TrackResult:
+    new_x: float
+    new_y: float
+    dx: float
+    dy: float
+    residual: float
+    status: TrackStatus
+
+    @property
+    def tracked(self) -> bool:
+        return self.status is TrackStatus.TRACKED
+
+
+def sample_window(img, cx, cy, hw):
+    """Bilinear (2hw+1)^2 window around (cx, cy), clamped at the borders."""
+    import numpy as np
+
+    h, w = img.shape
+    # unit-spaced sample grid: one shared fractional offset, so an interior
+    # window is four shifted slices of a contiguous region
+    x0 = int(np.floor(cx - hw))
+    y0 = int(np.floor(cy - hw))
+    n = 2 * hw + 1
+    if 0 <= x0 and x0 + n < w and 0 <= y0 and y0 + n < h:
+        fx = cx - hw - x0
+        fy = cy - hw - y0
+        r = img[y0 : y0 + n + 1, x0 : x0 + n + 1]
+        top = r[:-1, :-1] * (1 - fx) + r[:-1, 1:] * fx
+        bot = r[1:, :-1] * (1 - fx) + r[1:, 1:] * fx
+        return top * (1 - fy) + bot * fy
+    xs = np.clip(cx + np.arange(-hw, hw + 1, dtype=np.float64), 0.0, w - 1.0)
+    ys = np.clip(cy + np.arange(-hw, hw + 1, dtype=np.float64), 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = (ys - y0)[:, None]
+    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
+    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def track_point(pi, pj, x, y, params=TrackParams()):
+    """One point at a time through the pyramids: the scalar reference for
+    ``lkflow.track_points``."""
+    import numpy as np
+
+    hw = params.half_window
+    eigen_floor = params.min_eigen_per_pixel * (2 * hw + 1) ** 2
+    w0, h0 = pi.width, pi.height
+
+    def lost(status):
+        return TrackResult(x, y, 0.0, 0.0, np.inf, status)
+
+    if not (hw <= x <= w0 - 1 - hw and hw <= y <= h0 - 1 - hw):
+        return lost(TrackStatus.LOST_BOUNDS)
+
+    n_levels = min(len(pi.levels), len(pj.levels))
+    gx = gy = 0.0  # running guess, in the current level's pixels
+    dx = dy = 0.0
+    for level in reversed(range(n_levels)):
+        imgi = pi.levels[level]
+        imgj = pj.levels[level]
+        lh, lw = imgi.shape
+        px = x / (1 << level)
+        py = y / (1 << level)
+
+        # one (2hw+3)^2 window yields the template and both gradient windows
+        big = sample_window(imgi, px, py, hw + 1)
+        iw = big[1:-1, 1:-1]
+        grad_x = (big[1:-1, 2:] - big[1:-1, :-2]) / 2.0
+        grad_y = (big[2:, 1:-1] - big[:-2, 1:-1]) / 2.0
+        zxx = float((grad_x * grad_x).sum())
+        zxy = float((grad_x * grad_y).sum())
+        zyy = float((grad_y * grad_y).sum())
+        det = zxx * zyy - zxy * zxy
+        lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
+        if lam_min < eigen_floor or det <= 0.0:
+            return lost(TrackStatus.LOST_SINGULAR)
+
+        dx = dy = 0.0
+        for _ in range(params.max_iterations):
+            qx = px + gx + dx
+            qy = py + gy + dy
+            if not (0.0 <= qx <= lw - 1 and 0.0 <= qy <= lh - 1):
+                return lost(TrackStatus.LOST_BOUNDS)
+            diff = iw - sample_window(imgj, qx, qy, hw)
+            ex = float((diff * grad_x).sum())
+            ey = float((diff * grad_y).sum())
+            sx = (zyy * ex - zxy * ey) / det
+            sy = (zxx * ey - zxy * ex) / det
+            dx += sx
+            dy += sy
+            if sx * sx + sy * sy < params.convergence_eps**2:
+                break
+        if level > 0:
+            gx = 2.0 * (gx + dx)
+            gy = 2.0 * (gy + dy)
+
+    tx = gx + dx
+    ty = gy + dy
+    nx = x + tx
+    ny = y + ty
+    if not (hw <= nx <= w0 - 1 - hw and hw <= ny <= h0 - 1 - hw):
+        return lost(TrackStatus.LOST_BOUNDS)
+    iw = sample_window(pi.levels[0], x, y, hw)
+    jw = sample_window(pj.levels[0], nx, ny, hw)
+    residual = float(np.sqrt(np.mean((iw - jw) ** 2)))
+    status = (
+        TrackStatus.TRACKED
+        if residual <= params.residual_max
+        else TrackStatus.LOST_RESIDUAL
+    )
+    return TrackResult(nx, ny, tx, ty, residual, status)

@@ -10,16 +10,17 @@ import pytest
 
 from harpipe import cli, mlp, synth
 from harpipe.config import PipelineConfig
-from harpipe.flowdesc import FlowJacobian, flow_invariants, flow_jacobian
+from harpipe.flowdesc import FlowJacobian, flow_invariants
 from harpipe.frameio import Frame
-from harpipe.goodfeat import FeaturePoint, detect_good_features
-from harpipe.lkflow import build_pyramid, track_point
+from harpipe.goodfeat import detect_good_features
+from harpipe.lkflow import build_pyramid, track_points
 from harpipe.pipeline import sequence_samples
 
 from conftest import make_frame
 from oracles import ScalarGmmOracle, brute_force_good_features, smooth_texture
 from test_bgmodel import run_oracle, run_single_pixel
-from test_lkflow import interior_features, shifted_pair
+from test_flowdesc import jacobian_of
+from test_lkflow import interior_features, shifted_pair, xy_of
 from test_mlp import gradient_check
 
 
@@ -98,18 +99,14 @@ def test_criterion_3_flow_accuracy():
         for seed, (sx, sy) in enumerate(shifts):
             f_i, f_j = shifted_pair(100 + seed, sx, sy)
             pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-            errors = []
-            fb_errors = []
-            for p in interior_features(f_i):
-                r = track_point(pi, pj, p)
-                if not r.tracked:
-                    continue
-                errors.append(np.hypot(r.dx - sx, r.dy - sy))
-                back = track_point(pj, pi, FeaturePoint(r.new_x, r.new_y, 0.0))
-                if back.tracked:
-                    fb_errors.append(
-                        np.hypot(back.new_x - p.x, back.new_y - p.y)
-                    )
+            start = xy_of(interior_features(f_i))
+            fwd = track_points(pi, pj, start)
+            ok = fwd.tracked
+            errors = list(np.hypot(fwd.dxy[ok, 0] - sx, fwd.dxy[ok, 1] - sy))
+            back = track_points(pj, pi, fwd.xy[ok])
+            fb_errors = list(
+                np.hypot(*(back.xy - start[ok])[back.tracked].T)
+            )
             assert errors, f"no tracked points for shift {(sx, sy)}"
             assert np.mean(errors) <= 0.25
             assert fb_errors and np.mean(fb_errors) <= 0.5
@@ -131,7 +128,7 @@ def test_criterion_4_invariant_analytics():
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b, c, d, e, g_ = rng.uniform(-2, 2, 6)
-            jac = flow_jacobian(
+            jac = jacobian_of(
                 lambda x, y: (a * x + b * y + c, d * x + e * y + g_),
                 (float(rng.uniform(10, 150)), float(rng.uniform(10, 110))),
             )

@@ -76,6 +76,22 @@ class TestExitCodes:
                        "--set", "bogus=1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("setting", [
+        "track_half_window=0", "track_half_window=-1",
+        "track_max_iterations=0", "pyramid_levels=0",
+        "jacobian_probe_offset=0", "jacobian_probe_offset=-2",
+        "track_convergence_eps=0", "track_residual_max=0",
+        "track_residual_max=nan",
+    ])
+    def test_usage_error_on_bad_tracker_setting(self, setting, capsys):
+        rc = cli.main(["classify", "no-such-sequence", "no-such-model.txt",
+                       "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ")
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
+
     def test_data_error_on_missing_class(self, tmp_path):
         for label in ACTION_LABELS[:-1]:
             (tmp_path / label).mkdir()

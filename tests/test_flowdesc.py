@@ -13,15 +13,30 @@ from harpipe.flowdesc import (
     flow_invariants,
     flow_jacobian,
     flow_velocity,
+    jacobian_probes,
     read_samples,
     temporal_derivatives,
     write_samples,
 )
-from harpipe.lkflow import TrackResult, TrackStatus
+from harpipe.lkflow import Tracks, TrackStatus
 
 
-def tracked(dx, dy):
-    return TrackResult(50.0 + dx, 50.0 + dy, dx, dy, 0.0, TrackStatus.TRACKED)
+def tracked(dx, dy, status=TrackStatus.TRACKED):
+    return Tracks(np.array([[50.0 + dx, 50.0 + dy]]), np.array([[dx, dy]]),
+                  np.zeros(1), np.array([status], dtype=np.int8))
+
+
+def jacobian_of(probe, p, h=2.0):
+    """flow_jacobian of one point, reading the flow from ``probe(x, y)``
+    (None where the track is lost); ValueError for an untrackable
+    neighbourhood."""
+    points = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
+    uv = [probe(x, y) for x, y in points.tolist()]
+    uv = np.array([(np.nan, np.nan) if v is None else v for v in uv])
+    jac, ok = flow_jacobian(uv[None], h)
+    if not ok[0]:
+        raise ValueError("flow jacobian: untrackable neighborhood")
+    return FlowJacobian(*(float(v[0]) for v in (jac.ux, jac.uy, jac.vx, jac.vy)))
 
 
 def descriptor(values):
@@ -33,18 +48,17 @@ finite = st.floats(-10.0, 10.0)
 
 class TestFlowVelocity:
     def test_divides_by_frame_step(self):
-        assert flow_velocity(tracked(3.0, 0.0), 3) == (1.0, 0.0)
+        assert flow_velocity(tracked(3.0, 0.0), 3).tolist() == [[1.0, 0.0]]
 
     def test_zero(self):
-        assert flow_velocity(tracked(0.0, 0.0), 3) == (0.0, 0.0)
+        assert flow_velocity(tracked(0.0, 0.0), 3).tolist() == [[0.0, 0.0]]
 
     def test_fractional(self):
-        assert flow_velocity(tracked(-1.5, 4.5), 3) == (-0.5, 1.5)
+        assert flow_velocity(tracked(-1.5, 4.5), 3).tolist() == [[-0.5, 1.5]]
 
     def test_untracked_rejected(self):
-        lost = TrackResult(0, 0, 0, 0, np.inf, TrackStatus.LOST_BOUNDS)
-        with pytest.raises(ValueError):
-            flow_velocity(lost, 3)
+        for status in (TrackStatus.LOST_BOUNDS, TrackStatus.LOST_RESIDUAL):
+            assert np.isnan(flow_velocity(tracked(1.0, 2.0, status), 3)).all()
 
     def test_bad_frame_step(self):
         with pytest.raises(ValueError):
@@ -107,14 +121,14 @@ class TestFlowJacobian:
     @given(finite, finite, finite, finite, finite, finite)
     @settings(max_examples=50)
     def test_recovers_affine_coefficients(self, a, b, c, d, e, g):
-        jac = flow_jacobian(self.affine_probe(a, b, c, d, e, g), (40.0, 30.0))
+        jac = jacobian_of(self.affine_probe(a, b, c, d, e, g), (40.0, 30.0))
         assert jac.ux == pytest.approx(a, abs=1e-9)
         assert jac.uy == pytest.approx(b, abs=1e-9)
         assert jac.vx == pytest.approx(d, abs=1e-9)
         assert jac.vy == pytest.approx(e, abs=1e-9)
 
     def test_constant_field(self):
-        jac = flow_jacobian(lambda x, y: (2.0, -1.0), (10.0, 10.0))
+        jac = jacobian_of(lambda x, y: (2.0, -1.0), (10.0, 10.0))
         assert (jac.ux, jac.uy, jac.vx, jac.vy) == (0, 0, 0, 0)
 
     def test_one_sided_fallback(self):
@@ -125,7 +139,7 @@ class TestFlowJacobian:
                 return None
             return (0.5 * x, 0.25 * y)
 
-        jac = flow_jacobian(probe, (40.0, 30.0))
+        jac = jacobian_of(probe, (40.0, 30.0))
         assert jac.ux == pytest.approx(0.5, abs=1e-9)
         assert jac.vy == pytest.approx(0.25, abs=1e-9)
 
@@ -134,7 +148,42 @@ class TestFlowJacobian:
             return None if x != 40.0 else (0.0, 0.0)
 
         with pytest.raises(ValueError):
-            flow_jacobian(probe, (40.0, 30.0))
+            jacobian_of(probe, (40.0, 30.0))
+
+
+    def test_one_sided_needs_centre(self):
+        def probe(x, y):
+            return None if x >= 40.0 and y == 30.0 else (x, y)
+
+        with pytest.raises(ValueError):
+            jacobian_of(probe, (40.0, 30.0))
+
+    def test_rows_are_independent(self):
+        # central, one-sided, untrackable and affine rows in one call equal
+        # the same rows one at a time
+        def affine(x, y):
+            return (0.3 * x - 0.2 * y, 0.1 * x + 0.4 * y)
+
+        fields = [
+            affine,
+            lambda x, y: None if x > 40.0 else affine(x, y),
+            lambda x, y: None if y < 30.0 else affine(x, y),
+            lambda x, y: None if x != 40.0 else (0.0, 0.0),
+        ]
+        xy = np.array([[40.0, 30.0]])
+        uv = np.array([
+            [(np.nan, np.nan) if v is None else v
+             for v in (f(x, y) for x, y in jacobian_probes(xy, 2.0)[0].tolist())]
+            for f in fields
+        ])
+        jac, ok = flow_jacobian(uv, 2.0)
+        assert ok.tolist() == [True, True, True, False]
+        for k, f in enumerate(fields[:3]):
+            one = jacobian_of(f, (40.0, 30.0))
+            assert (jac.ux[k], jac.uy[k], jac.vx[k], jac.vy[k]) == (
+                one.ux, one.uy, one.vx, one.vy)
+        assert (jac.ux[3], jac.uy[3], jac.vx[3], jac.vy[3]) == (0, 0, 0, 0)
+        assert flow_invariants(jac)[0][3] == 0.0
 
 
 class TestAssembleDescriptor:

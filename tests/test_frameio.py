@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,25 @@ class TestDecodePnm:
         f = decode_pnm(b"P3\n1 1\n255\n1 2 3\n")
         assert isinstance(f, RgbFrame)
         assert f.pixels.tolist() == [[[1, 2, 3]]]
+
+    def test_low_maxval_rescaled(self):
+        f = decode_pnm(b"P2 2 1 15\n0 15\n")
+        assert f.pixels.tolist() == [[0, 255]]
+
+    def test_low_maxval_rounds_half_up(self):
+        # 1 * 255 / 2 = 127.5 -> 128; 3 * 255 / 6 = 127.5 -> 128
+        assert decode_pnm(b"P2 3 1 2\n0 1 2\n").pixels.tolist() == [[0, 128, 255]]
+        assert decode_pnm(b"P5 1 1 6 " + bytes([3])).pixels.tolist() == [[128]]
+        rgb = decode_pnm(b"P3 1 1 1\n1 0 1\n")
+        assert rgb.pixels.tolist() == [[[255, 0, 255]]]
+
+    @given(st.integers(1, 255))
+    def test_low_maxval_matches_formula(self, maxval):
+        values = list(range(maxval + 1))
+        data = f"P2 {len(values)} 1 {maxval}\n".encode() + " ".join(
+            map(str, values)).encode()
+        got = decode_pnm(data).pixels[0].tolist()
+        assert got == [math.floor(v * 255 / maxval + 0.5) for v in values]
 
     def test_header_comment(self):
         f = decode_pnm(b"P5\n# a comment\n2 1 255\n" + bytes([7, 8]))
@@ -174,5 +195,13 @@ class TestLoadSequence:
     def test_raw_bad_geometry(self, tmp_path):
         path = tmp_path / "stream.raw"
         path.write_bytes(bytes(16))
-        with pytest.raises(ValueError):
-            list(load_sequence(str(path), raw="banana"))
+        for raw in ("banana", "0x0", "4x0", "-4x4"):
+            with pytest.raises(ValueError):
+                list(load_sequence(str(path), raw=raw))
+
+    def test_raw_frames_in_order(self, tmp_path):
+        path = tmp_path / "stream.raw"
+        path.write_bytes(bytes(v for v in range(5) for _ in range(6)))
+        frames = list(load_sequence(str(path), raw="3x2", working_resolution=None))
+        assert [f.index for f in frames] == list(range(5))
+        assert [f.pixels.tolist() for f in frames] == [[[v] * 3] * 2 for v in range(5)]

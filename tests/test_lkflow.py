@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harpipe.goodfeat import FeaturePoint, detect_good_features
+from harpipe.goodfeat import detect_good_features
 from harpipe.lkflow import (
-    Pyramid,
     TrackParams,
     TrackStatus,
     build_pyramid,
-    track_point,
     track_points,
 )
 
 from conftest import make_frame
-from oracles import smooth_texture
+from oracles import smooth_texture, track_point
 
 
 def shifted_pair(seed, sx, sy, width=160, height=120):
@@ -35,6 +33,10 @@ def interior_features(frame, n=20, border=20):
         and border <= p.y < frame.height - border
     ]
     return points[:n]
+
+
+def xy_of(points):
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
 class TestBuildPyramid:
@@ -71,37 +73,29 @@ class TestTrackPoint:
     def test_zero_motion_fixed_point(self):
         f, _ = shifted_pair(0, 0, 0)
         pyr = build_pyramid(f, 3)
-        for p in interior_features(f, 10):
-            r = track_point(pyr, pyr, p)
-            assert r.tracked
-            assert np.hypot(r.dx, r.dy) <= TrackParams().convergence_eps
-            assert r.residual <= 1.0
+        t = track_points(pyr, pyr, xy_of(interior_features(f, 10)))
+        assert t.tracked.all()
+        assert (np.hypot(*t.dxy.T) <= TrackParams().convergence_eps).all()
+        assert (t.residual <= 1.0).all()
 
     def test_integer_shift_recovery(self):
         f_i, f_j = shifted_pair(1, 3, 0)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        errors = []
-        for p in interior_features(f_i):
-            r = track_point(pi, pj, p)
-            if r.tracked:
-                errors.append(np.hypot(r.dx - 3, r.dy))
+        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        errors = np.hypot(t.dxy[t.tracked, 0] - 3, t.dxy[t.tracked, 1])
         assert len(errors) >= 10
         assert np.sqrt(np.mean(np.square(errors))) <= 0.25
 
     def test_forward_backward_symmetry(self):
         f_i, f_j = shifted_pair(2, 4, -2)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        checked = 0
-        for p in interior_features(f_i):
-            fwd = track_point(pi, pj, p)
-            if not fwd.tracked:
-                continue
-            back = track_point(pj, pi, FeaturePoint(fwd.new_x, fwd.new_y, 0.0))
-            if not back.tracked:
-                continue
-            assert np.hypot(back.new_x - p.x, back.new_y - p.y) <= 0.5
-            checked += 1
-        assert checked >= 10
+        start = xy_of(interior_features(f_i))
+        fwd = track_points(pi, pj, start)
+        back = track_points(pj, pi, fwd.xy[fwd.tracked])
+        both = back.tracked
+        gaps = np.hypot(*(back.xy[both] - start[fwd.tracked][both]).T)
+        assert (gaps <= 0.5).all()
+        assert both.sum() >= 10
 
     def test_residual_not_worse_than_no_motion(self):
         f_i, f_j = shifted_pair(3, 2, 2)
@@ -109,50 +103,46 @@ class TestTrackPoint:
         params = TrackParams()
         hw = params.half_window
         img_i, img_j = f_i.as_float(), f_j.as_float()
-        for p in interior_features(f_i, 10):
-            r = track_point(pi, pj, p, params)
-            if not r.tracked:
+        points = interior_features(f_i, 10)
+        t = track_points(pi, pj, xy_of(points), params)
+        for p, tracked, residual in zip(points, t.tracked, t.residual):
+            if not tracked:
                 continue
             x, y = int(p.x), int(p.y)
             wi = img_i[y - hw : y + hw + 1, x - hw : x + hw + 1]
             wj = img_j[y - hw : y + hw + 1, x - hw : x + hw + 1]
             at_zero = np.sqrt(np.mean((wi - wj) ** 2))
-            assert r.residual <= at_zero + 1e-9
+            assert residual <= at_zero + 1e-9
 
     def test_flat_region_is_singular(self):
         f = make_frame(np.full((64, 64), 90, dtype=np.uint8))
         pyr = build_pyramid(f, 2)
-        r = track_point(pyr, pyr, FeaturePoint(32.0, 32.0, 0.0))
-        assert r.status is TrackStatus.LOST_SINGULAR
+        t = track_points(pyr, pyr, np.array([[32.0, 32.0]]))
+        assert t.status[0] == TrackStatus.LOST_SINGULAR
 
     def test_border_point_is_out_of_bounds(self):
         f, _ = shifted_pair(4, 0, 0)
         pyr = build_pyramid(f, 2)
-        r = track_point(pyr, pyr, FeaturePoint(2.0, 60.0, 0.0))
-        assert r.status is TrackStatus.LOST_BOUNDS
+        t = track_points(pyr, pyr, np.array([[2.0, 60.0]]))
+        assert t.status[0] == TrackStatus.LOST_BOUNDS
 
     def test_tracked_point_stays_inside_frame(self):
         f_i, f_j = shifted_pair(5, -5, 3)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
         hw = TrackParams().half_window
-        for p in interior_features(f_i):
-            r = track_point(pi, pj, p)
-            if r.tracked:
-                assert hw <= r.new_x <= f_j.width - 1 - hw
-                assert hw <= r.new_y <= f_j.height - 1 - hw
+        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        x, y = t.xy[t.tracked].T
+        assert ((hw <= x) & (x <= f_j.width - 1 - hw)).all()
+        assert ((hw <= y) & (y <= f_j.height - 1 - hw)).all()
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 500))
     @settings(max_examples=15, deadline=None)
     def test_shift_equivariance_property(self, sx, sy, seed):
         f_i, f_j = shifted_pair(seed, sx, sy)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        errors = [
-            np.hypot(r.dx - sx, r.dy - sy)
-            for p in interior_features(f_i)
-            for r in [track_point(pi, pj, p)]
-            if r.tracked
-        ]
-        assert errors
+        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        errors = np.hypot(t.dxy[t.tracked, 0] - sx, t.dxy[t.tracked, 1] - sy)
+        assert errors.size
         assert np.sqrt(np.mean(np.square(errors))) <= 0.25
 
 
@@ -160,14 +150,16 @@ class TestTrackPoints:
     def test_empty_input(self):
         f, _ = shifted_pair(6, 0, 0)
         pyr = build_pyramid(f, 2)
-        assert track_points(pyr, pyr, []) == []
+        t = track_points(pyr, pyr, np.zeros((0, 2)))
+        assert t.xy.shape == t.dxy.shape == (0, 2)
+        assert t.residual.shape == t.status.shape == (0,)
 
     def test_all_flat_all_singular(self):
         f = make_frame(np.full((48, 48), 10, dtype=np.uint8))
         pyr = build_pyramid(f, 2)
-        points = [FeaturePoint(x, 24.0, 0.0) for x in (16.0, 24.0, 32.0)]
-        results = track_points(pyr, pyr, points)
-        assert all(r.status is TrackStatus.LOST_SINGULAR for r in results)
+        xy = np.array([(x, 24.0) for x in (16.0, 24.0, 32.0)])
+        t = track_points(pyr, pyr, xy)
+        assert (t.status == TrackStatus.LOST_SINGULAR).all()
 
     def test_mixed_corner_and_flat(self):
         f_i, f_j = shifted_pair(7, 3, 0)
@@ -179,17 +171,74 @@ class TestTrackPoints:
             p for p in interior_features(f_i, 8)
             if not (40 <= p.x < 80 and 40 <= p.y < 80)
         ]
-        flats = [FeaturePoint(60.0, 60.0, 0.0)]
-        results = track_points(pi, pj, corners + flats)
-        for r in results[: len(corners)]:
-            if r.tracked:
-                assert np.hypot(r.dx - 3, r.dy) <= 0.25
-        assert not results[-1].tracked
+        xy = np.vstack([xy_of(corners), [[60.0, 60.0]]])
+        t = track_points(pi, pj, xy)
+        kept = t.tracked[:-1]
+        assert (np.hypot(t.dxy[:-1][kept, 0] - 3, t.dxy[:-1][kept, 1]) <= 0.25).all()
+        assert not t.tracked[-1]
 
     def test_order_preserved(self):
         f_i, f_j = shifted_pair(8, 1, 1)
         pi, pj = build_pyramid(f_i, 2), build_pyramid(f_j, 2)
-        points = interior_features(f_i, 5)
-        results = track_points(pi, pj, points)
-        singles = [track_point(pi, pj, p) for p in points]
-        assert results == singles
+        xy = xy_of(interior_features(f_i, 5))
+        t = track_points(pi, pj, xy)
+        for k in range(len(xy)):
+            single = track_points(pi, pj, xy[k : k + 1])
+            assert np.array_equal(t.xy[k], single.xy[0])
+            assert np.array_equal(t.dxy[k], single.dxy[0])
+            assert t.residual[k] == single.residual[0]
+            assert t.status[k] == single.status[0]
+
+
+def assert_matches_oracle(pi, pj, xy, params=TrackParams()):
+    """Batched tracks equal one-at-a-time scalar reference tracks."""
+    t = track_points(pi, pj, xy, params)
+    for k, (x, y) in enumerate(xy.tolist()):
+        r = track_point(pi, pj, x, y, params)
+        assert t.status[k] == r.status, (k, x, y)
+        assert t.xy[k] == pytest.approx((r.new_x, r.new_y), abs=1e-9)
+        assert t.dxy[k] == pytest.approx((r.dx, r.dy), abs=1e-9)
+        assert t.residual[k] == pytest.approx(r.residual, abs=1e-9)
+    return t
+
+
+class TestScalarOracle:
+    """``track_points`` against the scalar reference ``oracles.track_point``."""
+
+    def test_random_points_on_random_textures(self):
+        rng = np.random.default_rng(9)
+        statuses = set()
+        for trial, (levels, hw) in enumerate([(1, 7), (2, 5), (3, 7), (4, 3)]):
+            sx, sy = (int(v) for v in rng.integers(-6, 7, 2))
+            f_i, f_j = shifted_pair(200 + trial, sx, sy)
+            for f in (f_i, f_j):
+                f.pixels[30:70, 30:90] = 77  # flat patch: singular tensors
+            pi, pj = build_pyramid(f_i, levels), build_pyramid(f_j, levels)
+            # the frame and beyond, so border and out-of-frame points occur
+            xy = np.column_stack([rng.uniform(-5, 165, 60), rng.uniform(-5, 125, 60)])
+            xy[:10] = np.round(xy[:10])
+            xy[10:15, 0] = hw
+            xy[15:20, 1] = 119 - hw
+            t = assert_matches_oracle(pi, pj, xy, TrackParams(half_window=hw))
+            statuses.update(TrackStatus(s) for s in t.status)
+        assert statuses >= {TrackStatus.TRACKED, TrackStatus.LOST_BOUNDS,
+                            TrackStatus.LOST_SINGULAR}
+
+    def test_criterion_3_shifts(self):
+        shifts = [(3, 0), (0, 3), (-4, 2), (6, 0), (2, -2),
+                  (-3, -3), (1, 5), (-5, 1), (4, 4), (0, -6)]
+        for seed, (sx, sy) in enumerate(shifts):
+            f_i, f_j = shifted_pair(100 + seed, sx, sy)
+            pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
+            assert_matches_oracle(pi, pj, xy_of(interior_features(f_i)))
+
+    def test_residual_rejection(self):
+        # unrelated textures: the iteration converges somewhere, but the
+        # windows do not match
+        f_i, _ = shifted_pair(300, 0, 0)
+        f_j, _ = shifted_pair(301, 0, 0)
+        pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
+        t = assert_matches_oracle(
+            pi, pj, xy_of(interior_features(f_i)), TrackParams(residual_max=2.0)
+        )
+        assert (t.status == TrackStatus.LOST_RESIDUAL).any()
