@@ -1,10 +1,16 @@
-"""Per-pixel adaptive Gaussian-mixture background model.
+"""Per-pixel adaptive Gaussian-mixture background model (Stauffer & Grimson 1999).
 
 Each pixel keeps K Gaussian components (weight, mean, variance) sorted by
 descending fitness w/sqrt(var). A frame update matches each pixel against its
 components, adapts the matched one, replaces the weakest when nothing matches,
 and labels the pixel background iff its matched component falls inside the
 smallest prefix whose cumulative weight reaches the threshold T.
+
+The state is three (K, H*W) arrays, one row per fitness rank. An update is a
+loop over the K rows in which every step covers a whole row at once, in place
+and masked with ``where=``, using buffers allocated with the model: a frame
+allocates nothing frame-sized except its mask. The re-sort is a stable
+adjacent-swap network over the rows.
 """
 
 from __future__ import annotations
@@ -13,19 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .frameio import Frame
-
-
-@dataclass(frozen=True)
-class GaussComponent:
-    weight: float
-    mean: float
-    variance: float
-
-
-def fitness(c: GaussComponent) -> float:
-    """Weight over standard deviation; high fitness marks stable background."""
-    return c.weight / np.sqrt(c.variance)
 
 
 @dataclass(frozen=True)
@@ -56,85 +51,134 @@ class BackgroundModel:
     means: np.ndarray = field(init=False, repr=False)
     variances: np.ndarray = field(init=False, repr=False)
     _seeded: bool = field(default=False, init=False, repr=False)
+    # per-frame work buffers, reused by every update
+    _fit: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _flags: np.ndarray = field(init=False, repr=False)
+    _pos: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.width * self.height
         self.weights = np.zeros((self.k, n))
         self.means = np.zeros((self.k, n))
         self.variances = np.full((self.k, n), self.initial_variance)
-
-    def components_at(self, x: int, y: int) -> list[GaussComponent]:
-        i = y * self.width + x
-        return [
-            GaussComponent(self.weights[k, i], self.means[k, i], self.variances[k, i])
-            for k in range(self.k)
-        ]
+        self._fit = np.empty((self.k, n))
+        self._rows = np.zeros((5, n))
+        self._flags = np.empty((3, n), dtype=bool)
+        # rank of each pixel's matched component; k when nothing matched
+        self._pos = np.empty(n, dtype=np.min_scalar_type(self.k))
 
     def update_and_classify(self, f: Frame) -> ForegroundMask:
         if (f.width, f.height) != (self.width, self.height):
             raise ValueError("frame dimensions do not match the model")
-        x = f.as_float().reshape(-1)
-        n = x.size
+        w, mu, var = self.weights, self.means, self.variances
+        k, a = self.k, self.alpha
+        x, s, d, rho, keep = self._rows
+        hit, aux, swap = self._flags
+        pos = self._pos
+        np.copyto(x, f.pixels.reshape(-1))
 
         if not self._seeded:
             # first frame seeds the dominant component at the observed value
-            self.weights[0] = 1.0
-            self.means[:] = x[None, :]
+            w[0] = 1.0
+            mu[:] = x
             self._seeded = True
             return ForegroundMask(
                 self.width, self.height,
                 np.zeros((self.height, self.width), dtype=bool),
             )
 
-        w, mu, var = self.weights, self.means, self.variances
-        sigma = np.sqrt(var)
-        match = np.abs(x[None, :] - mu) <= self.match_radius * sigma
-        # components are fitness-sorted, so the first match is the best one
-        matched_any = match.any(axis=0)
-        midx = np.argmax(match, axis=0)
-        cols = np.arange(n)
+        # components are fitness-sorted, so the first match is the best one:
+        # scan from the last row so that earlier rows overwrite later ones
+        pos.fill(k)
+        for j in reversed(range(k)):
+            np.sqrt(var[j], out=s)
+            s *= self.match_radius
+            np.subtract(x, mu[j], out=d)
+            np.abs(d, out=d)
+            np.less_equal(d, s, out=hit)
+            np.copyto(pos, j, where=hit)
 
-        m_cols = cols[matched_any]
-        m_rows = midx[matched_any]
-        w[:, m_cols] *= 1.0 - self.alpha
-        w[m_rows, m_cols] += self.alpha
-        rho = self.alpha / w[m_rows, m_cols]
-        xm = x[m_cols]
-        mu[m_rows, m_cols] = (1.0 - rho) * mu[m_rows, m_cols] + rho * xm
-        var[m_rows, m_cols] = (1.0 - rho) * var[m_rows, m_cols] + rho * (
-            xm - mu[m_rows, m_cols]
-        ) ** 2
+        np.less(pos, k, out=aux)
+        np.multiply(w, 1.0 - a, out=w, where=aux)
+        for j in range(k):
+            np.equal(pos, j, out=hit)
+            if not hit.any():
+                continue
+            wj, muj, varj = w[j], mu[j], var[j]
+            np.add(wj, a, out=wj, where=hit)
+            # rho only in the matched lanes; the rest of the row is computed
+            # from the finite values left in the buffers and then dropped
+            np.divide(a, wj, out=rho, where=hit)
+            np.subtract(1.0, rho, out=keep)
+            # mu = (1 - rho) * mu + rho * x
+            np.multiply(keep, muj, out=s)
+            np.multiply(rho, x, out=d)
+            s += d
+            # var = (1 - rho) * var + rho * (x - mu)**2, with the new mean
+            np.subtract(x, s, out=d)
+            np.square(d, out=d)
+            d *= rho
+            np.copyto(muj, s, where=hit)
+            np.multiply(keep, varj, out=s)
+            s += d
+            np.copyto(varj, s, where=hit)
 
-        u_cols = cols[~matched_any]
-        if u_cols.size:
+        np.equal(pos, k, out=aux)
+        if aux.any():
             # no match: swap the weakest component for a fresh one, renormalize
-            w[-1, u_cols] = self.alpha
-            mu[-1, u_cols] = x[u_cols]
-            var[-1, u_cols] = self.initial_variance
-            w[:, u_cols] /= w[:, u_cols].sum(axis=0, keepdims=True)
+            np.copyto(w[-1], a, where=aux)
+            np.copyto(mu[-1], x, where=aux)
+            np.copyto(var[-1], self.initial_variance, where=aux)
+            np.copyto(s, w[0], where=aux)
+            for j in range(1, k):
+                np.add(s, w[j], out=s, where=aux)
+            np.divide(w, s, out=w, where=aux)
 
         np.maximum(var, self.variance_floor, out=var)
 
-        fit = w / np.sqrt(var)
-        order = np.argsort(-fit, axis=0, kind="stable")
-        self.weights = np.take_along_axis(w, order, axis=0)
-        self.means = np.take_along_axis(mu, order, axis=0)
-        self.variances = np.take_along_axis(var, order, axis=0)
+        # stable re-sort by descending fitness: bubble passes of adjacent
+        # swaps, carrying the matched component's rank along
+        fit = self._fit
+        np.sqrt(var, out=fit)
+        np.divide(w, fit, out=fit)
+        for last in range(k - 1, 0, -1):
+            for i in range(last):
+                np.less(fit[i], fit[i + 1], out=swap)
+                if not swap.any():
+                    continue
+                for rows in (fit, w, mu, var):
+                    np.copyto(s, rows[i])
+                    np.copyto(rows[i], rows[i + 1], where=swap)
+                    np.copyto(rows[i + 1], s, where=swap)
+                np.equal(pos, i, out=hit)
+                hit &= swap
+                np.equal(pos, i + 1, out=aux)
+                aux &= swap
+                np.copyto(pos, i + 1, where=hit)
+                np.copyto(pos, i, where=aux)
 
-        # position of the matched component after the re-sort
-        pos = np.argmax(order == midx[None, :], axis=0)
-        cum = np.cumsum(self.weights, axis=0)
-        prefix_len = 1 + np.argmax(cum >= self.t, axis=0)
-        background = matched_any & (pos < prefix_len)
+        # background iff the weight ranked before the match is still below t
+        background = np.equal(pos, 0, out=hit)
+        cum = s
+        np.copyto(cum, w[0])
+        for j in range(1, k):
+            np.equal(pos, j, out=swap)
+            np.less(cum, self.t, out=aux)
+            aux &= swap
+            background |= aux
+            cum += w[j]
         return ForegroundMask(
             self.width, self.height,
             (~background).reshape(self.height, self.width),
         )
 
 
-def subtract_consecutive(prev: Frame, cur: Frame, threshold: float) -> ForegroundMask:
-    """Plain frame differencing: foreground where |cur - prev| > threshold."""
-    if (prev.width, prev.height) != (cur.width, cur.height):
-        raise ValueError("frame dimensions differ")
-    diff = np.abs(cur.as_float() - prev.as_float())
-    return ForegroundMask(cur.width, cur.height, diff > threshold)
+def from_config(cfg: PipelineConfig, width: int, height: int) -> BackgroundModel:
+    """A model for width x height frames with the config's gmm_* settings."""
+    return BackgroundModel(
+        width, height, k=cfg.gmm_components, alpha=cfg.gmm_alpha,
+        t=cfg.gmm_threshold, match_radius=cfg.gmm_match_radius,
+        initial_variance=cfg.gmm_initial_variance,
+        variance_floor=cfg.gmm_variance_floor,
+    )

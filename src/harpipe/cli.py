@@ -293,13 +293,7 @@ def cmd_dump(args) -> int:
     params = pipeline.track_params(cfg)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
-        model = bgmodel.BackgroundModel(
-            frames[0].width, frames[0].height, k=cfg.gmm_components,
-            alpha=cfg.gmm_alpha, t=cfg.gmm_threshold,
-            match_radius=cfg.gmm_match_radius,
-            initial_variance=cfg.gmm_initial_variance,
-            variance_floor=cfg.gmm_variance_floor,
-        )
+        model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
         for f in frames:
             mask = model.update_and_classify(f)
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")

@@ -56,14 +56,19 @@ class PipelineConfig:
             raise ValueError("window_frames must be >= flow_step + 1")
         if self.feature_size < 1:
             raise ValueError("feature_size must be >= 1")
-        for key in ("pyramid_levels", "track_half_window", "track_max_iterations"):
+        for key in ("pyramid_levels", "track_half_window", "track_max_iterations",
+                    "gmm_components"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        # written so that NaN fails too
         for key in ("track_convergence_eps", "track_residual_max",
-                    "jacobian_probe_offset"):
-            # written so that NaN fails too
+                    "jacobian_probe_offset", "gmm_match_radius",
+                    "gmm_initial_variance", "gmm_variance_floor"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
+        for key in ("gmm_alpha", "gmm_threshold"):
+            if not 0 < getattr(self, key) <= 1:
+                raise ValueError(f"{key} must be in (0, 1]")
 
     @property
     def stride(self) -> int:

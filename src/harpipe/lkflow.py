@@ -72,14 +72,17 @@ class Tracks:
 
 
 def _smooth_separable(img: np.ndarray) -> np.ndarray:
+    """5-tap binomial smoothing with edge padding: each pass sums shifted
+    slices of one padded array, tap by tap."""
+    h, w = img.shape
     padded = np.pad(img, 2, mode="edge")
-    tmp = np.zeros_like(padded)
-    for i, c in enumerate(SMOOTH_KERNEL):
-        tmp += c * np.roll(padded, 2 - i, axis=1)
-    out = np.zeros_like(padded)
-    for i, c in enumerate(SMOOTH_KERNEL):
-        out += c * np.roll(tmp, 2 - i, axis=0)
-    return out[2:-2, 2:-2]
+    tmp = SMOOTH_KERNEL[0] * padded[:, :w]
+    for i in range(1, 5):
+        tmp += SMOOTH_KERNEL[i] * padded[:, i : i + w]
+    out = SMOOTH_KERNEL[0] * tmp[:h]
+    for i in range(1, 5):
+        out += SMOOTH_KERNEL[i] * tmp[i : i + h]
+    return out
 
 
 def build_pyramid(f: Frame | np.ndarray, levels: int) -> Pyramid:

@@ -110,13 +110,7 @@ def sequence_samples(
     frames = list(frames)
     gating_masks = None
     if cfg.foreground_gating:
-        model = bgmodel.BackgroundModel(
-            frames[0].width, frames[0].height,
-            k=cfg.gmm_components, alpha=cfg.gmm_alpha, t=cfg.gmm_threshold,
-            match_radius=cfg.gmm_match_radius,
-            initial_variance=cfg.gmm_initial_variance,
-            variance_floor=cfg.gmm_variance_floor,
-        )
+        model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
         gating_masks = [model.update_and_classify(f).bits for f in frames]
     out = []
     for start in window_starts(len(frames), cfg):

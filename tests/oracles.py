@@ -2,9 +2,11 @@
 
 These are deliberately written in the most literal, slow style possible —
 plain Python floats, per-pixel loops — so they share no code paths with the
-package under test. The exception is ``track_point``: it tracks one point at
-a time with the same numpy window arithmetic as ``lkflow.track_points``, so
-the batched tracker must reproduce it exactly.
+package under test. The exceptions are ``track_point``, which tracks one
+point at a time with the same numpy window arithmetic as
+``lkflow.track_points``, and ``smooth_separable_roll``, which smooths with
+the same taps in the same order as ``lkflow.build_pyramid``; the package
+must reproduce both exactly.
 """
 
 from __future__ import annotations
@@ -172,6 +174,24 @@ def smooth_texture(rng, width, height, passes=2, lo=0, hi=255):
     span = noise.max() - noise.min()
     out = lo + (hi - lo) * (noise - noise.min()) / span
     return np.floor(out + 0.5).astype(np.uint8)
+
+
+def smooth_separable_roll(img):
+    """5-tap binomial smoothing of an edge-padded image, one whole-array
+    ``np.roll`` copy per tap: the reference for ``lkflow.build_pyramid``'s
+    low-pass step."""
+    import numpy as np
+
+    from harpipe.lkflow import SMOOTH_KERNEL
+
+    padded = np.pad(img, 2, mode="edge")
+    tmp = np.zeros_like(padded)
+    for i, c in enumerate(SMOOTH_KERNEL):
+        tmp += c * np.roll(padded, 2 - i, axis=1)
+    out = np.zeros_like(padded)
+    for i, c in enumerate(SMOOTH_KERNEL):
+        out += c * np.roll(tmp, 2 - i, axis=0)
+    return out[2:-2, 2:-2]
 
 
 @dataclass(frozen=True)

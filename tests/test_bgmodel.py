@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harpipe.bgmodel import (
-    BackgroundModel,
-    GaussComponent,
-    fitness,
-    subtract_consecutive,
-)
+from harpipe.bgmodel import BackgroundModel, from_config
+from harpipe.config import PipelineConfig
 
 from conftest import make_frame
 from oracles import ScalarGmmOracle
+
+
+def components(model, i):
+    """Pixel i's components as (w, mu, var) tuples, in rank order."""
+    return list(zip(model.weights[:, i].tolist(), model.means[:, i].tolist(),
+                    model.variances[:, i].tolist()))
 
 
 def run_single_pixel(inputs, **kw):
@@ -23,9 +25,7 @@ def run_single_pixel(inputs, **kw):
     for v in inputs:
         mask = model.update_and_classify(make_frame([[v]]))
         flags.append(bool(mask.bits[0, 0]))
-        traces.append([
-            (c.weight, c.mean, c.variance) for c in model.components_at(0, 0)
-        ])
+        traces.append(components(model, 0))
     return flags, traces
 
 
@@ -37,17 +37,6 @@ def run_oracle(inputs, **kw):
         flags.append(oracle.step(v))
         traces.append([tuple(c) for c in oracle.components])
     return flags, traces
-
-
-class TestFitness:
-    def test_half_over_sigma_two(self):
-        assert fitness(GaussComponent(0.5, 0.0, 4.0)) == 0.25
-
-    def test_zero_weight(self):
-        assert fitness(GaussComponent(0.0, 10.0, 100.0)) == 0.0
-
-    def test_unit(self):
-        assert fitness(GaussComponent(1.0, 0.0, 1.0)) == 1.0
 
 
 class TestOracleEquivalence:
@@ -71,6 +60,16 @@ class TestOracleEquivalence:
 
     def test_oscillating_inputs(self):
         self.assert_matches_oracle([50, 200, 50, 200, 120] * 12)
+
+    def test_prefix_reaching_t_exactly(self):
+        # the third input matches the rank-1 component; with t equal to the
+        # rank-0 weight the prefix ends at rank 0, so the match is foreground
+        inputs = [50, 200, 200]
+        _, otraces = run_oracle(inputs)
+        t = otraces[2][0][0]
+        flags, _ = run_single_pixel(inputs, t=t)
+        assert flags == run_oracle(inputs, t=t)[0]
+        assert flags[2] is True
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=100))
     @settings(max_examples=60, deadline=None)
@@ -113,48 +112,51 @@ class TestModelBehavior:
         with pytest.raises(ValueError):
             model.update_and_classify(make_frame(np.zeros((2, 2), dtype=np.uint8)))
 
-    def test_multi_pixel_matches_independent_pixels(self):
-        # pixels evolve independently: a 1x2 model equals two 1x1 models
-        seq_a = [10, 10, 240, 10, 10, 200, 200]
-        seq_b = [90] * 7
-        model = BackgroundModel(2, 1)
-        for va, vb in zip(seq_a, seq_b):
-            model.update_and_classify(make_frame([[va, vb]]))
-        _, traces_a = run_single_pixel(seq_a)
-        _, traces_b = run_single_pixel(seq_b)
-        for k, c in enumerate(model.components_at(0, 0)):
-            assert (c.weight, c.mean, c.variance) == pytest.approx(traces_a[-1][k])
-        for k, c in enumerate(model.components_at(1, 0)):
-            assert (c.weight, c.mean, c.variance) == pytest.approx(traces_b[-1][k])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_multi_pixel_matches_independent_pixels(self, seed):
+        # every pixel runs its own random trace with jumps, so pixels match,
+        # replace and re-sort differently within one frame; each must equal
+        # its own scalar oracle. With t = 1 the cumulative weight can end
+        # just below t by rounding; then every rank is in the background
+        # prefix, as in the oracle.
+        rng = np.random.default_rng(seed)
+        height, width, n_frames = 4, 6, 40
+        jumps = rng.random((n_frames, height, width)) < 0.15
+        jumps[0] = True
+        levels = rng.integers(0, 256, jumps.shape)
+        # each pixel holds its level until its next jump
+        last_jump = np.maximum.accumulate(
+            np.where(jumps, np.arange(n_frames)[:, None, None], 0), axis=0)
+        base = np.take_along_axis(levels, last_jump, axis=0)
+        noise = rng.normal(0.0, rng.uniform(0.0, 12.0, (height, width)),
+                           (n_frames, height, width))
+        frames = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
+        for k, t in ((1, 0.7), (2, 0.7), (3, 0.7), (5, 0.7), (3, 1.0)):
+            model = BackgroundModel(width, height, k=k, t=t)
+            oracles = [ScalarGmmOracle(k=k, t=t) for _ in range(width * height)]
+            for step, pixels in enumerate(frames):
+                bits = model.update_and_classify(make_frame(pixels)).bits.ravel()
+                for i, (v, oracle) in enumerate(zip(pixels.ravel(), oracles)):
+                    assert bits[i] == oracle.step(v), (k, t, step, i)
+                    for (w, mu, var), (ow, omu, ovar) in zip(
+                            components(model, i), oracle.components):
+                        assert w == pytest.approx(ow, rel=1e-9, abs=1e-12)
+                        assert mu == pytest.approx(omu, rel=1e-9, abs=1e-12)
+                        assert var == pytest.approx(ovar, rel=1e-9)
+
+    def test_from_config(self):
+        cfg = PipelineConfig(gmm_components=4, gmm_alpha=0.1, gmm_threshold=0.8,
+                             gmm_match_radius=3.0, gmm_initial_variance=100.0,
+                             gmm_variance_floor=2.0)
+        model = from_config(cfg, 5, 2)
+        assert (model.width, model.height, model.k) == (5, 2, 4)
+        assert (model.alpha, model.t, model.match_radius) == (0.1, 0.8, 3.0)
+        assert (model.initial_variance, model.variance_floor) == (100.0, 2.0)
+        assert model.weights.shape == (4, 10)
 
     def test_mask_to_frame_values(self):
         model = BackgroundModel(1, 1)
         model.update_and_classify(make_frame([[50]]))
         mask = model.update_and_classify(make_frame([[250]]))
         assert mask.to_frame().pixels[0, 0] == 255
-
-
-class TestSubtractConsecutive:
-    def test_identical_frames(self):
-        f = make_frame(np.full((3, 3), 7, dtype=np.uint8))
-        assert not subtract_consecutive(f, f, 15).bits.any()
-
-    def test_single_changed_pixel(self):
-        a = np.full((3, 3), 100, dtype=np.uint8)
-        b = a.copy()
-        b[1, 2] = 140
-        mask = subtract_consecutive(make_frame(a), make_frame(b), 15)
-        expected = np.zeros((3, 3), dtype=bool)
-        expected[1, 2] = True
-        assert np.array_equal(mask.bits, expected)
-
-    def test_unreachable_threshold(self):
-        a = np.zeros((2, 2), dtype=np.uint8)
-        b = np.full((2, 2), 255, dtype=np.uint8)
-        assert not subtract_consecutive(make_frame(a), make_frame(b), 255).bits.any()
-
-    def test_dimension_mismatch(self):
-        a = make_frame(np.zeros((2, 2), dtype=np.uint8))
-        b = make_frame(np.zeros((3, 3), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            subtract_consecutive(a, b, 10)

@@ -76,6 +76,16 @@ class TestExitCodes:
                        "--set", "bogus=1"])
         assert rc == 1
 
+    @staticmethod
+    def assert_usage_error(setting, capsys):
+        rc = cli.main(["classify", "no-such-sequence", "no-such-model.txt",
+                       "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ")
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("setting", [
         "track_half_window=0", "track_half_window=-1",
         "track_max_iterations=0", "pyramid_levels=0",
@@ -84,13 +94,19 @@ class TestExitCodes:
         "track_residual_max=nan",
     ])
     def test_usage_error_on_bad_tracker_setting(self, setting, capsys):
-        rc = cli.main(["classify", "no-such-sequence", "no-such-model.txt",
-                       "--set", setting])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("usage error: ")
-        assert setting.split("=")[0] in err
-        assert "Traceback" not in err
+        self.assert_usage_error(setting, capsys)
+
+    @pytest.mark.parametrize("setting", [
+        "gmm_components=0", "gmm_components=-3",
+        "gmm_alpha=0", "gmm_alpha=1.5", "gmm_alpha=nan",
+        "gmm_threshold=0", "gmm_threshold=-0.5", "gmm_threshold=1.01",
+        "gmm_threshold=nan",
+        "gmm_match_radius=0", "gmm_match_radius=nan",
+        "gmm_initial_variance=0", "gmm_initial_variance=-1",
+        "gmm_variance_floor=0", "gmm_variance_floor=nan",
+    ])
+    def test_usage_error_on_bad_gmm_setting(self, setting, capsys):
+        self.assert_usage_error(setting, capsys)
 
     def test_data_error_on_missing_class(self, tmp_path):
         for label in ACTION_LABELS[:-1]:

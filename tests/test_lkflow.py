@@ -12,7 +12,7 @@ from harpipe.lkflow import (
 )
 
 from conftest import make_frame
-from oracles import smooth_texture, track_point
+from oracles import smooth_separable_roll, smooth_texture, track_point
 
 
 def shifted_pair(seed, sx, sy, width=160, height=120):
@@ -67,6 +67,18 @@ class TestBuildPyramid:
         f = make_frame(np.zeros((45, 33), dtype=np.uint8))
         pyr = build_pyramid(f, 2)
         assert pyr.levels[1].shape == (23, 17)
+
+    @pytest.mark.parametrize("shape", [
+        (33, 33), (45, 33), (33, 45), (37, 51), (120, 160), (121, 161), (240, 320),
+    ])
+    def test_levels_match_roll_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for img in (rng.integers(0, 256, shape).astype(np.uint8),
+                    rng.uniform(-50.0, 300.0, shape)):
+            levels = build_pyramid(img, 4).levels
+            assert len(levels) >= 2
+            for fine, coarse in zip(levels, levels[1:]):
+                assert np.array_equal(coarse, smooth_separable_roll(fine)[::2, ::2])
 
 
 class TestTrackPoint:
