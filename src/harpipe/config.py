@@ -9,7 +9,6 @@ from dataclasses import dataclass
 @dataclass
 class PipelineConfig:
     working_resolution: tuple[int, int] = (160, 120)
-    frame_rate: float = 25.0
     flow_step: int = 3
     window_frames: int = 25
     window_stride: int = 0  # 0 = non-overlapping (stride = window_frames)
@@ -57,18 +56,28 @@ class PipelineConfig:
         if self.feature_size < 1:
             raise ValueError("feature_size must be >= 1")
         for key in ("pyramid_levels", "track_half_window", "track_max_iterations",
-                    "gmm_components"):
+                    "gmm_components", "hidden_nodes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         # written so that NaN fails too
         for key in ("track_convergence_eps", "track_residual_max",
                     "jacobian_probe_offset", "gmm_match_radius",
-                    "gmm_initial_variance", "gmm_variance_floor"):
+                    "gmm_initial_variance", "gmm_variance_floor",
+                    "activation_a", "activation_beta"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
         for key in ("gmm_alpha", "gmm_threshold"):
             if not 0 < getattr(self, key) <= 1:
                 raise ValueError(f"{key} must be in (0, 1]")
+        if not 0 < self.rprop_eta_minus < 1:
+            raise ValueError("rprop_eta_minus must be in (0, 1)")
+        if not self.rprop_eta_plus > 1:
+            raise ValueError("rprop_eta_plus must be > 1")
+        if not 0 < self.rprop_step_min <= self.rprop_step_init <= self.rprop_step_max:
+            raise ValueError("rprop_step_min, rprop_step_init and rprop_step_max "
+                             "must satisfy 0 < min <= init <= max")
 
     @property
     def stride(self) -> int:

@@ -186,43 +186,3 @@ def aggregate_sample(
         stack = np.stack([d.to_array() for d in descs])
         values[k * DESCRIPTOR_DIM : (k + 1) * DESCRIPTOR_DIM] = stack.mean(axis=0)
     return SampleVector(values=values, label=label)
-
-
-# ---------------------------------------------------------------------------
-# sample file format: header "harfv 1 <N> 12", then one line per sample of
-# space-separated reals with an optional trailing "label=<class>"
-
-def write_samples(path: str, samples: Sequence[SampleVector], n: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"harfv 1 {n} {DESCRIPTOR_DIM}\n")
-        for s in samples:
-            if s.values.size != n * DESCRIPTOR_DIM:
-                raise ValueError("sample length does not match header")
-            line = " ".join(repr(float(v)) for v in s.values)
-            if s.label is not None:
-                line += f" label={s.label}"
-            fh.write(line + "\n")
-
-
-def read_samples(path: str) -> tuple[list[SampleVector], int]:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "harfv" or header[1] != "1":
-            raise ValueError(f"bad sample file header in {path}")
-        n = int(header[2])
-        if int(header[3]) != DESCRIPTOR_DIM:
-            raise ValueError("unexpected descriptor dimension")
-        samples = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            label = None
-            if parts[-1].startswith("label="):
-                label = parts[-1][len("label="):]
-                parts = parts[:-1]
-            vals = np.array([float(p) for p in parts])
-            if vals.size != n * DESCRIPTOR_DIM:
-                raise ValueError("sample length does not match header")
-            samples.append(SampleVector(values=vals, label=label))
-    return samples, n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -150,6 +151,20 @@ def to_grayscale(f: RgbFrame) -> Frame:
     return Frame(f.width, f.height, f.index, avg.astype(np.uint8))
 
 
+@functools.lru_cache(maxsize=8)
+def _resize_taps(n_in: int, n_out: int):
+    """Pixel-centre bilinear taps along one axis: (lower index, upper index,
+    weight of the lower, weight of the upper), read-only."""
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    frac = pos - i0
+    taps = (i0, i1, 1 - frac, frac)
+    for arr in taps:
+        arr.setflags(write=False)
+    return taps
+
+
 def resize_bilinear(f: Frame, out_w: int, out_h: int) -> Frame:
     """Bilinear resize with pixel-center alignment; intensities rounded half-up."""
     if out_w < 1 or out_h < 1:
@@ -157,21 +172,14 @@ def resize_bilinear(f: Frame, out_w: int, out_h: int) -> Frame:
     if (out_w, out_h) == (f.width, f.height):
         return Frame(out_w, out_h, f.index, f.pixels.copy())
 
-    src = f.as_float()
-    sx = f.width / out_w
-    sy = f.height / out_h
-    xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0.0, f.width - 1.0)
-    ys = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0.0, f.height - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, f.width - 1)
-    y1 = np.minimum(y0 + 1, f.height - 1)
-    fx = xs - x0
-    fy = ys - y0
-
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    x0, x1, wx0, wx1 = _resize_taps(f.width, out_w)
+    y0, y1, wy0, wy1 = _resize_taps(f.height, out_h)
+    # gather the needed rows first, then the columns, on the uint8 frame
+    rows0 = f.pixels.take(y0, axis=0)
+    rows1 = f.pixels.take(y1, axis=0)
+    top = rows0.take(x0, axis=1) * wx0 + rows0.take(x1, axis=1) * wx1
+    bot = rows1.take(x0, axis=1) * wx0 + rows1.take(x1, axis=1) * wx1
+    out = top * wy0[:, None] + bot * wy1[:, None]
     out = np.clip(_round_half_up(out), 0, 255)
     return Frame(out_w, out_h, f.index, out.astype(np.uint8))
 

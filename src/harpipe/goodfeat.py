@@ -63,9 +63,6 @@ def min_eigenvalue_map(f: Frame, half_window: int = 2) -> np.ndarray:
     does not fit."""
     ix, iy = spatial_gradients(f)
     h = half_window
-    zxx = np.zeros_like(ix)
-    zxy = np.zeros_like(ix)
-    zyy = np.zeros_like(ix)
     ih, iw = ix.shape
     vh, vw = ih - 2 * h, iw - 2 * h
     if vh <= 0 or vw <= 0:
@@ -81,9 +78,6 @@ def min_eigenvalue_map(f: Frame, half_window: int = 2) -> np.ndarray:
             sxy += gx * gy
             syy += gy * gy
     disc = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy**2)
-    zxx[h : h + vh, h : h + vw] = sxx
-    zxy[h : h + vh, h : h + vw] = sxy
-    zyy[h : h + vh, h : h + vw] = syy
     lam = np.zeros_like(ix)
     lam[h : h + vh, h : h + vw] = np.maximum(0.0, (sxx + syy - disc) / 2.0)
     return lam

@@ -104,8 +104,19 @@ def backprop(
     return grads_w, grads_b, loss
 
 
+def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of a flat buffer with the given shapes."""
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(buf, ends[:-1]), shapes)]
+
+
 @dataclass
 class RpropState:
+    """Per-parameter RPROP state. The per-layer lists are views into flat
+    buffers that cover every layer, weights first, so that one update is a
+    few whole-buffer operations: write into them in place, do not rebind."""
+
     step_w: list[np.ndarray]
     step_b: list[np.ndarray]
     prev_grad_w: list[np.ndarray]
@@ -116,46 +127,68 @@ class RpropState:
     step_min: float = 1e-6
     step_max: float = 50.0
 
+    def __post_init__(self):
+        layers = len(self.step_w)
+        shapes = [np.shape(a) for a in (*self.step_w, *self.step_b)]
+        n = sum(int(np.prod(shape)) for shape in shapes)
+        self._step, self._prev, self._grad, self._work = np.empty((4, n))
+        self._grew, self._flipped = np.empty((2, n), dtype=bool)
+        step, prev = _views(self._step, shapes), _views(self._prev, shapes)
+        for dst, src in zip(step + prev, (*self.step_w, *self.step_b,
+                                          *self.prev_grad_w, *self.prev_grad_b)):
+            dst[...] = src
+        self.step_w, self.step_b = step[:layers], step[layers:]
+        self.prev_grad_w, self.prev_grad_b = prev[:layers], prev[layers:]
+        self._grad_parts = _views(self._grad, shapes)
+        self._work_parts = _views(self._work, shapes)
+
 
 def init_rprop(m: MlpModel, **hyper) -> RpropState:
-    state = RpropState(
-        step_w=[],
-        step_b=[],
-        prev_grad_w=[np.zeros_like(w) for w in m.weights],
-        prev_grad_b=[np.zeros_like(b) for b in m.biases],
-        **hyper,
-    )
-    state.step_w = [np.full_like(w, state.step_init) for w in m.weights]
-    state.step_b = [np.full_like(b, state.step_init) for b in m.biases]
+    # read-only zero views: the state copies them into its own buffers
+    zeros = [np.broadcast_to(0.0, w.shape) for w in m.weights]
+    zeros_b = [np.broadcast_to(0.0, b.shape) for b in m.biases]
+    state = RpropState(zeros, zeros_b, zeros, zeros_b, **hyper)
+    state._step.fill(state.step_init)
     return state
 
 
-def _rprop_update(w, g, g_prev, step, s: RpropState):
-    sign_prod = g * g_prev
-    grew = sign_prod > 0
-    flipped = sign_prod < 0
-    step[grew] = np.minimum(step[grew] * s.eta_plus, s.step_max)
-    step[flipped] = np.maximum(step[flipped] * s.eta_minus, s.step_min)
-    w -= np.sign(g) * step
-    # a flipped gradient is zeroed so the next sign test sees no direction
-    g_next = g.copy()
-    g_next[flipped] = 0.0
-    return g_next
+def _choose(mask: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst`` = ``src`` where ``mask`` is true, bit for bit, so every float64
+    value is taken exactly; ``src`` is overwritten."""
+    s, d = src.view(np.uint64), dst.view(np.uint64)
+    np.bitwise_xor(s, d, out=s)
+    np.multiply(s, mask, out=s)
+    np.bitwise_xor(d, s, out=d)
 
 
 def rprop_step(
     m: MlpModel, grads_w: list[np.ndarray], grads_b: list[np.ndarray], s: RpropState
 ) -> None:
-    """One RPROP- update on every weight and bias, in place."""
-    for layer in range(len(m.weights)):
-        s.prev_grad_w[layer] = _rprop_update(
-            m.weights[layer], grads_w[layer], s.prev_grad_w[layer],
-            s.step_w[layer], s,
-        )
-        s.prev_grad_b[layer] = _rprop_update(
-            m.biases[layer], grads_b[layer], s.prev_grad_b[layer],
-            s.step_b[layer], s,
-        )
+    """One RPROP- update on every weight and bias, in place.
+
+    Branch-free over the flat buffers: masked ufuncs and boolean indexing
+    run an order of magnitude slower on the scattered masks of training.
+    """
+    for dst, g in zip(s._grad_parts, (*grads_w, *grads_b)):
+        dst[...] = g
+    g, step, work, grew, flipped = s._grad, s._step, s._work, s._grew, s._flipped
+    np.multiply(g, s._prev, out=work)
+    np.greater(work, 0.0, out=grew)
+    np.less(work, 0.0, out=flipped)
+    np.multiply(step, s.eta_plus, out=work)
+    np.minimum(work, s.step_max, out=work)
+    _choose(grew, work, step)
+    np.multiply(step, s.eta_minus, out=work)
+    np.maximum(work, s.step_min, out=work)
+    _choose(flipped, work, step)
+    np.sign(g, out=work)
+    work *= step
+    for param, delta in zip((*m.weights, *m.biases), s._work_parts):
+        param -= delta
+    # a flipped gradient is zeroed (+0.0) so the next sign test sees no
+    # direction
+    np.logical_not(flipped, out=flipped)
+    np.multiply(g.view(np.uint64), flipped, out=s._prev.view(np.uint64))
 
 
 def train(
@@ -215,7 +248,7 @@ def predict(m: MlpModel, sample: np.ndarray) -> tuple[int, np.ndarray]:
 
 def save_model(m: MlpModel, path: str) -> None:
     def fmt(vec) -> str:
-        return " ".join(repr(float(v)) for v in vec)
+        return " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
 
     with open(path, "w") as fh:
         fh.write("harmlp 1\n")
@@ -237,8 +270,8 @@ def load_model(path: str) -> MlpModel:
     try:
         layer_sizes = [int(s) for s in lines[1].split()]
         a, beta = (float(s) for s in lines[2].split())
-        mean = np.array([float(s) for s in lines[3].split()])
-        std = np.array([float(s) for s in lines[4].split()])
+        mean = np.array(list(map(float, lines[3].split())))
+        std = np.array(list(map(float, lines[4].split())))
     except (IndexError, ValueError) as e:
         raise ValueError(f"malformed model file {path}: {e}") from None
     if len(layer_sizes) < 2 or mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
@@ -251,8 +284,8 @@ def load_model(path: str) -> MlpModel:
         if len(rows) != fan_out + 1:
             raise ValueError("model file truncated")
         try:
-            mat = np.array([[float(v) for v in r.split()] for r in rows[:-1]])
-            bias = np.array([float(v) for v in rows[-1].split()])
+            mat = np.array([list(map(float, r.split())) for r in rows[:-1]])
+            bias = np.array(list(map(float, rows[-1].split())))
         except ValueError as e:
             raise ValueError(f"malformed model file {path}: {e}") from None
         if mat.shape != (fan_out, fan_in) or bias.size != fan_out:

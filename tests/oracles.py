@@ -4,9 +4,12 @@ These are deliberately written in the most literal, slow style possible —
 plain Python floats, per-pixel loops — so they share no code paths with the
 package under test. The exceptions are ``track_point``, which tracks one
 point at a time with the same numpy window arithmetic as
-``lkflow.track_points``, and ``smooth_separable_roll``, which smooths with
-the same taps in the same order as ``lkflow.build_pyramid``; the package
-must reproduce both exactly.
+``lkflow.track_points``; ``smooth_separable_roll``, which smooths with the
+same taps in the same order as ``lkflow.build_pyramid``;
+``resize_bilinear_ix``, the float64 fancy-index form of
+``frameio.resize_bilinear``; ``rprop_step``, the per-layer masked form of
+``mlp.rprop_step``; and ``save_model_per_value``, the per-value form of
+``mlp.save_model``. The package must reproduce all of them exactly.
 """
 
 from __future__ import annotations
@@ -310,3 +313,106 @@ def track_point(pi, pj, x, y, params=TrackParams()):
         else TrackStatus.LOST_RESIDUAL
     )
     return TrackResult(nx, ny, tx, ty, residual, status)
+
+
+def resize_bilinear_ix(f, out_w, out_h):
+    """Pixel-centre bilinear resize on the whole frame converted to float64,
+    four ``np.ix_`` gathers: the reference for ``frameio.resize_bilinear``."""
+    import numpy as np
+
+    from harpipe.frameio import Frame
+
+    if (out_w, out_h) == (f.width, f.height):
+        return Frame(out_w, out_h, f.index, f.pixels.copy())
+    src = f.as_float()
+    sx = f.width / out_w
+    sy = f.height / out_h
+    xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0.0, f.width - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0.0, f.height - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, f.width - 1)
+    y1 = np.minimum(y0 + 1, f.height - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
+    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    out = np.clip(np.floor(out + 0.5), 0, 255)
+    return Frame(out_w, out_h, f.index, out.astype(np.uint8))
+
+
+@dataclass
+class RpropLayerState:
+    """Per-layer RPROP state as separate arrays, for ``rprop_step``."""
+
+    step_w: list
+    step_b: list
+    prev_grad_w: list
+    prev_grad_b: list
+    eta_plus: float = 1.2
+    eta_minus: float = 0.5
+    step_init: float = 0.1
+    step_min: float = 1e-6
+    step_max: float = 50.0
+
+
+def init_rprop(m, **hyper):
+    import numpy as np
+
+    state = RpropLayerState(
+        step_w=[],
+        step_b=[],
+        prev_grad_w=[np.zeros_like(w) for w in m.weights],
+        prev_grad_b=[np.zeros_like(b) for b in m.biases],
+        **hyper,
+    )
+    state.step_w = [np.full_like(w, state.step_init) for w in m.weights]
+    state.step_b = [np.full_like(b, state.step_init) for b in m.biases]
+    return state
+
+
+def _rprop_update(w, g, g_prev, step, s):
+    import numpy as np
+
+    sign_prod = g * g_prev
+    grew = sign_prod > 0
+    flipped = sign_prod < 0
+    step[grew] = np.minimum(step[grew] * s.eta_plus, s.step_max)
+    step[flipped] = np.maximum(step[flipped] * s.eta_minus, s.step_min)
+    w -= np.sign(g) * step
+    # a flipped gradient is zeroed so the next sign test sees no direction
+    g_next = g.copy()
+    g_next[flipped] = 0.0
+    return g_next
+
+
+def rprop_step(m, grads_w, grads_b, s):
+    """One RPROP- update, one layer's weights and then its biases at a time,
+    with boolean gathers and scatters: the reference for ``mlp.rprop_step``."""
+    for layer in range(len(m.weights)):
+        s.prev_grad_w[layer] = _rprop_update(
+            m.weights[layer], grads_w[layer], s.prev_grad_w[layer],
+            s.step_w[layer], s,
+        )
+        s.prev_grad_b[layer] = _rprop_update(
+            m.biases[layer], grads_b[layer], s.prev_grad_b[layer],
+            s.step_b[layer], s,
+        )
+
+
+def save_model_per_value(m, path):
+    """``mlp.save_model`` formatting one ``repr(float(v))`` at a time."""
+    def fmt(vec):
+        return " ".join(repr(float(v)) for v in vec)
+
+    with open(path, "w") as fh:
+        fh.write("harmlp 1\n")
+        fh.write(" ".join(str(s) for s in m.layer_sizes) + "\n")
+        fh.write(f"{m.a!r} {m.beta!r}\n")
+        fh.write(fmt(m.input_mean) + "\n")
+        fh.write(fmt(m.input_std) + "\n")
+        for w, b in zip(m.weights, m.biases):
+            for row in w:
+                fh.write(fmt(row) + "\n")
+            fh.write(fmt(b) + "\n")

@@ -108,6 +108,19 @@ class TestExitCodes:
     def test_usage_error_on_bad_gmm_setting(self, setting, capsys):
         self.assert_usage_error(setting, capsys)
 
+    @pytest.mark.parametrize("setting", [
+        "hidden_nodes=0", "hidden_nodes=-4", "epochs=-1",
+        "activation_a=0", "activation_a=nan",
+        "activation_beta=0", "activation_beta=-1", "activation_beta=nan",
+        "rprop_eta_minus=0", "rprop_eta_minus=1", "rprop_eta_minus=nan",
+        "rprop_eta_plus=1", "rprop_eta_plus=0.5", "rprop_eta_plus=nan",
+        "rprop_step_min=-1", "rprop_step_min=0", "rprop_step_min=0.5",
+        "rprop_step_min=nan", "rprop_step_init=0", "rprop_step_init=100",
+        "rprop_step_init=nan", "rprop_step_max=0.01", "rprop_step_max=nan",
+    ])
+    def test_usage_error_on_bad_mlp_setting(self, setting, capsys):
+        self.assert_usage_error(setting, capsys)
+
     def test_data_error_on_missing_class(self, tmp_path):
         for label in ACTION_LABELS[:-1]:
             (tmp_path / label).mkdir()

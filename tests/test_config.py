@@ -7,7 +7,6 @@ class TestDefaults:
     def test_paper_scale_defaults(self):
         cfg = PipelineConfig()
         assert cfg.working_resolution == (160, 120)
-        assert cfg.frame_rate == 25.0
         assert cfg.flow_step == 3
         assert cfg.window_frames == 25
         assert cfg.feature_size == 10

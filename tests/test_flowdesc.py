@@ -14,9 +14,7 @@ from harpipe.flowdesc import (
     flow_jacobian,
     flow_velocity,
     jacobian_probes,
-    read_samples,
     temporal_derivatives,
-    write_samples,
 )
 from harpipe.lkflow import Tracks, TrackStatus
 
@@ -266,32 +264,3 @@ class TestAggregateSample:
         s = aggregate_sample(slots, n, 8)
         assert s.values.size == 12 * n
         assert np.isfinite(s.values).all()
-
-
-class TestSampleFiles:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "samples.txt")
-        rng = np.random.default_rng(0)
-        samples = [
-            SampleVector(rng.normal(size=24), label="walking"),
-            SampleVector(rng.normal(size=24), label=None),
-        ]
-        write_samples(path, samples, 2)
-        loaded, n = read_samples(path)
-        assert n == 2
-        assert loaded[0].label == "walking"
-        assert loaded[1].label is None
-        for a, b in zip(samples, loaded):
-            assert np.array_equal(a.values, b.values)
-
-    def test_length_mismatch_on_write(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_samples(
-                str(tmp_path / "s.txt"), [SampleVector(np.zeros(5))], 2
-            )
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "s.txt"
-        path.write_text("wrong 1 2 12\n")
-        with pytest.raises(ValueError):
-            read_samples(str(path))

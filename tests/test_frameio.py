@@ -21,6 +21,7 @@ from harpipe.frameio import (
 )
 
 from conftest import make_frame
+from oracles import resize_bilinear_ix
 
 
 class TestDecodePnm:
@@ -141,6 +142,30 @@ class TestResizeBilinear:
         out = resize_bilinear(f, out_w, out_h)
         assert out.pixels.min() >= f.pixels.min()
         assert out.pixels.max() <= f.pixels.max()
+
+    @pytest.mark.parametrize("in_size,out_size", [
+        ((320, 240), (160, 120)), ((11, 9), (4, 5)), ((7, 5), (13, 9)),
+        ((9, 11), (9, 4)), ((8, 6), (8, 13)), ((11, 9), (1, 1)),
+        ((11, 9), (1, 7)), ((11, 9), (5, 1)), ((1, 1), (3, 2)),
+        ((1, 6), (4, 3)), ((160, 120), (320, 240)),
+    ])
+    def test_matches_ix_oracle(self, in_size, out_size):
+        rng = np.random.default_rng(in_size[0] * 1000 + out_size[1])
+        f = make_frame(rng.integers(0, 256, size=in_size[::-1], dtype=np.uint8))
+        out = resize_bilinear(f, *out_size)
+        ref = resize_bilinear_ix(f, *out_size)
+        assert out.pixels.dtype == ref.pixels.dtype
+        assert np.array_equal(out.pixels, ref.pixels)
+
+    @given(st.integers(0, 1000), st.integers(1, 17), st.integers(1, 17),
+           st.integers(1, 23), st.integers(1, 23))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ix_oracle_random_sizes(self, seed, in_w, in_h, out_w, out_h):
+        rng = np.random.default_rng(seed)
+        f = make_frame(rng.integers(0, 256, size=(in_h, in_w), dtype=np.uint8))
+        out = resize_bilinear(f, out_w, out_h)
+        assert np.array_equal(out.pixels,
+                              resize_bilinear_ix(f, out_w, out_h).pixels)
 
     def test_cascaded_downscale_close_to_direct(self):
         # smooth horizontal gradient; two halvings vs one quartering

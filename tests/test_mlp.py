@@ -21,6 +21,8 @@ from harpipe.mlp import (
     train,
 )
 
+import oracles
+
 
 def gradient_check(model, x, target, eps=1e-5):
     """Max elementwise relative error of backprop vs central differences."""
@@ -239,6 +241,60 @@ class TestRprop:
         assert np.abs(m.weights[0][0] - target).max() < 10 * s.step_min
 
 
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestRpropOracle:
+    """The flat-buffer update against the per-layer masked reference."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_per_layer_oracle(self, seed, n_sizes):
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(1, 6)) for _ in range(n_sizes)]
+        step_min = float(rng.uniform(1e-3, 0.05))
+        step_init = step_min * float(rng.uniform(1.0, 3.0))
+        hyper = dict(eta_plus=float(rng.uniform(1.1, 2.5)),
+                     eta_minus=float(rng.uniform(0.2, 0.8)),
+                     step_init=step_init, step_min=step_min,
+                     step_max=step_init * float(rng.uniform(1.0, 3.0)))
+        m, ref = init_model(sizes, seed=seed), init_model(sizes, seed=seed)
+        s, s_ref = init_rprop(m, **hyper), oracles.init_rprop(ref, **hyper)
+        shapes = [w.shape for w in m.weights] + [b.shape for b in m.biases]
+        # per parameter: a fixed sign (its step grows to step_max), an
+        # alternating sign (shrinks to step_min) or a random sign, each
+        # with exact zeros and negative zeros mixed in
+        n = sum(int(np.prod(shape)) for shape in shapes)
+        kind = (np.arange(n) + int(rng.integers(3))) % 3
+        sign = rng.choice([-1.0, 1.0], size=n)
+        pinned_min = pinned_max = False
+        for t in range(40):
+            g = np.where(kind == 0, sign,
+                         np.where(kind == 1, sign * (-1.0) ** t,
+                                  rng.choice([-1.0, 1.0], size=n)))
+            g *= 10.0 ** rng.uniform(-3, 3, size=n)
+            g[rng.random(n) < 0.1] = 0.0
+            g[rng.random(n) < 0.05] = -0.0
+            parts = np.split(g, np.cumsum([int(np.prod(sh)) for sh in shapes])[:-1])
+            grads = [p.reshape(sh) for p, sh in zip(parts, shapes)]
+            gw, gb = grads[: len(m.weights)], grads[len(m.weights):]
+            rprop_step(m, gw, gb, s)
+            oracles.rprop_step(ref, gw, gb, s_ref)
+            for a, b in zip(
+                m.weights + m.biases + s.step_w + s.step_b
+                + s.prev_grad_w + s.prev_grad_b,
+                ref.weights + ref.biases + s_ref.step_w + s_ref.step_b
+                + s_ref.prev_grad_w + s_ref.prev_grad_b,
+            ):
+                assert_same_bits(a, b)
+            steps = np.concatenate([x.ravel() for x in s.step_w + s.step_b])
+            pinned_min |= bool((steps == step_min).any())
+            pinned_max |= bool((steps == hyper["step_max"]).any())
+        assert pinned_min and pinned_max
+
+
 class TestTrain:
     def test_linearly_separable_toy_set(self):
         rng = np.random.default_rng(0)
@@ -359,6 +415,20 @@ class TestModelFiles:
         save_model(m, p1)
         save_model(m, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_save_matches_per_value_formatter(self, tmp_path):
+        m = init_model([3, 4, 2], seed=5)
+        m.weights[0][0] = [-0.0, 5e-324, 1e300]
+        m.weights[0][1] = [-2.2250738585072014e-309, 0.1, -1e-300]
+        m.weights[1][0, :2] = [np.nextafter(1.0, 2.0), -1e300]
+        m.biases[0][:] = [0.0, -0.0, 1 / 3, 123456789.125]
+        m.input_mean = np.array([-0.0, 1e300, 5e-324])
+        m.input_std = np.array([2.5, 1e-310, 7.0])
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_model(m, str(new))
+        oracles.save_model_per_value(m, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert "-0.0 5e-324 1e+300" in new.read_text()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
