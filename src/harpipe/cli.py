@@ -7,12 +7,13 @@ Reports go to stdout, progress/log lines to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from . import bgmodel, goodfeat, lkflow, mlp, pipeline, synth
+from . import bgmodel, lkflow, mlp, pipeline, synth
 from .config import PipelineConfig, load_config
 from .flowdesc import DESCRIPTOR_DIM
 from .frameio import EmptySequenceError, encode_pgm, load_sequence
@@ -73,28 +74,50 @@ def _load_frames(seq_dir: str, cfg: PipelineConfig, raw: str | None = None):
         raise DataError(f"{seq_dir}: {e}") from None
 
 
-def _dataset_samples(dataset_dir: str, cfg: PipelineConfig,
-                     feature_size: int | None = None):
-    """Extract (values, label index) per window over the class layout."""
-    if feature_size is not None and feature_size != cfg.feature_size:
-        import dataclasses
-        cfg = dataclasses.replace(cfg, feature_size=feature_size)
-    inputs = []
-    labels = []
-    per_class = {}
-    for label, seq_dirs in _class_sequence_dirs(dataset_dir).items():
+def _extract_dataset(dataset_dir: str, cfg: PipelineConfig):
+    """Window values, label indices and sequence ids over the class layout,
+    plus the sequence directories the ids index. Frames are loaded one
+    sequence at a time."""
+    values, labels, seq_ids, seq_dirs = [], [], [], []
+    for label, class_seqs in _class_sequence_dirs(dataset_dir).items():
         count = 0
-        for seq_dir in seq_dirs:
+        for seq_dir in class_seqs:
             frames = _load_frames(seq_dir, cfg)
-            for _, sample in pipeline.sequence_samples(frames, cfg, label=label):
-                inputs.append(sample.values)
-                labels.append(mlp.label_index(label))
+            for _, sample in pipeline.sequence_samples(frames, cfg):
+                values.append(sample.values)
+                seq_ids.append(len(seq_dirs))
                 count += 1
-        per_class[label] = count
+            seq_dirs.append(seq_dir)
+        labels += [mlp.label_index(label)] * count
         _log(f"extracted {count} samples from {label}")
-    if not inputs:
+    if not values:
         raise DataError(f"no samples extracted from {dataset_dir!r}")
-    return np.array(inputs), labels, per_class
+    return np.array(values), np.array(labels), np.array(seq_ids), seq_dirs
+
+
+def _check_input_size(model: mlp.MlpModel, n_values: int) -> None:
+    if n_values != model.layer_sizes[0]:
+        raise DataError(
+            f"feature_size gives {n_values} sample values "
+            f"({n_values // DESCRIPTOR_DIM} x {DESCRIPTOR_DIM}), but the model's "
+            f"input layer takes {model.layer_sizes[0]}"
+        )
+
+
+def score_dataset(model: mlp.MlpModel, values, labels, seq_ids, seq_dirs
+                  ) -> np.ndarray:
+    """Confusion matrix (rows = true class) of the per-sequence majority
+    votes over per-window predictions, from ``_extract_dataset``'s output."""
+    _check_input_size(model, values.shape[1])
+    predictions = [mlp.predict(model, v) for v in values]
+    matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
+    for seq, seq_dir in enumerate(seq_dirs):
+        rows = np.flatnonzero(seq_ids == seq)
+        if not rows.size:
+            raise DataError(f"{seq_dir}: sequence shorter than one window")
+        votes = [(i, *predictions[i]) for i in rows]
+        matrix[labels[rows[0]], pipeline.majority_label(votes)] += 1
+    return matrix
 
 
 def _train_model(inputs, labels, cfg: PipelineConfig):
@@ -116,24 +139,30 @@ def _train_model(inputs, labels, cfg: PipelineConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    inputs, labels, per_class = _dataset_samples(args.dataset_dir, cfg)
-    model, trace = _train_model(inputs, labels, cfg)
+    values, labels, _, _ = _extract_dataset(args.dataset_dir, cfg)
+    model, trace = _train_model(values, labels, cfg)
     mlp.save_model(model, args.model_out)
     print(f"trained model written to {args.model_out}")
-    for label in ACTION_LABELS:
-        print(f"samples {label}: {per_class[label]}")
+    per_class = np.bincount(labels, minlength=len(ACTION_LABELS))
+    for label, count in zip(ACTION_LABELS, per_class):
+        print(f"samples {label}: {count}")
     print(f"samples total: {len(labels)}")
     print(f"epochs: {cfg.epochs}")
     print(f"final loss: {trace[-1]:.6f}" if trace else "final loss: n/a")
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = _load_cfg(args)
+def _load_model(path: str) -> mlp.MlpModel:
     try:
-        model = mlp.load_model(args.model)
+        return mlp.load_model(path)
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from None
+
+
+def cmd_classify(args) -> int:
+    cfg = _load_cfg(args)
+    model = _load_model(args.model)
+    _check_input_size(model, cfg.feature_size * DESCRIPTOR_DIM)
     frames = _load_frames(args.sequence, cfg, raw=args.raw)
     try:
         predictions = pipeline.classify_sequence(frames, model, cfg)
@@ -173,39 +202,21 @@ def format_report(matrix: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def evaluate_dataset(test_dir: str, model, cfg: PipelineConfig) -> np.ndarray:
-    matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
-    class_dirs = _class_sequence_dirs(test_dir)
-    if not any(class_dirs.values()):
-        raise DataError(f"no sequences under {test_dir!r}")
-    for label, seq_dirs in class_dirs.items():
-        true_idx = mlp.label_index(label)
-        for seq_dir in seq_dirs:
-            frames = _load_frames(seq_dir, cfg)
-            try:
-                predictions = pipeline.classify_sequence(frames, model, cfg)
-            except ValueError as e:
-                raise DataError(f"{seq_dir}: {e}") from None
-            matrix[true_idx, pipeline.majority_label(predictions)] += 1
-        _log(f"evaluated {len(seq_dirs)} sequences of {label}")
-    return matrix
-
-
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        model = mlp.load_model(args.model)
-    except (OSError, ValueError) as e:
-        raise DataError(str(e)) from None
-    matrix = evaluate_dataset(args.test_dir, model, cfg)
+    model = _load_model(args.model)
+    matrix = score_dataset(model, *_extract_dataset(args.test_dir, cfg))
     print(format_report(matrix))
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.seed is not None:
+        # validated like any other seed setting
+        args.set = (args.set or []) + [f"seed={args.seed}"]
     cfg = _load_cfg(args)
     counts = synth.write_corpus(
-        args.out_dir, seed=args.seed if args.seed is not None else cfg.seed,
+        args.out_dir, seed=cfg.seed,
         train_per_class=args.train_per_class, test_per_class=args.test_per_class,
     )
     print(f"wrote {counts['train']} training and {counts['test']} test "
@@ -218,21 +229,22 @@ def cmd_sweep(args) -> int:
     values = sorted(set(args.values))
     if len(values) < 2:
         raise UsageError("sweep needs at least two distinct feature sizes")
+    if values[0] < 1:
+        raise UsageError("sweep feature sizes must be >= 1")
 
     # extraction is shared at the largest N: greedy feature selection is a
     # prefix, so a smaller-N sample is the leading 12*N entries
-    n_max = max(values)
-    inputs, labels, _ = _dataset_samples(args.dataset_dir, cfg, feature_size=n_max)
-    test_cache: dict[str, list] = {}
-    import dataclasses
+    cfg_max = dataclasses.replace(cfg, feature_size=values[-1])
+    train_x, train_y, _, _ = _extract_dataset(args.dataset_dir, cfg_max)
+    test_x, *test_rest = _extract_dataset(args.test_dir, cfg_max)
 
     results = {}
     for n in values:
-        cfg_n = dataclasses.replace(cfg, feature_size=n)
-        sliced = inputs[:, : n * DESCRIPTOR_DIM]
-        model, _ = _train_model(sliced, labels, cfg_n)
-        matrix = _sweep_evaluate(args.test_dir, model, cfg_n, n_max, test_cache)
-        results[n] = matrix
+        cols = n * DESCRIPTOR_DIM
+        model, _ = _train_model(
+            train_x[:, :cols], train_y, dataclasses.replace(cfg, feature_size=n)
+        )
+        results[n] = score_dataset(model, test_x[:, :cols], *test_rest)
         _log(f"feature size {n}: done")
 
     names = [label.capitalize() for label in ACTION_LABELS]
@@ -257,40 +269,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_evaluate(test_dir, model, cfg, n_max, cache):
-    """Evaluate using cached per-window max-N samples sliced to cfg.feature_size."""
-    if not cache:
-        for label, seq_dirs in _class_sequence_dirs(test_dir).items():
-            seqs = []
-            for seq_dir in seq_dirs:
-                frames = _load_frames(seq_dir, cfg)
-                import dataclasses
-                cfg_max = dataclasses.replace(cfg, feature_size=n_max)
-                if len(frames) < cfg.window_frames:
-                    raise DataError(f"{seq_dir}: sequence shorter than one window")
-                samples = pipeline.sequence_samples(frames, cfg_max, label=label)
-                seqs.append([s.values for _, s in samples])
-            cache[label] = seqs
-    matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
-    for label, seqs in cache.items():
-        true_idx = mlp.label_index(label)
-        for windows in seqs:
-            preds = []
-            for i, values in enumerate(windows):
-                cls, scores = mlp.predict(
-                    model, values[: cfg.feature_size * DESCRIPTOR_DIM]
-                )
-                preds.append((i, cls, scores))
-            matrix[true_idx, pipeline.majority_label(preds)] += 1
-    return matrix
-
-
 def cmd_dump(args) -> int:
     """Diagnostic exports: foreground masks, features, flow, per the
     --dump-* flags on the shared parser."""
     cfg = _load_cfg(args)
     frames = _load_frames(args.sequence, cfg, raw=args.raw)
-    params = pipeline.track_params(cfg)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
         model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
@@ -302,25 +285,18 @@ def cmd_dump(args) -> int:
     if args.dump_features:
         os.makedirs(args.dump_features, exist_ok=True)
         for f in frames:
-            points = goodfeat.detect_good_features(
-                f, max_n=cfg.feature_size, quality_rel=cfg.quality_rel,
-                min_distance=cfg.min_distance,
-                half_window=cfg.tensor_half_window,
-            )
+            points = pipeline.detect_features(f, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
             with open(path, "w") as fh:
                 for p in points:
                     fh.write(f"{f.index} {p.x} {p.y} {p.score}\n")
     if args.dump_flow:
         os.makedirs(args.dump_flow, exist_ok=True)
+        params = pipeline.track_params(cfg)
         for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
             pi = lkflow.build_pyramid(frames[i], cfg.pyramid_levels)
             pj = lkflow.build_pyramid(frames[i + cfg.flow_step], cfg.pyramid_levels)
-            points = goodfeat.detect_good_features(
-                frames[i], max_n=cfg.feature_size, quality_rel=cfg.quality_rel,
-                min_distance=cfg.min_distance,
-                half_window=cfg.tensor_half_window,
-            )
+            points = pipeline.detect_features(frames[i], cfg)
             xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
             tracks = lkflow.track_points(pi, pj, xy, params)
             rows = zip(points, (tracks.dxy / cfg.flow_step).tolist(),

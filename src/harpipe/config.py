@@ -55,20 +55,23 @@ class PipelineConfig:
             raise ValueError("window_frames must be >= flow_step + 1")
         if self.feature_size < 1:
             raise ValueError("feature_size must be >= 1")
-        for key in ("pyramid_levels", "track_half_window", "track_max_iterations",
-                    "gmm_components", "hidden_nodes"):
+        if min(self.working_resolution) < 3:
+            raise ValueError("working_resolution sides must be >= 3")
+        for key in ("tensor_half_window", "pyramid_levels", "track_half_window",
+                    "track_max_iterations", "gmm_components", "hidden_nodes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         # written so that NaN fails too
+        for key in ("window_stride", "seed", "epochs", "min_distance"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0")
         for key in ("track_convergence_eps", "track_residual_max",
                     "jacobian_probe_offset", "gmm_match_radius",
                     "gmm_initial_variance", "gmm_variance_floor",
                     "activation_a", "activation_beta"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
-        for key in ("gmm_alpha", "gmm_threshold"):
+        for key in ("quality_rel", "gmm_alpha", "gmm_threshold"):
             if not 0 < getattr(self, key) <= 1:
                 raise ValueError(f"{key} must be in (0, 1]")
         if not 0 < self.rprop_eta_minus < 1:
@@ -82,10 +85,6 @@ class PipelineConfig:
     @property
     def stride(self) -> int:
         return self.window_stride if self.window_stride > 0 else self.window_frames
-
-    @property
-    def steps_per_window(self) -> int:
-        return (self.window_frames - 1) // self.flow_step
 
 
 def _parse_value(name: str, raw: str, ftype):

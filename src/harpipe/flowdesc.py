@@ -1,43 +1,22 @@
-"""Per-point flow descriptors and fixed-length sample assembly.
+"""Per-point flow descriptors and fixed-length window samples.
 
 Each tracked point contributes 12 components per flow step:
-[x, y, t, I_t, u, v, u_t, v_t, Div, Vor, G_ten, S_ten]. A classification
-window yields one sample of length 12*N by averaging each point slot's
-descriptors over the steps where the point stayed tracked.
+[x, y, t, I_t, u, v, u_t, v_t, Div, Vor, G_ten, S_ten]. A window's
+descriptors form one (slots, steps, 12) array, a row per point slot and flow
+step; its sample of length 12*N is each slot's mean over the steps where the
+point stayed tracked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .lkflow import Tracks
 
 DESCRIPTOR_DIM = 12
-
-
-@dataclass(frozen=True)
-class PointDescriptor:
-    x: float
-    y: float
-    t: float
-    i_t: float
-    u: float
-    v: float
-    u_t: float
-    v_t: float
-    div: float
-    vor: float
-    g_ten: float
-    s_ten: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([
-            self.x, self.y, self.t, self.i_t, self.u, self.v,
-            self.u_t, self.v_t, self.div, self.vor, self.g_ten, self.s_ten,
-        ])
 
 
 @dataclass(frozen=True)
@@ -62,25 +41,6 @@ def flow_velocity(tracks: Tracks, frame_step: int = 3) -> np.ndarray:
     if frame_step < 1:
         raise ValueError("frame_step must be >= 1")
     return np.where(tracks.tracked[:, None], tracks.dxy / frame_step, np.nan)
-
-
-def temporal_derivatives(
-    prev_uv: tuple[float, float] | None,
-    cur_uv: tuple[float, float],
-    i_prev: float,
-    i_cur: float,
-    frame_step: int,
-) -> tuple[float, float, float]:
-    """(I_t, u_t, v_t); the first step of a window has no history so the
-    velocity derivatives are zero there."""
-    i_t = (i_cur - i_prev) / frame_step
-    if prev_uv is None:
-        return i_t, 0.0, 0.0
-    return (
-        i_t,
-        (cur_uv[0] - prev_uv[0]) / frame_step,
-        (cur_uv[1] - prev_uv[1]) / frame_step,
-    )
 
 
 def jacobian_probes(xy: np.ndarray, h: float = 2.0) -> np.ndarray:
@@ -136,53 +96,40 @@ def flow_invariants(j: FlowJacobian) -> tuple[float, float, float, float]:
     return div, vor, g_ten, s_ten
 
 
-def assemble_descriptor(
-    x: float,
-    y: float,
-    frame_width: int,
-    frame_height: int,
-    step_index: int,
-    steps_per_window: int,
-    i_t: float,
-    uv: tuple[float, float],
-    ut_vt: tuple[float, float],
-    invariants: tuple[float, float, float, float],
-) -> PointDescriptor:
-    t = 0.0 if steps_per_window <= 1 else step_index / (steps_per_window - 1)
-    return PointDescriptor(
-        x=x / frame_width,
-        y=y / frame_height,
-        t=t,
-        i_t=i_t,
-        u=uv[0],
-        v=uv[1],
-        u_t=ut_vt[0],
-        v_t=ut_vt[1],
-        div=invariants[0],
-        vor=invariants[1],
-        g_ten=invariants[2],
-        s_ten=invariants[3],
+
+
+def point_descriptors(
+    xy: np.ndarray,
+    frame_size: tuple[int, int],
+    step: int,
+    steps: int,
+    i_t: np.ndarray,
+    uv: np.ndarray,
+    uv_t: np.ndarray,
+    invariants: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """(P, 12) descriptors of P points at flow step ``step`` of ``steps``:
+    the (P, 2) positions over the (width, height) frame size, the step's
+    time in [0, 1], I_t, the (P, 2) velocities and their time derivatives,
+    and the four (P,) ``flow_invariants``."""
+    t = 0.0 if steps <= 1 else step / (steps - 1)
+    return np.column_stack(
+        (xy / frame_size, np.full(len(xy), t), i_t, uv, uv_t, *invariants)
     )
 
 
-def aggregate_sample(
-    slot_descriptors: Sequence[Sequence[PointDescriptor]],
-    n_slots: int,
-    steps_per_window: int,
-    label: Optional[str] = None,
+def pool_window(
+    table: np.ndarray, tracked: np.ndarray, label: Optional[str] = None
 ) -> SampleVector:
-    """Mean descriptor per point slot, zero-padded to exactly n_slots slots.
-
-    ``slot_descriptors[k]`` holds the descriptors of detection-rank-k point
-    for the steps where it stayed tracked; a slot tracked for half the steps
-    or fewer is zeroed.
-    """
-    if steps_per_window < 1:
-        raise ValueError("window must contain at least one flow step")
-    values = np.zeros(n_slots * DESCRIPTOR_DIM)
-    for k, descs in enumerate(slot_descriptors[:n_slots]):
-        if 2 * len(descs) <= steps_per_window:
-            continue
-        stack = np.stack([d.to_array() for d in descs])
-        values[k * DESCRIPTOR_DIM : (k + 1) * DESCRIPTOR_DIM] = stack.mean(axis=0)
-    return SampleVector(values=values, label=label)
+    """One window's sample from its (slots, steps, 12) descriptor table and
+    the (slots, steps) mask of the steps each slot was tracked for: each
+    slot's mean over its tracked steps, zero for a slot tracked for half the
+    steps or fewer."""
+    counts = tracked.sum(axis=1)
+    keep = 2 * counts > tracked.shape[1]
+    # adding -0.0 changes no sum, so the untracked rows drop out and the
+    # tracked ones are added in step order
+    sums = np.where(tracked[..., None], table, -0.0).sum(axis=1)
+    values = np.zeros((len(table), DESCRIPTOR_DIM))
+    values[keep] = sums[keep] / counts[keep, None]
+    return SampleVector(values.reshape(-1), label=label)

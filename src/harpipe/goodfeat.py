@@ -15,13 +15,6 @@ from .frameio import Frame
 
 
 @dataclass(frozen=True)
-class StructureTensor:
-    zxx: float
-    zxy: float
-    zyy: float
-
-
-@dataclass(frozen=True)
 class FeaturePoint:
     x: float
     y: float
@@ -38,24 +31,6 @@ def spatial_gradients(f: Frame) -> tuple[np.ndarray, np.ndarray]:
     ix[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
     iy[1:-1, :] = (img[2:, :] - img[:-2, :]) / 2.0
     return ix, iy
-
-
-def structure_tensor_at(
-    ix: np.ndarray, iy: np.ndarray, x: int, y: int, half_window: int
-) -> StructureTensor:
-    h = half_window
-    if x - h < 0 or y - h < 0 or x + h >= ix.shape[1] or y + h >= ix.shape[0]:
-        raise ValueError("tensor window out of bounds")
-    wx = ix[y - h : y + h + 1, x - h : x + h + 1]
-    wy = iy[y - h : y + h + 1, x - h : x + h + 1]
-    return StructureTensor(
-        float((wx * wx).sum()), float((wx * wy).sum()), float((wy * wy).sum())
-    )
-
-
-def min_eigenvalue(z: StructureTensor) -> float:
-    disc = np.sqrt((z.zxx - z.zyy) ** 2 + 4.0 * z.zxy**2)
-    return max(0.0, (z.zxx + z.zyy - disc) / 2.0)
 
 
 def min_eigenvalue_map(f: Frame, half_window: int = 2) -> np.ndarray:

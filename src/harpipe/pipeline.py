@@ -9,7 +9,7 @@ import numpy as np
 from . import bgmodel, flowdesc, goodfeat, lkflow, mlp
 from .config import PipelineConfig
 from .frameio import Frame
-from .flowdesc import PointDescriptor, SampleVector
+from .flowdesc import SampleVector
 
 
 def track_params(cfg: PipelineConfig) -> lkflow.TrackParams:
@@ -21,6 +21,14 @@ def track_params(cfg: PipelineConfig) -> lkflow.TrackParams:
     )
 
 
+def detect_features(frame: Frame, cfg: PipelineConfig) -> list[goodfeat.FeaturePoint]:
+    """The ``cfg.feature_size`` strongest good features of one frame."""
+    return goodfeat.detect_good_features(
+        frame, max_n=cfg.feature_size, quality_rel=cfg.quality_rel,
+        min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
+    )
+
+
 def extract_window_sample(
     frames: Sequence[Frame],
     cfg: PipelineConfig,
@@ -29,10 +37,11 @@ def extract_window_sample(
 ) -> SampleVector:
     """One fixed-length sample from one window of frames.
 
-    Features are detected on the first frame, tracked at every flow_step-th
-    frame, and each slot's descriptors are averaged. ``foreground``
-    optionally gates detection to moving pixels (bool mask of the first
-    frame).
+    Features are detected on the first frame and tracked at every
+    flow_step-th frame; each step fills and marks its tracked slots' rows
+    of the (slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
+    averages. ``foreground`` optionally gates detection to moving pixels
+    (bool mask of the first frame).
     """
     if not frames:
         raise ValueError("empty window")
@@ -41,10 +50,7 @@ def extract_window_sample(
     if steps < 1:
         return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
 
-    points = goodfeat.detect_good_features(
-        frames[0], max_n=n, quality_rel=cfg.quality_rel,
-        min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
-    )
+    points = detect_features(frames[0], cfg)
     if foreground is not None:
         points = [
             p for p in points if foreground[int(round(p.y)), int(round(p.x))]
@@ -52,8 +58,10 @@ def extract_window_sample(
     params = track_params(cfg)
     xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
     alive = np.ones(len(xy), dtype=bool)
-    descriptors: list[list[PointDescriptor]] = [[] for _ in points]
     prev_uv = np.zeros_like(xy)
+    table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
+    tracked = np.zeros((n, steps), dtype=bool)
+    frame_size = (frames[0].width, frames[0].height)
 
     pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
     intensity = lkflow.sample_windows(pi.levels[0], xy, 0)[:, 0, 0]
@@ -76,27 +84,22 @@ def extract_window_sample(
         new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
         # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
         jac, _ = flowdesc.flow_jacobian(uv, h_probe)
-        invariants = np.column_stack(flowdesc.flow_invariants(jac))
         cur_intensity = lkflow.sample_windows(pj.levels[0], new_xy, 0)[:, 0, 0]
-
-        for k, slot in enumerate(live):
-            slot_uv = (uv[k, 0, 0], uv[k, 0, 1])
-            i_t, u_t, v_t = flowdesc.temporal_derivatives(
-                (prev_uv[slot, 0], prev_uv[slot, 1]) if step else None,
-                slot_uv, intensity[slot], cur_intensity[k], cfg.flow_step,
-            )
-            descriptors[slot].append(
-                flowdesc.assemble_descriptor(
-                    xy[slot, 0], xy[slot, 1], frames[0].width, frames[0].height,
-                    step, steps, i_t, slot_uv, (u_t, v_t), tuple(invariants[k]),
-                )
-            )
+        uv = uv[:, 0]
+        # the first step has no velocity history, so u_t = v_t = 0 there
+        uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)
+        i_t = (cur_intensity - intensity[live]) / cfg.flow_step
+        table[live, step] = flowdesc.point_descriptors(
+            xy[live], frame_size, step, steps, i_t, uv, uv_t,
+            flowdesc.flow_invariants(jac),
+        )
+        tracked[live, step] = True
         xy[live] = new_xy
-        prev_uv[live] = uv[:, 0]
+        prev_uv[live] = uv
         intensity[live] = cur_intensity
         pi = pj
 
-    return flowdesc.aggregate_sample(descriptors, n, steps, label=label)
+    return flowdesc.pool_window(table, tracked, label=label)
 
 
 def window_starts(n_frames: int, cfg: PipelineConfig) -> list[int]:

@@ -8,8 +8,12 @@ point at a time with the same numpy window arithmetic as
 same taps in the same order as ``lkflow.build_pyramid``;
 ``resize_bilinear_ix``, the float64 fancy-index form of
 ``frameio.resize_bilinear``; ``rprop_step``, the per-layer masked form of
-``mlp.rprop_step``; and ``save_model_per_value``, the per-value form of
-``mlp.save_model``. The package must reproduce all of them exactly.
+``mlp.rprop_step``; ``save_model_per_value``, the per-value form of
+``mlp.save_model``; and ``window_sample_loop``, which builds a window's
+sample from per-slot, per-step ``PointDescriptor`` records on the package's
+own detector, tracker and Jacobian. The package must reproduce all of them
+exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
+``goodfeat.min_eigenvalue_map``, which must match them within 1e-9.
 """
 
 from __future__ import annotations
@@ -416,3 +420,163 @@ def save_model_per_value(m, path):
             for row in w:
                 fh.write(fmt(row) + "\n")
             fh.write(fmt(b) + "\n")
+
+
+@dataclass(frozen=True)
+class StructureTensor:
+    zxx: float
+    zxy: float
+    zyy: float
+
+
+def structure_tensor_at(ix, iy, x, y, half_window):
+    """Windowed sums of gradient outer products at one pixel: the reference
+    for one pixel of ``goodfeat.min_eigenvalue_map``."""
+    h = half_window
+    if x - h < 0 or y - h < 0 or x + h >= ix.shape[1] or y + h >= ix.shape[0]:
+        raise ValueError("tensor window out of bounds")
+    wx = ix[y - h : y + h + 1, x - h : x + h + 1]
+    wy = iy[y - h : y + h + 1, x - h : x + h + 1]
+    return StructureTensor(
+        float((wx * wx).sum()), float((wx * wy).sum()), float((wy * wy).sum())
+    )
+
+
+def min_eigenvalue(z):
+    disc = math.sqrt((z.zxx - z.zyy) ** 2 + 4.0 * z.zxy**2)
+    return max(0.0, (z.zxx + z.zyy - disc) / 2.0)
+
+
+@dataclass(frozen=True)
+class PointDescriptor:
+    x: float
+    y: float
+    t: float
+    i_t: float
+    u: float
+    v: float
+    u_t: float
+    v_t: float
+    div: float
+    vor: float
+    g_ten: float
+    s_ten: float
+
+    def to_array(self):
+        import numpy as np
+
+        return np.array([
+            self.x, self.y, self.t, self.i_t, self.u, self.v,
+            self.u_t, self.v_t, self.div, self.vor, self.g_ten, self.s_ten,
+        ])
+
+
+def temporal_derivatives(prev_uv, cur_uv, i_prev, i_cur, frame_step):
+    """(I_t, u_t, v_t); the first step of a window has no history so the
+    velocity derivatives are zero there."""
+    i_t = (i_cur - i_prev) / frame_step
+    if prev_uv is None:
+        return i_t, 0.0, 0.0
+    return (
+        i_t,
+        (cur_uv[0] - prev_uv[0]) / frame_step,
+        (cur_uv[1] - prev_uv[1]) / frame_step,
+    )
+
+
+def assemble_descriptor(x, y, frame_width, frame_height, step_index,
+                        steps_per_window, i_t, uv, ut_vt, invariants):
+    t = 0.0 if steps_per_window <= 1 else step_index / (steps_per_window - 1)
+    return PointDescriptor(
+        x=x / frame_width, y=y / frame_height, t=t, i_t=i_t,
+        u=uv[0], v=uv[1], u_t=ut_vt[0], v_t=ut_vt[1],
+        div=invariants[0], vor=invariants[1],
+        g_ten=invariants[2], s_ten=invariants[3],
+    )
+
+
+def aggregate_sample(slot_descriptors, n_slots, steps_per_window):
+    """Mean descriptor per point slot as a stacked list, zero-padded to
+    exactly n_slots slots; a slot tracked for half the steps or fewer is
+    zeroed."""
+    import numpy as np
+
+    from harpipe.flowdesc import DESCRIPTOR_DIM
+
+    if steps_per_window < 1:
+        raise ValueError("window must contain at least one flow step")
+    values = np.zeros(n_slots * DESCRIPTOR_DIM)
+    for k, descs in enumerate(slot_descriptors[:n_slots]):
+        if 2 * len(descs) <= steps_per_window:
+            continue
+        stack = np.stack([d.to_array() for d in descs])
+        values[k * DESCRIPTOR_DIM : (k + 1) * DESCRIPTOR_DIM] = stack.mean(axis=0)
+    return values
+
+
+def window_sample_loop(frames, cfg, foreground=None):
+    """``pipeline.extract_window_sample``'s values, built one slot and one
+    step at a time from ``PointDescriptor`` records and pooled by
+    ``aggregate_sample``. Detection, tracking and the Jacobian are the
+    package's own, so this is the reference for the descriptor table and its
+    masked mean only."""
+    import numpy as np
+
+    from harpipe import flowdesc, goodfeat, lkflow
+    from harpipe.pipeline import track_params
+
+    steps = (len(frames) - 1) // cfg.flow_step
+    n = cfg.feature_size
+    if steps < 1:
+        return np.zeros(n * flowdesc.DESCRIPTOR_DIM)
+    points = goodfeat.detect_good_features(
+        frames[0], max_n=n, quality_rel=cfg.quality_rel,
+        min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
+    )
+    if foreground is not None:
+        points = [
+            p for p in points if foreground[int(round(p.y)), int(round(p.x))]
+        ]
+    params = track_params(cfg)
+    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    alive = np.ones(len(xy), dtype=bool)
+    descriptors = [[] for _ in points]
+    prev_uv = np.zeros_like(xy)
+
+    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+    intensity = lkflow.sample_windows(pi.levels[0], xy, 0)[:, 0, 0]
+    h_probe = cfg.jacobian_probe_offset
+    for step in range(steps):
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            break
+        pj = lkflow.build_pyramid(
+            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
+        )
+        probes = flowdesc.jacobian_probes(xy[live], h_probe)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
+        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
+        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
+        alive[live[~centre_ok]] = False
+        live, uv = live[centre_ok], uv[centre_ok]
+        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
+        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
+        invariants = np.column_stack(flowdesc.flow_invariants(jac))
+        cur_intensity = lkflow.sample_windows(pj.levels[0], new_xy, 0)[:, 0, 0]
+
+        for k, slot in enumerate(live):
+            slot_uv = (uv[k, 0, 0], uv[k, 0, 1])
+            i_t, u_t, v_t = temporal_derivatives(
+                (prev_uv[slot, 0], prev_uv[slot, 1]) if step else None,
+                slot_uv, intensity[slot], cur_intensity[k], cfg.flow_step,
+            )
+            descriptors[slot].append(assemble_descriptor(
+                xy[slot, 0], xy[slot, 1], frames[0].width, frames[0].height,
+                step, steps, i_t, slot_uv, (u_t, v_t), tuple(invariants[k]),
+            ))
+        xy[live] = new_xy
+        prev_uv[live] = uv[:, 0]
+        intensity[live] = cur_intensity
+        pi = pj
+
+    return aggregate_sample(descriptors, n, steps)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,61 @@ class TestExitCodes:
     def test_usage_error_on_bad_mlp_setting(self, setting, capsys):
         self.assert_usage_error(setting, capsys)
 
+    @pytest.mark.parametrize("setting", [
+        "quality_rel=0", "quality_rel=2", "quality_rel=-0.1", "quality_rel=nan",
+        "tensor_half_window=0", "tensor_half_window=-1",
+        "window_stride=-1",
+        "min_distance=-1", "min_distance=nan",
+        "seed=-1",
+        "working_resolution=2x2", "working_resolution=0x0",
+        "working_resolution=160x2", "working_resolution=-4x4",
+    ])
+    def test_usage_error_on_bad_extraction_setting(self, setting, capsys):
+        self.assert_usage_error(setting, capsys)
+
+    def test_usage_error_on_negative_synth_seed(self, tmp_path, capsys):
+        rc = cli.main(["synth", str(tmp_path / "corpus"), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and "seed" in err
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_data_error_on_feature_size_mismatch(self, command, tiny_corpus,
+                                                 tiny_model, capsys):
+        # tiny_model takes 4 x 12 = 48 inputs
+        target = (next((tiny_corpus / "test" / "walking").iterdir())
+                  if command == "classify" else tiny_corpus / "test")
+        rc = cli.main([command, str(target), str(tiny_model)] + FAST
+                      + ["--set", "feature_size=10"])
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert rc == 2
+        assert err.startswith("data error: ")
+        assert "120" in err and "48" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_data_error_on_short_test_sequence(self, command, tiny_corpus,
+                                               tiny_model, tmp_path, capsys):
+        test_dir = tmp_path / "test"
+        shutil.copytree(tiny_corpus / "test", test_dir)
+        short = next((test_dir / "running").iterdir())
+        for frame in sorted(short.iterdir())[24:]:
+            frame.unlink()
+        argv = (["evaluate", str(test_dir), str(tiny_model)]
+                if command == "evaluate" else
+                ["sweep", str(tiny_corpus / "train"), str(test_dir),
+                 "--values", "2", "4"])
+        rc = cli.main(argv + FAST)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(short) in err
+        assert "Traceback" not in err
+
+    def test_sweep_rejects_feature_size_below_one(self, tiny_corpus):
+        rc = cli.main(["sweep", str(tiny_corpus / "train"),
+                       str(tiny_corpus / "test"), "--values", "0", "4"])
+        assert rc == 1
+
     def test_data_error_on_missing_class(self, tmp_path):
         for label in ACTION_LABELS[:-1]:
             (tmp_path / label).mkdir()
@@ -185,6 +242,33 @@ class TestEvaluate:
                        if l.startswith(f"csv,{label.capitalize()},"))
             counts = [int(v) for v in row.split(",")[2:6]]
             assert sum(counts) == 1  # one test sequence per class
+
+
+class TestSweep:
+    def test_columns_match_evaluate(self, tiny_corpus, tmp_path, capsys):
+        # the sweep's column for N equals evaluate's per-class and overall
+        # rates for a model trained with feature_size=N
+        sizes = ["1", "2", "8"]  # three different columns under FAST
+        rc = cli.main(["sweep", str(tiny_corpus / "train"),
+                       str(tiny_corpus / "test"), "--values"] + sizes + FAST)
+        assert rc == 0
+        names = [label.capitalize() for label in ACTION_LABELS] + ["Overall"]
+        columns = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.split()[0] in names:
+                columns[line.split()[0]] = line.split()[1:]
+        for col, n in enumerate(sizes):
+            model = tmp_path / f"model_{n}.txt"
+            settings = FAST + ["--set", f"feature_size={n}"]
+            assert cli.main(["train", str(tiny_corpus / "train"),
+                             str(model)] + settings) == 0
+            capsys.readouterr()
+            assert cli.main(["evaluate", str(tiny_corpus / "test"),
+                             str(model)] + settings) == 0
+            # csv,<class>,<counts...>,<rate> rows, then csv,overall,,,,,<rate>
+            rates = [line.split(",")[-1]
+                     for line in capsys.readouterr().out.splitlines()[-5:]]
+            assert rates == [columns[name][col] for name in names]
 
 
 class TestDump:

@@ -16,10 +16,6 @@ class TestDefaults:
         assert PipelineConfig().stride == 25
         assert PipelineConfig(window_stride=5).stride == 5
 
-    def test_steps_per_window(self):
-        assert PipelineConfig().steps_per_window == 8
-        assert PipelineConfig(window_frames=7, flow_step=3).steps_per_window == 2
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(flow_step=0)

@@ -6,17 +6,16 @@ from hypothesis import strategies as st
 from harpipe.flowdesc import (
     DESCRIPTOR_DIM,
     FlowJacobian,
-    PointDescriptor,
-    SampleVector,
-    aggregate_sample,
-    assemble_descriptor,
     flow_invariants,
     flow_jacobian,
     flow_velocity,
     jacobian_probes,
-    temporal_derivatives,
+    point_descriptors,
+    pool_window,
 )
 from harpipe.lkflow import Tracks, TrackStatus
+
+from oracles import PointDescriptor, aggregate_sample, temporal_derivatives
 
 
 def tracked(dx, dy, status=TrackStatus.TRACKED):
@@ -37,8 +36,21 @@ def jacobian_of(probe, p, h=2.0):
     return FlowJacobian(*(float(v[0]) for v in (jac.ux, jac.uy, jac.vx, jac.vy)))
 
 
-def descriptor(values):
-    return PointDescriptor(*values)
+def window_table(slots, steps=8, fill=np.nan):
+    """(table, tracked mask) for pool_window from per-slot lists of 12-value
+    rows, each slot tracked for the first len(rows) steps; the untracked
+    rows hold ``fill``."""
+    table = np.full((len(slots), steps, DESCRIPTOR_DIM), fill)
+    tracked = np.zeros((len(slots), steps), dtype=bool)
+    for k, rows in enumerate(slots):
+        if rows:
+            table[k, : len(rows)] = rows
+            tracked[k, : len(rows)] = True
+    return table, tracked
+
+
+def pool(slots, steps=8, fill=np.nan):
+    return pool_window(*window_table(slots, steps, fill)).values
 
 
 finite = st.floats(-10.0, 10.0)
@@ -186,73 +198,79 @@ class TestFlowJacobian:
 
 class TestAssembleDescriptor:
     def _static(self, step_index=2, steps=8):
-        return assemble_descriptor(
-            80.0, 60.0, 160, 120, step_index, steps,
-            0.0, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
-        )
+        return point_descriptors(
+            np.array([[80.0, 60.0]]), (160, 120), step_index, steps,
+            np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)),
+            tuple(np.zeros(1) for _ in range(4)),
+        )[0]
 
     def test_static_center_point(self):
         d = self._static(step_index=0)
-        assert d.to_array().tolist() == [0.5, 0.5, 0.0] + [0.0] * 9
+        assert d.tolist() == [0.5, 0.5, 0.0] + [0.0] * 9
 
     def test_component_order(self):
-        d = assemble_descriptor(
-            160.0, 120.0, 160, 120, 7, 8,
-            4.0, (5.0, 6.0), (7.0, 8.0), (9.0, 10.0, 11.0, 12.0),
+        d = point_descriptors(
+            np.array([[160.0, 120.0], [80.0, 30.0]]), (160, 120), 7, 8,
+            np.array([4.0, -4.0]), np.array([[5.0, 6.0], [-5.0, -6.0]]),
+            np.array([[7.0, 8.0], [-7.0, -8.0]]),
+            tuple(np.array([v, -v]) for v in (9.0, 10.0, 11.0, 12.0)),
         )
-        assert d.to_array().tolist() == [1, 1, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+        assert d.tolist() == [
+            [1, 1, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+            [0.5, 0.25, 1, -4, -5, -6, -7, -8, -9, -10, -11, -12],
+        ]
 
     def test_time_normalization(self):
-        assert self._static(step_index=7, steps=8).t == 1.0
-        assert self._static(step_index=0, steps=1).t == 0.0
+        assert self._static(step_index=7, steps=8)[2] == 1.0
+        assert self._static(step_index=0, steps=1)[2] == 0.0
 
     def test_normalized_position_in_unit_range(self):
         d = self._static()
-        assert 0.0 <= d.x <= 1.0 and 0.0 <= d.y <= 1.0 and 0.0 <= d.t <= 1.0
+        assert (0.0 <= d[:3]).all() and (d[:3] <= 1.0).all()
 
 
 class TestAggregateSample:
-    def _desc(self, fill):
-        return descriptor([fill] * DESCRIPTOR_DIM)
+    def _rows(self, fill, count):
+        return [[fill] * DESCRIPTOR_DIM] * count
 
     def test_n10_gives_length_120(self):
-        s = aggregate_sample([[self._desc(1.0)] * 8], 10, 8)
-        assert s.values.size == 120
+        values = pool([self._rows(1.0, 8)] + [[]] * 9)
+        assert values.size == 120
 
     def test_no_features_all_zero(self):
-        s = aggregate_sample([], 10, 8)
-        assert s.values.size == 120
-        assert not s.values.any()
+        values = pool([[]] * 10)
+        assert values.size == 120
+        assert not values.any()
+
+    def test_no_steps_all_zero(self):
+        values = pool([[]] * 10, steps=0)
+        assert values.size == 120
+        assert not values.any()
 
     def test_slot_mean(self):
-        descs = [self._desc(2.0)] * 4 + [self._desc(6.0)] * 4
-        s = aggregate_sample([descs], 3, 8)
-        assert np.allclose(s.values[:DESCRIPTOR_DIM], 4.0)
-        assert not s.values[DESCRIPTOR_DIM:].any()
+        values = pool([self._rows(2.0, 4) + self._rows(6.0, 4), [], []])
+        assert np.allclose(values[:DESCRIPTOR_DIM], 4.0)
+        assert not values[DESCRIPTOR_DIM:].any()
 
     def test_constant_motion_mean_equals_single_step(self):
-        d = descriptor([0.3, 0.4, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 0, 0, 0])
-        s = aggregate_sample([[d] * 8], 1, 8)
-        assert np.allclose(s.values, d.to_array())
+        d = [0.3, 0.4, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 0, 0, 0]
+        assert np.allclose(pool([[d] * 8]), d)
 
     def test_half_tracked_slot_zeroed(self):
-        s = aggregate_sample([[self._desc(5.0)] * 4], 1, 8)
-        assert not s.values.any()
+        assert not pool([self._rows(5.0, 4)]).any()
 
     def test_majority_tracked_slot_kept(self):
-        s = aggregate_sample([[self._desc(5.0)] * 5], 1, 8)
-        assert np.allclose(s.values, 5.0)
+        assert np.allclose(pool([self._rows(5.0, 5)]), 5.0)
 
     def test_extra_slots_ignored(self):
-        slots = [[self._desc(float(i))] * 8 for i in range(5)]
-        s = aggregate_sample(slots, 2, 8)
-        assert s.values.size == 2 * DESCRIPTOR_DIM
-        assert np.allclose(s.values[:DESCRIPTOR_DIM], 0.0)
-        assert np.allclose(s.values[DESCRIPTOR_DIM:], 1.0)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_sample([], 10, 0)
+        # each slot pools its own rows only, so the slots past N never reach
+        # the first 12*N values (the prefix that sweep slices)
+        slots = [self._rows(float(i), 8 - i) for i in range(5)]
+        values = pool(slots[:2])
+        assert values.size == 2 * DESCRIPTOR_DIM
+        assert np.allclose(values[:DESCRIPTOR_DIM], 0.0)
+        assert np.allclose(values[DESCRIPTOR_DIM:], 1.0)
+        assert values.tolist() == pool(slots)[: 2 * DESCRIPTOR_DIM].tolist()
 
     @given(
         st.integers(1, 14),
@@ -260,7 +278,36 @@ class TestAggregateSample:
     )
     @settings(max_examples=50, deadline=None)
     def test_length_always_12n(self, n, plan):
-        slots = [[self._desc(1.0)] * tracked_steps for tracked_steps in plan]
-        s = aggregate_sample(slots, n, 8)
-        assert s.values.size == 12 * n
-        assert np.isfinite(s.values).all()
+        slots = [self._rows(1.0, tracked_steps) for tracked_steps in plan[:n]]
+        values = pool(slots + [[]] * (n - len(slots)))
+        assert values.size == 12 * n
+        assert np.isfinite(values).all()
+
+    def test_negative_zero_rows(self):
+        # a kept slot whose tracked rows are all -0.0, next to +0.0 untracked
+        # rows, pools to the same bits as its stack of descriptors
+        values = pool([self._rows(-0.0, 5)], fill=0.0)
+        expected = aggregate_sample([[PointDescriptor(*[-0.0] * 12)] * 5], 1, 8)
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @given(st.integers(0, 10_000), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_list_oracle(self, seed, steps):
+        # random prefixes of random rows, -0.0 and +0.0 included, against the
+        # per-slot mean of a stack of PointDescriptor records, whatever the
+        # untracked rows hold
+        rng = np.random.default_rng(seed)
+        slots = []
+        for _ in range(int(rng.integers(1, 12))):
+            rows = rng.normal(0.0, 10.0 ** rng.integers(-3, 4),
+                              (int(rng.integers(0, steps + 1)), DESCRIPTOR_DIM))
+            rows[rng.random(rows.shape) < 0.2] = -0.0
+            rows[rng.random(rows.shape) < 0.1] = 0.0
+            slots.append(rows.tolist())
+        expected = aggregate_sample(
+            [[PointDescriptor(*row) for row in rows] for rows in slots],
+            len(slots), steps,
+        )
+        for fill in (np.nan, 0.0, -0.0, 1e300):
+            assert pool(slots, steps, fill).view(np.int64).tolist() == (
+                expected.view(np.int64).tolist())

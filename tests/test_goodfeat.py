@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harpipe.goodfeat import (
-    StructureTensor,
     detect_good_features,
-    min_eigenvalue,
     min_eigenvalue_map,
     spatial_gradients,
-    structure_tensor_at,
 )
 
 from conftest import make_frame
-from oracles import brute_force_good_features
+from oracles import (
+    StructureTensor,
+    brute_force_good_features,
+    min_eigenvalue,
+    structure_tensor_at,
+)
 
 
 class TestSpatialGradients:
@@ -105,6 +107,24 @@ class TestMinEigenvalue:
     def test_interlacing(self, zxx, zxy, zyy):
         lam = min_eigenvalue(StructureTensor(zxx, zxy, zyy))
         assert lam <= min(zxx, zyy) + 1e-9 * max(1.0, zxx, zyy)
+
+
+class TestMinEigenvalueMap:
+    @given(st.integers(0, 10_000), st.integers(1, 3),
+           st.integers(3, 14), st.integers(3, 14))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pixel_oracle(self, seed, h, width, height):
+        rng = np.random.default_rng(seed)
+        f = make_frame(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        ix, iy = spatial_gradients(f)
+        lam = min_eigenvalue_map(f, h)
+        for y in range(height):
+            for x in range(width):
+                if h <= x < width - h and h <= y < height - h:
+                    expected = min_eigenvalue(structure_tensor_at(ix, iy, x, y, h))
+                    assert lam[y, x] == pytest.approx(expected, rel=1e-9, abs=0)
+                else:
+                    assert lam[y, x] == 0.0
 
 
 class TestDetectGoodFeatures:

@@ -14,6 +14,7 @@ from harpipe.pipeline import (
 )
 
 from conftest import make_frame
+from oracles import smooth_texture, window_sample_loop
 
 
 def synth_frames(label, seed=0, count=None):
@@ -75,6 +76,45 @@ class TestExtractWindowSample:
         none_mask = np.zeros((120, 160), dtype=bool)
         gated = extract_window_sample(frames, cfg, foreground=none_mask)
         assert not gated.values.any()
+
+
+class TestScalarOracle:
+    """Every sample is bit-identical to the per-slot, per-step loop that
+    builds PointDescriptor records and averages each slot's stack."""
+
+    @staticmethod
+    def assert_bit_identical(frames, cfg, foreground=None):
+        values = extract_window_sample(frames, cfg, foreground=foreground).values
+        expected = window_sample_loop(frames, cfg, foreground=foreground)
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("label", ["boxing", "clapping", "running", "walking"])
+    @pytest.mark.parametrize("feature_size", [1, 10, 14])
+    @pytest.mark.parametrize("flow_step", [1, 3])
+    def test_synth_windows(self, label, feature_size, flow_step):
+        # the second window: there the running figure starts to leave the
+        # frame, so some slots are kept after tracking for only part of it
+        frames = synth_frames(label, seed=3, count=50)[25:]
+        cfg = PipelineConfig(feature_size=feature_size, flow_step=flow_step)
+        self.assert_bit_identical(frames, cfg)
+
+    @pytest.mark.parametrize("label", ["boxing", "walking"])
+    def test_gated_windows(self, label):
+        frames = synth_frames(label, seed=4, count=25)
+        mask = np.zeros((120, 160), dtype=bool)
+        mask[:75] = True
+        self.assert_bit_identical(frames, PipelineConfig(), foreground=mask)
+
+    @pytest.mark.parametrize("feature_size", [1, 10, 14])
+    def test_degenerate_windows(self, feature_size):
+        # criterion 10's featureless window and texture that vanishes
+        rng = np.random.default_rng(7)
+        blank = [make_frame(np.full((120, 160), 90, dtype=np.uint8), index=i)
+                 for i in range(25)]
+        vanishing = [make_frame(smooth_texture(rng, 160, 120))] + blank[1:]
+        cfg = PipelineConfig(feature_size=feature_size)
+        self.assert_bit_identical(blank, cfg)
+        self.assert_bit_identical(vanishing, cfg)
 
 
 class TestSequenceSamples:
