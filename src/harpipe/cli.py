@@ -95,32 +95,25 @@ def _extract_dataset(dataset_dir: str, cfg: PipelineConfig):
     return np.array(values), np.array(labels), np.array(seq_ids), seq_dirs
 
 
-def _check_input_size(model: mlp.MlpModel, n_values: int) -> None:
-    if n_values != model.layer_sizes[0]:
-        raise DataError(
-            f"feature_size gives {n_values} sample values "
-            f"({n_values // DESCRIPTOR_DIM} x {DESCRIPTOR_DIM}), but the model's "
-            f"input layer takes {model.layer_sizes[0]}"
-        )
-
-
 def score_dataset(model: mlp.MlpModel, values, labels, seq_ids, seq_dirs
                   ) -> np.ndarray:
     """Confusion matrix (rows = true class) of the per-sequence majority
     votes over per-window predictions, from ``_extract_dataset``'s output."""
-    _check_input_size(model, values.shape[1])
-    predictions = [mlp.predict(model, v) for v in values]
+    classes = np.array([mlp.predict(model, v)[0] for v in values])
     matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
     for seq, seq_dir in enumerate(seq_dirs):
         rows = np.flatnonzero(seq_ids == seq)
         if not rows.size:
             raise DataError(f"{seq_dir}: sequence shorter than one window")
-        votes = [(i, *predictions[i]) for i in rows]
-        matrix[labels[rows[0]], pipeline.majority_label(votes)] += 1
+        matrix[labels[rows[0]], pipeline.majority_label(classes[rows])] += 1
     return matrix
 
 
 def _train_model(inputs, labels, cfg: PipelineConfig):
+    counts = np.bincount(labels, minlength=len(ACTION_LABELS))
+    empty = [label for label, n in zip(ACTION_LABELS, counts) if not n]
+    if empty:
+        raise DataError(f"no training samples for {', '.join(empty)}")
     layer_sizes = [
         cfg.feature_size * DESCRIPTOR_DIM, cfg.hidden_nodes, len(ACTION_LABELS)
     ]
@@ -152,26 +145,50 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path: str) -> mlp.MlpModel:
+def _load_model(path: str, cfg: PipelineConfig) -> mlp.MlpModel:
+    """The model at ``path``, checked to take cfg's samples and to score the
+    action classes."""
     try:
-        return mlp.load_model(path)
+        model = mlp.load_model(path)
     except (OSError, ValueError) as e:
         raise DataError(str(e)) from None
+    n_values = cfg.feature_size * DESCRIPTOR_DIM
+    if n_values != model.layer_sizes[0]:
+        raise DataError(
+            f"feature_size gives {n_values} sample values "
+            f"({cfg.feature_size} x {DESCRIPTOR_DIM}), but the model's "
+            f"input layer takes {model.layer_sizes[0]}"
+        )
+    if model.layer_sizes[-1] != len(ACTION_LABELS):
+        raise DataError(
+            f"the model's output layer has {model.layer_sizes[-1]} nodes, "
+            f"but there are {len(ACTION_LABELS)} action classes"
+        )
+    return model
 
 
 def cmd_classify(args) -> int:
     cfg = _load_cfg(args)
-    model = _load_model(args.model)
-    _check_input_size(model, cfg.feature_size * DESCRIPTOR_DIM)
+    model = _load_model(args.model, cfg)
     frames = _load_frames(args.sequence, cfg, raw=args.raw)
-    try:
-        predictions = pipeline.classify_sequence(frames, model, cfg)
-    except ValueError as e:
-        raise DataError(str(e)) from None
-    for start, cls, scores in predictions:
+    if len(frames) < cfg.window_frames:
+        raise DataError(f"{args.sequence}: sequence has {len(frames)} frames, "
+                        f"needs >= {cfg.window_frames}")
+    for start, sample in pipeline.sequence_samples(frames, cfg):
+        cls, scores = mlp.predict(model, sample.values)
         score_text = " ".join(f"{s:.6f}" for s in scores)
         print(f"{start} {ACTION_LABELS[cls]} {score_text}")
     return 0
+
+
+def class_rates(matrix: np.ndarray) -> tuple[list[float], float]:
+    """Per-class recognition rates and overall accuracy of a confusion
+    matrix, in percent; 0 for an empty row or matrix."""
+    row_sums = matrix.sum(axis=1)
+    per_class = [100.0 * matrix[i, i] / row_sums[i] if row_sums[i] else 0.0
+                 for i in range(len(matrix))]
+    total = matrix.sum()
+    return per_class, 100.0 * np.trace(matrix) / total if total else 0.0
 
 
 def format_report(matrix: np.ndarray) -> str:
@@ -185,18 +202,14 @@ def format_report(matrix: np.ndarray) -> str:
         lines.append(f"{n:<10}" + "".join(f"{int(c):>10}" for c in matrix[i]))
     lines.append("")
     lines.append("Per-class recognition rate")
-    row_sums = matrix.sum(axis=1)
-    for i, n in enumerate(names):
-        rate = 100.0 * matrix[i, i] / row_sums[i] if row_sums[i] else 0.0
+    per_class, overall = class_rates(matrix)
+    for n, rate in zip(names, per_class):
         lines.append(f"{n:<10}{rate:>9.1f}%")
-    total = matrix.sum()
-    overall = 100.0 * np.trace(matrix) / total if total else 0.0
     lines.append(f"{'Overall':<10}{overall:>9.1f}%")
     lines.append("")
     lines.append("csv,true_class," + ",".join(names) + ",rate_percent")
-    for i, n in enumerate(names):
-        rate = 100.0 * matrix[i, i] / row_sums[i] if row_sums[i] else 0.0
-        cells = ",".join(str(int(c)) for c in matrix[i])
+    for n, row, rate in zip(names, matrix, per_class):
+        cells = ",".join(str(int(c)) for c in row)
         lines.append(f"csv,{n},{cells},{rate:.1f}")
     lines.append(f"csv,overall,,,,,{overall:.1f}")
     return "\n".join(lines)
@@ -204,7 +217,7 @@ def format_report(matrix: np.ndarray) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    model = _load_model(args.model)
+    model = _load_model(args.model, cfg)
     matrix = score_dataset(model, *_extract_dataset(args.test_dir, cfg))
     print(format_report(matrix))
     return 0
@@ -238,34 +251,24 @@ def cmd_sweep(args) -> int:
     train_x, train_y, _, _ = _extract_dataset(args.dataset_dir, cfg_max)
     test_x, *test_rest = _extract_dataset(args.test_dir, cfg_max)
 
-    results = {}
+    rates = []  # (per-class, overall) per feature size
     for n in values:
         cols = n * DESCRIPTOR_DIM
         model, _ = _train_model(
             train_x[:, :cols], train_y, dataclasses.replace(cfg, feature_size=n)
         )
-        results[n] = score_dataset(model, test_x[:, :cols], *test_rest)
+        rates.append(class_rates(score_dataset(model, test_x[:, :cols], *test_rest)))
         _log(f"feature size {n}: done")
 
     names = [label.capitalize() for label in ACTION_LABELS]
     print("Recognition rate (%) by feature size")
     print(f"{'Action':<10}" + "".join(f"{f'N={n}':>10}" for n in values))
     for i, name in enumerate(names):
-        row = ""
-        for n in values:
-            m = results[n]
-            rs = m[i].sum()
-            row += f"{100.0 * m[i, i] / rs if rs else 0.0:>10.1f}"
-        print(f"{name:<10}{row}")
-    overall_row = ""
-    for n in values:
-        m = results[n]
-        overall_row += f"{100.0 * np.trace(m) / m.sum():>10.1f}"
-    print(f"{'Overall':<10}{overall_row}")
+        print(f"{name:<10}"
+              + "".join(f"{per_class[i]:>10.1f}" for per_class, _ in rates))
+    print(f"{'Overall':<10}" + "".join(f"{overall:>10.1f}" for _, overall in rates))
     print("csv,feature_size," + ",".join(str(n) for n in values))
-    print("csv,overall_percent,"
-          + ",".join(f"{100.0 * np.trace(results[n]) / results[n].sum():.1f}"
-                     for n in values))
+    print("csv,overall_percent," + ",".join(f"{overall:.1f}" for _, overall in rates))
     return 0
 
 
@@ -293,8 +296,8 @@ def cmd_dump(args) -> int:
     if args.dump_flow:
         os.makedirs(args.dump_flow, exist_ok=True)
         params = pipeline.track_params(cfg)
+        pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
         for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
-            pi = lkflow.build_pyramid(frames[i], cfg.pyramid_levels)
             pj = lkflow.build_pyramid(frames[i + cfg.flow_step], cfg.pyramid_levels)
             points = pipeline.detect_features(frames[i], cfg)
             xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
@@ -306,6 +309,7 @@ def cmd_dump(args) -> int:
                 for p, (u, v), status, residual in rows:
                     name = lkflow.TrackStatus(status).name
                     fh.write(f"{i} {p.x} {p.y} {u} {v} {name} {residual}\n")
+            pi = pj
     print("dump complete")
     return 0
 

@@ -37,7 +37,6 @@ class PipelineConfig:
     gmm_match_radius: float = 2.5
     gmm_initial_variance: float = 225.0
     gmm_variance_floor: float = 4.0
-    foreground_gating: bool = False
 
     # classifier activation / RPROP
     activation_a: float = 1.0
@@ -89,12 +88,6 @@ class PipelineConfig:
 
 def _parse_value(name: str, raw: str, ftype):
     raw = raw.strip()
-    if ftype is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
     if ftype is int:
         return int(raw)
     if ftype is float:

@@ -27,6 +27,10 @@ class UnsupportedMaxvalError(PnmError):
     pass
 
 
+class NegativeSampleError(PnmError):
+    pass
+
+
 class EmptySequenceError(ValueError):
     pass
 
@@ -128,6 +132,8 @@ def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
             values = np.array([int(f) for f in fields[:count]], dtype=np.int64)
         except ValueError as e:
             raise TruncatedDataError(f"non-numeric pixel sample: {e}") from None
+        if values.min() < 0:
+            raise NegativeSampleError("negative ASCII pixel sample")
     if values.max(initial=0) > maxval:
         raise TruncatedDataError("pixel sample exceeds declared maxval")
     if maxval != 255:

@@ -1,4 +1,4 @@
-"""End-to-end glue: frames -> windows -> sample vectors -> predictions."""
+"""End-to-end glue: frames -> windows -> sample vectors -> per-sequence vote."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import bgmodel, flowdesc, goodfeat, lkflow, mlp
+from . import flowdesc, goodfeat, lkflow, mlp
 from .config import PipelineConfig
 from .frameio import Frame
 from .flowdesc import SampleVector
@@ -33,15 +33,13 @@ def extract_window_sample(
     frames: Sequence[Frame],
     cfg: PipelineConfig,
     label: Optional[str] = None,
-    foreground: Optional[np.ndarray] = None,
 ) -> SampleVector:
     """One fixed-length sample from one window of frames.
 
     Features are detected on the first frame and tracked at every
     flow_step-th frame; each step fills and marks its tracked slots' rows
     of the (slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
-    averages. ``foreground`` optionally gates detection to moving pixels
-    (bool mask of the first frame).
+    averages.
     """
     if not frames:
         raise ValueError("empty window")
@@ -51,10 +49,6 @@ def extract_window_sample(
         return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
 
     points = detect_features(frames[0], cfg)
-    if foreground is not None:
-        points = [
-            p for p in points if foreground[int(round(p.y)), int(round(p.x))]
-        ]
     params = track_params(cfg)
     xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
     alive = np.ones(len(xy), dtype=bool)
@@ -111,45 +105,18 @@ def sequence_samples(
 ) -> list[tuple[int, SampleVector]]:
     """(window start frame, sample) for each full window in the sequence."""
     frames = list(frames)
-    gating_masks = None
-    if cfg.foreground_gating:
-        model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
-        gating_masks = [model.update_and_classify(f).bits for f in frames]
     out = []
     for start in window_starts(len(frames), cfg):
         window = frames[start : start + cfg.window_frames]
-        fg = gating_masks[start] if gating_masks is not None else None
-        out.append(
-            (start, extract_window_sample(window, cfg, label=label, foreground=fg))
-        )
+        out.append((start, extract_window_sample(window, cfg, label=label)))
     return out
 
 
-def classify_sequence(
-    frames: Sequence[Frame], model: mlp.MlpModel, cfg: PipelineConfig
-) -> list[tuple[int, int, np.ndarray]]:
-    """(window start, predicted class, scores) per window."""
-    frames = list(frames)
-    if len(frames) < cfg.window_frames:
-        raise ValueError(
-            f"sequence has {len(frames)} frames, needs >= {cfg.window_frames}"
-        )
-    out = []
-    for start, sample in sequence_samples(frames, cfg):
-        cls, scores = mlp.predict(model, sample.values)
-        out.append((start, cls, scores))
-    return out
-
-
-def majority_label(window_predictions: Sequence[tuple[int, int, np.ndarray]]) -> int:
-    """Per-sequence label: majority vote, ties to the earliest window whose
-    class is among the tied leaders."""
-    votes = np.zeros(len(mlp.ACTION_LABELS), dtype=np.int64)
-    for _, cls, _ in window_predictions:
-        votes[cls] += 1
-    best = votes.max()
-    leaders = set(np.nonzero(votes == best)[0])
-    for _, cls, _ in window_predictions:
-        if cls in leaders:
-            return cls
-    raise ValueError("no window predictions")
+def majority_label(window_classes: Sequence[int]) -> int:
+    """Per-sequence label from the per-window class indices: majority vote,
+    ties to the earliest window whose class is among the tied leaders."""
+    if len(window_classes) == 0:
+        raise ValueError("no window predictions")
+    votes = np.bincount(window_classes, minlength=len(mlp.ACTION_LABELS))
+    leaders = votes == votes.max()
+    return next(int(cls) for cls in window_classes if leaders[cls])

@@ -514,7 +514,7 @@ def aggregate_sample(slot_descriptors, n_slots, steps_per_window):
     return values
 
 
-def window_sample_loop(frames, cfg, foreground=None):
+def window_sample_loop(frames, cfg):
     """``pipeline.extract_window_sample``'s values, built one slot and one
     step at a time from ``PointDescriptor`` records and pooled by
     ``aggregate_sample``. Detection, tracking and the Jacobian are the
@@ -533,10 +533,6 @@ def window_sample_loop(frames, cfg, foreground=None):
         frames[0], max_n=n, quality_rel=cfg.quality_rel,
         min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
     )
-    if foreground is not None:
-        points = [
-            p for p in points if foreground[int(round(p.y)), int(round(p.x))]
-        ]
     params = track_params(cfg)
     xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
     alive = np.ones(len(xy), dtype=bool)

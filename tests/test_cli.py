@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from harpipe import cli
+from harpipe import cli, mlp
 from harpipe.mlp import ACTION_LABELS
 
 FAST = ["--set", "epochs=5", "--set", "feature_size=4", "--set", "hidden_nodes=16"]
@@ -150,10 +150,38 @@ class TestExitCodes:
                   if command == "classify" else tiny_corpus / "test")
         rc = cli.main([command, str(target), str(tiny_model)] + FAST
                       + ["--set", "feature_size=10"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err[-1].startswith("data error: ")
+        assert "120" in err[-1] and "48" in err[-1]
+        # the mismatch is reported before any sequence is extracted
+        assert not any("extracted" in line for line in err)
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_data_error_on_wrong_output_layer(self, command, tiny_corpus,
+                                              tmp_path, capsys):
+        model = tmp_path / "five_classes.txt"
+        mlp.save_model(mlp.init_model([48, 8, 5]), str(model))
+        target = (next((tiny_corpus / "test" / "walking").iterdir())
+                  if command == "classify" else tiny_corpus / "test")
+        rc = cli.main([command, str(target), str(model)] + FAST)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert "5 nodes" in captured.err and "Traceback" not in captured.err
+
+    def test_data_error_on_class_without_samples(self, tiny_corpus, tmp_path,
+                                                 capsys):
+        train_dir = tmp_path / "train"
+        shutil.copytree(tiny_corpus / "train", train_dir)
+        for seq in (train_dir / "walking").iterdir():
+            shutil.rmtree(seq)
+        rc = cli.main(["train", str(train_dir), str(tmp_path / "m.txt")] + FAST)
         err = capsys.readouterr().err.splitlines()[-1]
         assert rc == 2
-        assert err.startswith("data error: ")
-        assert "120" in err and "48" in err
+        assert err.startswith("data error: ") and "walking" in err
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_data_error_on_short_test_sequence(self, command, tiny_corpus,
@@ -220,6 +248,20 @@ class TestClassify:
             assert parts[0] == expected_start
             assert parts[1] in ACTION_LABELS
             assert len(parts) == 6
+
+    def test_constant_model_window_count(self, tiny_corpus, tmp_path, capsys):
+        # output layer biased toward running whatever the input
+        biases = np.full(4, -1.0)
+        biases[2] = 1.0
+        model = tmp_path / "constant.txt"
+        mlp.save_model(mlp.MlpModel([48, 4], [np.zeros((4, 48))], [biases]),
+                       str(model))
+        seq = next((tiny_corpus / "test" / "boxing").iterdir())
+        rc = cli.main(["classify", str(seq), str(model)] + FAST)
+        assert rc == 0
+        lines = [l.split() for l in capsys.readouterr().out.splitlines()]
+        assert [parts[0] for parts in lines] == ["0", "25", "50"]
+        assert all(parts[1] == "running" for parts in lines)
 
     def test_too_short_sequence(self, tiny_corpus, tiny_model, tmp_path):
         src = next((tiny_corpus / "test" / "walking").iterdir())

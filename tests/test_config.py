@@ -30,21 +30,17 @@ class TestApplySettings:
         cfg = apply_settings(PipelineConfig(), {
             "feature_size": "14",
             "gmm_alpha": "0.1",
-            "foreground_gating": "true",
             "working_resolution": "80x60",
         })
         assert cfg.feature_size == 14
         assert cfg.gmm_alpha == 0.1
-        assert cfg.foreground_gating is True
         assert cfg.working_resolution == (80, 60)
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            apply_settings(PipelineConfig(), {"learning_rate": "0.1"})
-
-    def test_bad_boolean(self):
-        with pytest.raises(ValueError):
-            apply_settings(PipelineConfig(), {"foreground_gating": "maybe"})
+        # foreground_gating names a removed feature: it must not pass silently
+        for key in ("learning_rate", "foreground_gating"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                apply_settings(PipelineConfig(), {key: "0.1"})
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):

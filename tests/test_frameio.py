@@ -9,6 +9,7 @@ from harpipe.frameio import (
     EmptySequenceError,
     Frame,
     MalformedHeaderError,
+    NegativeSampleError,
     PnmError,
     RgbFrame,
     TruncatedDataError,
@@ -48,6 +49,16 @@ class TestDecodePnm:
         f = decode_pnm(b"P3\n1 1\n255\n1 2 3\n")
         assert isinstance(f, RgbFrame)
         assert f.pixels.tolist() == [[[1, 2, 3]]]
+
+    @pytest.mark.parametrize("data", [
+        b"P2 2 1 255\n1 -3\n",  # -3 would wrap to 253 as uint8
+        b"P3\n1 1\n255\n1 -2 3\n",
+        b"P2 1 1 15\n-1\n",
+    ])
+    def test_negative_ascii_sample(self, data):
+        with pytest.raises(NegativeSampleError):
+            decode_pnm(data)
+        assert issubclass(NegativeSampleError, PnmError)
 
     def test_low_maxval_rescaled(self):
         f = decode_pnm(b"P2 2 1 15\n0 15\n")

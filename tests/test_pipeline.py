@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from harpipe import mlp, synth
+from harpipe import synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame
 from harpipe.pipeline import (
-    classify_sequence,
     extract_window_sample,
     majority_label,
     sequence_samples,
@@ -70,22 +69,15 @@ class TestExtractWindowSample:
         # generator speed is ~1 px/frame with +-20% jitter
         assert 0.6 <= np.abs(live).mean() <= 1.4
 
-    def test_foreground_gating_drops_background_points(self):
-        frames = synth_frames("walking", count=25)
-        cfg = PipelineConfig()
-        none_mask = np.zeros((120, 160), dtype=bool)
-        gated = extract_window_sample(frames, cfg, foreground=none_mask)
-        assert not gated.values.any()
-
 
 class TestScalarOracle:
     """Every sample is bit-identical to the per-slot, per-step loop that
     builds PointDescriptor records and averages each slot's stack."""
 
     @staticmethod
-    def assert_bit_identical(frames, cfg, foreground=None):
-        values = extract_window_sample(frames, cfg, foreground=foreground).values
-        expected = window_sample_loop(frames, cfg, foreground=foreground)
+    def assert_bit_identical(frames, cfg):
+        values = extract_window_sample(frames, cfg).values
+        expected = window_sample_loop(frames, cfg)
         assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     @pytest.mark.parametrize("label", ["boxing", "clapping", "running", "walking"])
@@ -97,13 +89,6 @@ class TestScalarOracle:
         frames = synth_frames(label, seed=3, count=50)[25:]
         cfg = PipelineConfig(feature_size=feature_size, flow_step=flow_step)
         self.assert_bit_identical(frames, cfg)
-
-    @pytest.mark.parametrize("label", ["boxing", "walking"])
-    def test_gated_windows(self, label):
-        frames = synth_frames(label, seed=4, count=25)
-        mask = np.zeros((120, 160), dtype=bool)
-        mask[:75] = True
-        self.assert_bit_identical(frames, PipelineConfig(), foreground=mask)
 
     @pytest.mark.parametrize("feature_size", [1, 10, 14])
     def test_degenerate_windows(self, feature_size):
@@ -128,38 +113,16 @@ class TestSequenceSamples:
             assert s.label == "running"
 
 
-class TestClassify:
-    def _constant_model(self, cls, n_inputs=120):
-        # output layer biased toward one class regardless of input
-        biases = np.full(4, -1.0)
-        biases[cls] = 1.0
-        return mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases])
-
-    def test_window_count(self):
-        frames = synth_frames("boxing", count=75)
-        preds = classify_sequence(frames, self._constant_model(2), PipelineConfig())
-        assert [p[0] for p in preds] == [0, 25, 50]
-        assert all(p[1] == 2 for p in preds)
-
-    def test_too_short_sequence(self):
-        frames = synth_frames("boxing", count=24)
-        with pytest.raises(ValueError):
-            classify_sequence(frames, self._constant_model(0), PipelineConfig())
-
-
 class TestMajorityLabel:
-    def _preds(self, classes):
-        return [(i * 25, c, np.zeros(4)) for i, c in enumerate(classes)]
-
     def test_majority(self):
-        assert majority_label(self._preds([2, 2, 3])) == 2
+        assert majority_label([2, 2, 3]) == 2
 
     def test_tie_goes_to_earliest_window(self):
-        assert majority_label(self._preds([3, 1, 3, 1])) == 3
-        assert majority_label(self._preds([1, 3, 1, 3])) == 1
+        assert majority_label([3, 1, 3, 1]) == 3
+        assert majority_label([1, 3, 1, 3]) == 1
 
     def test_single_window(self):
-        assert majority_label(self._preds([0])) == 0
+        assert majority_label([0]) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
