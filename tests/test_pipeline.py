@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harpipe import synth
+from harpipe import cli, mlp, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame
@@ -111,6 +111,27 @@ class TestSequenceSamples:
         for _, s in samples:
             assert s.values.size == 12 * cfg.feature_size
             assert s.label == "running"
+
+
+class TestClassify:
+    def test_too_short_sequence(self, tmp_path, capsys):
+        # 24 frames hold no full 25-frame window, so classify prints no
+        # window line and exits with a data error
+        frames = synth_frames("boxing", count=24)
+        raw = tmp_path / "short.raw"
+        raw.write_bytes(b"".join(f.pixels.tobytes() for f in frames))
+        biases = np.full(4, -1.0)
+        biases[0] = 1.0
+        n_inputs = PipelineConfig().feature_size * DESCRIPTOR_DIM
+        model = tmp_path / "constant.txt"
+        mlp.save_model(
+            mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases]),
+            str(model),
+        )
+        rc = cli.main(["classify", str(raw), str(model),
+                       "--raw", f"{synth.WIDTH}x{synth.HEIGHT}"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestMajorityLabel:
