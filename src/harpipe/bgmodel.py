@@ -23,19 +23,6 @@ from .config import PipelineConfig
 from .frameio import Frame
 
 
-@dataclass(frozen=True)
-class ForegroundMask:
-    width: int
-    height: int
-    bits: np.ndarray  # (height, width) bool, True = foreground
-
-    def to_frame(self, index: int = 0) -> Frame:
-        return Frame(
-            self.width, self.height, index,
-            np.where(self.bits, 255, 0).astype(np.uint8),
-        )
-
-
 @dataclass
 class BackgroundModel:
     width: int
@@ -68,7 +55,9 @@ class BackgroundModel:
         # rank of each pixel's matched component; k when nothing matched
         self._pos = np.empty(n, dtype=np.min_scalar_type(self.k))
 
-    def update_and_classify(self, f: Frame) -> ForegroundMask:
+    def update_and_classify(self, f: Frame) -> np.ndarray:
+        """Update the model with one frame; returns its (height, width) bool
+        mask, True = foreground."""
         if (f.width, f.height) != (self.width, self.height):
             raise ValueError("frame dimensions do not match the model")
         w, mu, var = self.weights, self.means, self.variances
@@ -83,10 +72,7 @@ class BackgroundModel:
             w[0] = 1.0
             mu[:] = x
             self._seeded = True
-            return ForegroundMask(
-                self.width, self.height,
-                np.zeros((self.height, self.width), dtype=bool),
-            )
+            return np.zeros((self.height, self.width), dtype=bool)
 
         # components are fitness-sorted, so the first match is the best one:
         # scan from the last row so that earlier rows overwrite later ones
@@ -168,10 +154,7 @@ class BackgroundModel:
             aux &= swap
             background |= aux
             cum += w[j]
-        return ForegroundMask(
-            self.width, self.height,
-            (~background).reshape(self.height, self.width),
-        )
+        return (~background).reshape(self.height, self.width)
 
 
 def from_config(cfg: PipelineConfig, width: int, height: int) -> BackgroundModel:

@@ -16,7 +16,7 @@ import numpy as np
 from . import bgmodel, lkflow, mlp, pipeline, synth
 from .config import PipelineConfig, load_config
 from .flowdesc import DESCRIPTOR_DIM
-from .frameio import EmptySequenceError, encode_pgm, load_sequence
+from .frameio import EmptySequenceError, Frame, encode_pgm, load_sequence
 from .mlp import ACTION_LABELS
 
 
@@ -282,33 +282,33 @@ def cmd_dump(args) -> int:
         model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
         for f in frames:
             mask = model.update_and_classify(f)
+            pixels = np.where(mask, 255, 0).astype(np.uint8)
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")
             with open(path, "wb") as fh:
-                fh.write(encode_pgm(mask.to_frame(f.index)))
+                fh.write(encode_pgm(Frame(f.width, f.height, f.index, pixels)))
     if args.dump_features:
         os.makedirs(args.dump_features, exist_ok=True)
         for f in frames:
             points = pipeline.detect_features(f, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
             with open(path, "w") as fh:
-                for p in points:
-                    fh.write(f"{f.index} {p.x} {p.y} {p.score}\n")
+                for x, y, score in points.tolist():
+                    fh.write(f"{f.index} {x} {y} {score}\n")
     if args.dump_flow:
         os.makedirs(args.dump_flow, exist_ok=True)
         params = pipeline.track_params(cfg)
         pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
         for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
             pj = lkflow.build_pyramid(frames[i + cfg.flow_step], cfg.pyramid_levels)
-            points = pipeline.detect_features(frames[i], cfg)
-            xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+            xy = pipeline.detect_features(frames[i], cfg)[:, :2]
             tracks = lkflow.track_points(pi, pj, xy, params)
-            rows = zip(points, (tracks.dxy / cfg.flow_step).tolist(),
+            rows = zip(xy.tolist(), (tracks.dxy / cfg.flow_step).tolist(),
                        tracks.status, tracks.residual.tolist())
             path = os.path.join(args.dump_flow, f"flow_{i:05d}.txt")
             with open(path, "w") as fh:
-                for p, (u, v), status, residual in rows:
+                for (x, y), (u, v), status, residual in rows:
                     name = lkflow.TrackStatus(status).name
-                    fh.write(f"{i} {p.x} {p.y} {u} {v} {name} {residual}\n")
+                    fh.write(f"{i} {x} {y} {u} {v} {name} {residual}\n")
             pi = pj
     print("dump complete")
     return 0

@@ -88,30 +88,20 @@ class PipelineConfig:
 
 def _parse_value(name: str, raw: str, ftype):
     raw = raw.strip()
-    if ftype is int:
-        return int(raw)
-    if ftype is float:
-        return float(raw)
-    if name == "working_resolution":
+    if ftype is tuple:
         try:
             w, h = (int(p) for p in raw.lower().split("x"))
             return (w, h)
         except ValueError:
-            raise ValueError(
-                f"working_resolution: expected WxH, got {raw!r}"
-            ) from None
-    raise ValueError(f"cannot parse config key {name!r}")
+            raise ValueError(f"{name}: expected WxH, got {raw!r}") from None
+    return ftype(raw)
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-    types = {
-        f.name: type(getattr(cfg, f.name)) if f.name != "working_resolution" else tuple
-        for f in dataclasses.fields(PipelineConfig)
-    }
+    types = {f.name: type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
     updates = {}
     for key, raw in settings.items():
-        if key not in fields:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
         updates[key] = _parse_value(key, raw, types[key])
     return dataclasses.replace(cfg, **updates)

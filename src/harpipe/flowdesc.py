@@ -20,16 +20,6 @@ DESCRIPTOR_DIM = 12
 
 
 @dataclass(frozen=True)
-class FlowJacobian:
-    """Spatial flow partials, each a float or a per-point array."""
-
-    ux: float | np.ndarray
-    uy: float | np.ndarray
-    vx: float | np.ndarray
-    vy: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class SampleVector:
     values: np.ndarray  # length 12*N
     label: Optional[str] = None
@@ -50,17 +40,15 @@ def jacobian_probes(xy: np.ndarray, h: float = 2.0) -> np.ndarray:
     return xy[:, None, :] + h * steps
 
 
-def flow_jacobian(
-    uv: np.ndarray, h: float = 2.0
-) -> tuple[FlowJacobian, np.ndarray]:
+def flow_jacobian(uv: np.ndarray, h: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Spatial flow partials of P points from the (P, 5, 2) velocities at
     their ``jacobian_probes`` (NaN where a probe was not tracked).
 
     Each axis takes the central difference of its probes at p +- h, or the
     one-sided difference against the point itself when one of them failed.
-    Returns the Jacobian, one (P,) array per partial, and the (P,) mask of
-    points whose neighbourhood was trackable; the partials of the other
-    points are zero.
+    Returns the (P, 2, 2) Jacobians [[u_x, u_y], [v_x, v_y]] and the (P,)
+    mask of points whose neighbourhood was trackable; the partials of the
+    other points are zero.
     """
     tracked = ~np.isnan(uv).any(axis=2)
     centre = uv[:, 0]
@@ -81,21 +69,22 @@ def flow_jacobian(
     ok = x_ok & y_ok
     dx = np.where(ok[:, None], dx, 0.0)
     dy = np.where(ok[:, None], dy, 0.0)
-    return FlowJacobian(ux=dx[:, 0], uy=dy[:, 0], vx=dx[:, 1], vy=dy[:, 1]), ok
+    return np.stack((dx, dy), axis=2), ok
 
 
-def flow_invariants(j: FlowJacobian) -> tuple[float, float, float, float]:
-    """(Div, Vor, G_ten, S_ten): trace, curl, and the second invariants of
-    the full Jacobian and of its symmetric part."""
-    div = j.ux + j.vy
-    vor = j.vx - j.uy
+def flow_invariants(j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Div, Vor, G_ten, S_ten) of a (..., 2, 2) Jacobian
+    [[u_x, u_y], [v_x, v_y]]: trace, curl, and the second invariants of the
+    full Jacobian and of its symmetric part."""
+    ux, uy = j[..., 0, 0], j[..., 0, 1]
+    vx, vy = j[..., 1, 0], j[..., 1, 1]
+    div = ux + vy
+    vor = vx - uy
     # second invariant 0.5*((tr J)^2 - tr(J^2)) = det for 2x2
-    g_ten = j.ux * j.vy - j.uy * j.vx
-    sxy = 0.5 * (j.uy + j.vx)
-    s_ten = j.ux * j.vy - sxy * sxy
+    g_ten = ux * vy - uy * vx
+    sxy = 0.5 * (uy + vx)
+    s_ten = ux * vy - sxy * sxy
     return div, vor, g_ten, s_ten
-
-
 
 
 def point_descriptors(

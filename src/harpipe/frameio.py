@@ -27,7 +27,11 @@ class UnsupportedMaxvalError(PnmError):
     pass
 
 
-class NegativeSampleError(PnmError):
+class BadSampleError(PnmError):
+    """A pixel sample that is not a decimal number or is above maxval."""
+
+
+class NegativeSampleError(BadSampleError):
     pass
 
 
@@ -128,14 +132,17 @@ def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
             raise TruncatedDataError(
                 f"expected {count} ASCII samples, got {len(fields)}"
             )
-        try:
-            values = np.array([int(f) for f in fields[:count]], dtype=np.int64)
-        except ValueError as e:
-            raise TruncatedDataError(f"non-numeric pixel sample: {e}") from None
-        if values.min() < 0:
-            raise NegativeSampleError("negative ASCII pixel sample")
+        samples = fields[:count]
+        for f in samples:
+            if not f.isdigit():
+                if f[:1] == b"-" and f[1:].isdigit():
+                    raise NegativeSampleError(f"negative pixel sample {f!r}")
+                raise BadSampleError(f"non-decimal pixel sample {f!r}")
+        # clamped to 256 so that a sample too large for int64 fails the
+        # maxval check below
+        values = np.array([min(int(f), 256) for f in samples], dtype=np.int64)
     if values.max(initial=0) > maxval:
-        raise TruncatedDataError("pixel sample exceeds declared maxval")
+        raise BadSampleError("pixel sample exceeds declared maxval")
     if maxval != 255:
         # netpbm: scale to 0-255, round half up, in exact integer arithmetic
         values = (values * 510 + maxval) // (2 * maxval)

@@ -7,18 +7,9 @@ set relative to the frame-wide maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frameio import Frame
-
-
-@dataclass(frozen=True)
-class FeaturePoint:
-    x: float
-    y: float
-    score: float
 
 
 def spatial_gradients(f: Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -77,30 +68,31 @@ def detect_good_features(
     quality_rel: float = 0.05,
     min_distance: float = 7.0,
     half_window: int = 2,
-) -> list[FeaturePoint]:
+) -> np.ndarray:
     """Strongest corners after relative thresholding, 3x3 non-max suppression
-    and greedy minimum-distance selection. Sorted by descending score,
+    and greedy minimum-distance selection, as an (n, 3) array of rows
+    (x, y, score); (0, 3) when there are none. Sorted by descending score,
     ties broken by lower y then lower x."""
     lam = min_eigenvalue_map(f, half_window)
     lam_max = lam.max()
     if lam_max <= 0.0 or max_n < 1:
-        return []
+        return np.empty((0, 3))
     threshold = quality_rel * lam_max
     candidates = _nms_3x3(lam) & (lam >= threshold)
     ys, xs = np.nonzero(candidates)
     scores = lam[ys, xs]
     order = np.lexsort((xs, ys, -scores))
 
-    chosen: list[FeaturePoint] = []
+    chosen: list[int] = []
     cx = np.empty(max_n)
     cy = np.empty(max_n)
     for i in order:
-        x, y, s = float(xs[i]), float(ys[i]), float(scores[i])
+        x, y = float(xs[i]), float(ys[i])
         k = len(chosen)
         if k and np.min((cx[:k] - x) ** 2 + (cy[:k] - y) ** 2) < min_distance**2:
             continue
         cx[k], cy[k] = x, y
-        chosen.append(FeaturePoint(x, y, s))
+        chosen.append(i)
         if len(chosen) == max_n:
             break
-    return chosen
+    return np.column_stack((xs[chosen], ys[chosen], scores[chosen]))

@@ -20,6 +20,8 @@ from .frameio import Frame
 
 SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 MIN_COARSEST_SIDE = 16
+# a window's structure tensor is singular below this times the window area
+MIN_EIGEN_PER_PIXEL = 1e-4
 
 
 class TrackStatus(enum.IntEnum):
@@ -30,25 +32,11 @@ class TrackStatus(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class Pyramid:
-    levels: tuple[np.ndarray, ...]  # float64, level 0 = full resolution
-
-    @property
-    def width(self) -> int:
-        return self.levels[0].shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.levels[0].shape[0]
-
-
-@dataclass(frozen=True)
 class TrackParams:
     half_window: int = 7
     max_iterations: int = 20
     convergence_eps: float = 0.03
     residual_max: float = 12.0
-    min_eigen_per_pixel: float = 1e-4  # floor is this times the window area
 
 
 @dataclass(frozen=True)
@@ -85,9 +73,10 @@ def _smooth_separable(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_pyramid(f: Frame | np.ndarray, levels: int) -> Pyramid:
-    """Low-pass-and-decimate pyramid; level count silently clamped so the
-    coarsest level keeps both sides >= 16 px."""
+def build_pyramid(f: Frame | np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
+    """Low-pass-and-decimate pyramid: the float64 levels, full resolution
+    first; level count silently clamped so the coarsest level keeps both
+    sides >= 16 px."""
     img = f.as_float() if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
     out = [img]
     for _ in range(max(1, levels) - 1):
@@ -97,7 +86,7 @@ def build_pyramid(f: Frame | np.ndarray, levels: int) -> Pyramid:
         if (prev.shape[1] + 1) // 2 < MIN_COARSEST_SIDE:
             break
         out.append(_smooth_separable(prev)[::2, ::2])
-    return Pyramid(tuple(out))
+    return tuple(out)
 
 
 def _clamped_taps(c: np.ndarray, hw: int, size: int):
@@ -158,17 +147,17 @@ def _window_sums(a: np.ndarray) -> np.ndarray:
 
 
 def track_points(
-    pi: Pyramid,
-    pj: Pyramid,
+    pi: tuple[np.ndarray, ...],
+    pj: tuple[np.ndarray, ...],
     xy: np.ndarray,
     params: TrackParams = TrackParams(),
 ) -> Tracks:
     """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj``."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     hw = params.half_window
-    eigen_floor = params.min_eigen_per_pixel * (2 * hw + 1) ** 2
+    eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
     eps_sq = params.convergence_eps**2
-    w0, h0 = pi.width, pi.height
+    h0, w0 = pi[0].shape
     status = np.full(len(xy), TrackStatus.TRACKED, dtype=np.int8)
 
     def inside(pts: np.ndarray, lo: float, hi_x: float, hi_y: float) -> np.ndarray:
@@ -179,13 +168,13 @@ def track_points(
 
     # displacement after the latest level, in that level's pixels
     shift = np.zeros_like(xy)
-    n_levels = min(len(pi.levels), len(pj.levels))
+    n_levels = min(len(pi), len(pj))
     for level in reversed(range(n_levels)):
         live = np.flatnonzero(status == TrackStatus.TRACKED)
         if live.size == 0:
             break
-        imgi = pi.levels[level]
-        imgj = pj.levels[level]
+        imgi = pi[level]
+        imgj = pj[level]
         lh, lw = imgi.shape
         p = xy[live] / (1 << level)
 
@@ -231,8 +220,8 @@ def track_points(
     ok = inside(moved, hw, w0 - 1 - hw, h0 - 1 - hw)
     status[live[~ok]] = TrackStatus.LOST_BOUNDS
     live, moved = live[ok], moved[ok]
-    iw = sample_windows(pi.levels[0], xy[live], hw)
-    jw = sample_windows(pj.levels[0], moved, hw)
+    iw = sample_windows(pi[0], xy[live], hw)
+    jw = sample_windows(pj[0], moved, hw)
     sq = (iw - jw) ** 2
     residual = np.sqrt(_window_sums(sq) / (sq.shape[1] * sq.shape[2]))
     status[live[~(residual <= params.residual_max)]] = TrackStatus.LOST_RESIDUAL

@@ -197,12 +197,11 @@ def train(
     labels: Sequence[int],
     epochs: int,
     rprop: Optional[RpropState] = None,
-    standardize: bool = True,
 ) -> list[float]:
     """Full-batch RPROP training; returns the per-epoch loss trace.
 
-    Targets are one-hot at +-0.9*beta. When ``standardize`` the per-component
-    training mean/std are stored on the model and applied to all inputs.
+    Targets are one-hot at +-0.9*beta. The per-component training mean/std
+    are stored on the model and applied to all inputs.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -215,13 +214,12 @@ def train(
                    for i in np.nonzero(counts == 0)[0]]
         raise ValueError(f"classes with zero samples: {', '.join(missing)}")
 
-    if standardize:
-        m.input_mean = inputs.mean(axis=0)
-        std = inputs.std(axis=0)
-        # floor tiny per-component deviations relative to the largest one so
-        # near-constant noise components are not amplified into the net
-        floor = 0.01 * std.max()
-        m.input_std = np.maximum(std, floor) if floor > 0 else np.ones_like(std)
+    m.input_mean = inputs.mean(axis=0)
+    std = inputs.std(axis=0)
+    # floor tiny per-component deviations relative to the largest one so
+    # near-constant noise components are not amplified into the net
+    floor = 0.01 * std.max()
+    m.input_std = np.maximum(std, floor) if floor > 0 else np.ones_like(std)
     x = m.standardize(inputs)
     targets = np.full((len(labels), n_classes), -0.9 * m.beta)
     targets[np.arange(len(labels)), labels] = 0.9 * m.beta

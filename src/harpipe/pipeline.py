@@ -21,8 +21,9 @@ def track_params(cfg: PipelineConfig) -> lkflow.TrackParams:
     )
 
 
-def detect_features(frame: Frame, cfg: PipelineConfig) -> list[goodfeat.FeaturePoint]:
-    """The ``cfg.feature_size`` strongest good features of one frame."""
+def detect_features(frame: Frame, cfg: PipelineConfig) -> np.ndarray:
+    """The ``cfg.feature_size`` strongest good features of one frame, as
+    ``goodfeat.detect_good_features`` rows (x, y, score)."""
     return goodfeat.detect_good_features(
         frame, max_n=cfg.feature_size, quality_rel=cfg.quality_rel,
         min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
@@ -48,9 +49,8 @@ def extract_window_sample(
     if steps < 1:
         return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
 
-    points = detect_features(frames[0], cfg)
     params = track_params(cfg)
-    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    xy = detect_features(frames[0], cfg)[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     prev_uv = np.zeros_like(xy)
     table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
@@ -58,7 +58,7 @@ def extract_window_sample(
     frame_size = (frames[0].width, frames[0].height)
 
     pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi.levels[0], xy, 0)[:, 0, 0]
+    intensity = lkflow.sample_windows(pi[0], xy, 0)[:, 0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
         live = np.flatnonzero(alive)
@@ -78,7 +78,7 @@ def extract_window_sample(
         new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
         # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
         jac, _ = flowdesc.flow_jacobian(uv, h_probe)
-        cur_intensity = lkflow.sample_windows(pj.levels[0], new_xy, 0)[:, 0, 0]
+        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[:, 0, 0]
         uv = uv[:, 0]
         # the first step has no velocity history, so u_t = v_t = 0 there
         uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)

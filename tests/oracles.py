@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from harpipe.lkflow import TrackParams, TrackStatus
+from harpipe.lkflow import MIN_EIGEN_PER_PIXEL, TrackParams, TrackStatus
 
 
 class ScalarGmmOracle:
@@ -251,8 +251,8 @@ def track_point(pi, pj, x, y, params=TrackParams()):
     import numpy as np
 
     hw = params.half_window
-    eigen_floor = params.min_eigen_per_pixel * (2 * hw + 1) ** 2
-    w0, h0 = pi.width, pi.height
+    eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
+    h0, w0 = pi[0].shape
 
     def lost(status):
         return TrackResult(x, y, 0.0, 0.0, np.inf, status)
@@ -260,12 +260,12 @@ def track_point(pi, pj, x, y, params=TrackParams()):
     if not (hw <= x <= w0 - 1 - hw and hw <= y <= h0 - 1 - hw):
         return lost(TrackStatus.LOST_BOUNDS)
 
-    n_levels = min(len(pi.levels), len(pj.levels))
+    n_levels = min(len(pi), len(pj))
     gx = gy = 0.0  # running guess, in the current level's pixels
     dx = dy = 0.0
     for level in reversed(range(n_levels)):
-        imgi = pi.levels[level]
-        imgj = pj.levels[level]
+        imgi = pi[level]
+        imgj = pj[level]
         lh, lw = imgi.shape
         px = x / (1 << level)
         py = y / (1 << level)
@@ -308,8 +308,8 @@ def track_point(pi, pj, x, y, params=TrackParams()):
     ny = y + ty
     if not (hw <= nx <= w0 - 1 - hw and hw <= ny <= h0 - 1 - hw):
         return lost(TrackStatus.LOST_BOUNDS)
-    iw = sample_window(pi.levels[0], x, y, hw)
-    jw = sample_window(pj.levels[0], nx, ny, hw)
+    iw = sample_window(pi[0], x, y, hw)
+    jw = sample_window(pj[0], nx, ny, hw)
     residual = float(np.sqrt(np.mean((iw - jw) ** 2)))
     status = (
         TrackStatus.TRACKED
@@ -534,13 +534,13 @@ def window_sample_loop(frames, cfg):
         min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
     )
     params = track_params(cfg)
-    xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    xy = points[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     descriptors = [[] for _ in points]
     prev_uv = np.zeros_like(xy)
 
     pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi.levels[0], xy, 0)[:, 0, 0]
+    intensity = lkflow.sample_windows(pi[0], xy, 0)[:, 0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
         live = np.flatnonzero(alive)
@@ -558,7 +558,7 @@ def window_sample_loop(frames, cfg):
         new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
         jac, _ = flowdesc.flow_jacobian(uv, h_probe)
         invariants = np.column_stack(flowdesc.flow_invariants(jac))
-        cur_intensity = lkflow.sample_windows(pj.levels[0], new_xy, 0)[:, 0, 0]
+        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[:, 0, 0]
 
         for k, slot in enumerate(live):
             slot_uv = (uv[k, 0, 0], uv[k, 0, 1])

@@ -323,7 +323,18 @@ class TestDump:
             "--dump-flow", str(tmp_path / "flow"),
         ] + FAST)
         assert rc == 0
-        assert len(list((tmp_path / "masks").iterdir())) == 75
+        header = b"P5\n160 120\n255\n"
+        masks = []
+        for path in sorted((tmp_path / "masks").iterdir()):
+            data = path.read_bytes()
+            assert data.startswith(header)
+            assert len(data) == len(header) + 160 * 120
+            masks.append(np.frombuffer(data[len(header):], np.uint8))
+        assert len(masks) == 75
+        masks = np.stack(masks)
+        assert np.isin(masks, (0, 255)).all()
+        assert not masks[0].any()  # the first frame seeds the model
+        assert (masks[1:] == 255).any()
         assert len(list((tmp_path / "features").iterdir())) == 75
         flow_files = sorted((tmp_path / "flow").iterdir())
         assert flow_files

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from harpipe.flowdesc import (
     DESCRIPTOR_DIM,
-    FlowJacobian,
     flow_invariants,
     flow_jacobian,
     flow_velocity,
@@ -23,17 +22,21 @@ def tracked(dx, dy, status=TrackStatus.TRACKED):
                   np.zeros(1), np.array([status], dtype=np.int8))
 
 
+def jacobian(ux, uy, vx, vy):
+    return np.array([[ux, uy], [vx, vy]])
+
+
 def jacobian_of(probe, p, h=2.0):
-    """flow_jacobian of one point, reading the flow from ``probe(x, y)``
-    (None where the track is lost); ValueError for an untrackable
-    neighbourhood."""
+    """flow_jacobian of one point, its (2, 2) Jacobian, reading the flow
+    from ``probe(x, y)`` (None where the track is lost); ValueError for an
+    untrackable neighbourhood."""
     points = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
     uv = [probe(x, y) for x, y in points.tolist()]
     uv = np.array([(np.nan, np.nan) if v is None else v for v in uv])
     jac, ok = flow_jacobian(uv[None], h)
     if not ok[0]:
         raise ValueError("flow jacobian: untrackable neighborhood")
-    return FlowJacobian(*(float(v[0]) for v in (jac.ux, jac.uy, jac.vx, jac.vy)))
+    return jac[0]
 
 
 def window_table(slots, steps=8, fill=np.nan):
@@ -95,23 +98,23 @@ class TestTemporalDerivatives:
 
 class TestFlowInvariants:
     def test_identity_jacobian(self):
-        assert flow_invariants(FlowJacobian(1, 0, 0, 1)) == (2, 0, 1, 1)
+        assert flow_invariants(jacobian(1, 0, 0, 1)) == (2, 0, 1, 1)
 
     def test_rotation(self):
         w = 0.75
-        div, vor, g, s = flow_invariants(FlowJacobian(0, -w, w, 0))
+        div, vor, g, s = flow_invariants(jacobian(0, -w, w, 0))
         assert (div, vor) == (0, 2 * w)
         assert g == pytest.approx(w * w)
         assert s == pytest.approx(0.0)
 
     def test_shear(self):
-        assert flow_invariants(FlowJacobian(0, 1, 0, 0)) == (0, -1, 0, -0.25)
+        assert flow_invariants(jacobian(0, 1, 0, 0)) == (0, -1, 0, -0.25)
 
     @given(finite, finite, finite, finite, st.floats(-3.0, 3.0))
     def test_scaling_linearity(self, ux, uy, vx, vy, a):
-        d1, w1, g1, s1 = flow_invariants(FlowJacobian(ux, uy, vx, vy))
+        d1, w1, g1, s1 = flow_invariants(jacobian(ux, uy, vx, vy))
         d2, w2, g2, s2 = flow_invariants(
-            FlowJacobian(a * ux, a * uy, a * vx, a * vy)
+            jacobian(a * ux, a * uy, a * vx, a * vy)
         )
         assert d2 == pytest.approx(a * d1, abs=1e-9)
         assert w2 == pytest.approx(a * w1, abs=1e-9)
@@ -120,7 +123,7 @@ class TestFlowInvariants:
 
     @given(finite, finite, finite, finite)
     def test_g_ten_is_determinant(self, ux, uy, vx, vy):
-        _, _, g, _ = flow_invariants(FlowJacobian(ux, uy, vx, vy))
+        _, _, g, _ = flow_invariants(jacobian(ux, uy, vx, vy))
         assert g == pytest.approx(ux * vy - uy * vx, abs=1e-9)
 
 
@@ -131,15 +134,16 @@ class TestFlowJacobian:
     @given(finite, finite, finite, finite, finite, finite)
     @settings(max_examples=50)
     def test_recovers_affine_coefficients(self, a, b, c, d, e, g):
-        jac = jacobian_of(self.affine_probe(a, b, c, d, e, g), (40.0, 30.0))
-        assert jac.ux == pytest.approx(a, abs=1e-9)
-        assert jac.uy == pytest.approx(b, abs=1e-9)
-        assert jac.vx == pytest.approx(d, abs=1e-9)
-        assert jac.vy == pytest.approx(e, abs=1e-9)
+        (ux, uy), (vx, vy) = jacobian_of(
+            self.affine_probe(a, b, c, d, e, g), (40.0, 30.0))
+        assert ux == pytest.approx(a, abs=1e-9)
+        assert uy == pytest.approx(b, abs=1e-9)
+        assert vx == pytest.approx(d, abs=1e-9)
+        assert vy == pytest.approx(e, abs=1e-9)
 
     def test_constant_field(self):
         jac = jacobian_of(lambda x, y: (2.0, -1.0), (10.0, 10.0))
-        assert (jac.ux, jac.uy, jac.vx, jac.vy) == (0, 0, 0, 0)
+        assert jac.tolist() == [[0, 0], [0, 0]]
 
     def test_one_sided_fallback(self):
         # right probe fails; one-sided difference on x is still exact for a
@@ -150,8 +154,8 @@ class TestFlowJacobian:
             return (0.5 * x, 0.25 * y)
 
         jac = jacobian_of(probe, (40.0, 30.0))
-        assert jac.ux == pytest.approx(0.5, abs=1e-9)
-        assert jac.vy == pytest.approx(0.25, abs=1e-9)
+        assert jac[0, 0] == pytest.approx(0.5, abs=1e-9)
+        assert jac[1, 1] == pytest.approx(0.25, abs=1e-9)
 
     def test_untrackable_axis_rejected(self):
         def probe(x, y):
@@ -189,10 +193,8 @@ class TestFlowJacobian:
         jac, ok = flow_jacobian(uv, 2.0)
         assert ok.tolist() == [True, True, True, False]
         for k, f in enumerate(fields[:3]):
-            one = jacobian_of(f, (40.0, 30.0))
-            assert (jac.ux[k], jac.uy[k], jac.vx[k], jac.vy[k]) == (
-                one.ux, one.uy, one.vx, one.vy)
-        assert (jac.ux[3], jac.uy[3], jac.vx[3], jac.vy[3]) == (0, 0, 0, 0)
+            assert jac[k].tolist() == jacobian_of(f, (40.0, 30.0)).tolist()
+        assert jac[3].tolist() == [[0, 0], [0, 0]]
         assert flow_invariants(jac)[0][3] == 0.0
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harpipe import cli
 from harpipe.frameio import (
+    BadSampleError,
     EmptySequenceError,
     Frame,
     MalformedHeaderError,
@@ -58,7 +60,25 @@ class TestDecodePnm:
     def test_negative_ascii_sample(self, data):
         with pytest.raises(NegativeSampleError):
             decode_pnm(data)
-        assert issubclass(NegativeSampleError, PnmError)
+        assert issubclass(NegativeSampleError, BadSampleError)
+        assert issubclass(BadSampleError, PnmError)
+
+    @pytest.mark.parametrize("data", [
+        b"P2 2 1 255\n1_0 +7\n",  # int() would read these as 10 and 7
+        b"P2 2 1 255\n+7 1\n",
+        b"P2 1 1 255\n0x1\n",
+        b"P2 1 1 255\n256\n",
+        b"P2 1 1 15\n16\n",
+        b"P2 1 1 255\n99999999999999999999\n",  # beyond int64
+        b"P5 1 1 15 " + bytes([16]),
+    ])
+    def test_bad_sample(self, data, tmp_path, capsys):
+        with pytest.raises(BadSampleError) as info:
+            decode_pnm(data)
+        assert type(info.value) is BadSampleError
+        (tmp_path / "f.pgm").write_bytes(data)
+        assert cli.main(["dump", str(tmp_path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_low_maxval_rescaled(self):
         f = decode_pnm(b"P2 2 1 15\n0 15\n")

@@ -130,7 +130,7 @@ class TestMinEigenvalueMap:
 class TestDetectGoodFeatures:
     def test_uniform_frame_empty(self):
         f = make_frame(np.full((32, 32), 77, dtype=np.uint8))
-        assert detect_good_features(f, 10) == []
+        assert detect_good_features(f, 10).shape == (0, 3)
 
     def test_white_square_corners(self):
         img = np.zeros((40, 40), dtype=np.uint8)
@@ -138,8 +138,8 @@ class TestDetectGoodFeatures:
         points = detect_good_features(make_frame(img), 4)
         assert len(points) == 4
         corners = {(10, 10), (10, 29), (29, 10), (29, 29)}
-        for p in points:
-            assert any(abs(p.x - cx) <= 1 and abs(p.y - cy) <= 1
+        for x, y, _ in points:
+            assert any(abs(x - cx) <= 1 and abs(y - cy) <= 1
                        for cx, cy in corners)
 
     def test_max_n_one_is_global_max(self):
@@ -148,7 +148,7 @@ class TestDetectGoodFeatures:
         points = detect_good_features(f, 1)
         lam = min_eigenvalue_map(f)
         assert len(points) == 1
-        assert points[0].score == lam.max()
+        assert points[0, 2] == lam.max()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -156,11 +156,11 @@ class TestDetectGoodFeatures:
         rng = np.random.default_rng(seed)
         f = make_frame(rng.integers(0, 256, (32, 32), dtype=np.uint8))
         points = detect_good_features(f, 10)
-        scores = [p.score for p in points]
+        scores = points[:, 2].tolist()
         assert scores == sorted(scores, reverse=True)
-        for i, p in enumerate(points):
-            for q in points[i + 1:]:
-                assert (p.x - q.x) ** 2 + (p.y - q.y) ** 2 >= 7.0**2
+        for i, (px, py, _) in enumerate(points):
+            for qx, qy, _ in points[i + 1:]:
+                assert (px - qx) ** 2 + (py - qy) ** 2 >= 7.0**2
 
     @given(st.integers(0, 10_000), st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
@@ -169,4 +169,4 @@ class TestDetectGoodFeatures:
         img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
         points = detect_good_features(make_frame(img), max_n)
         expected = brute_force_good_features(img.tolist(), max_n)
-        assert [(p.x, p.y, p.score) for p in points] == expected
+        assert [tuple(p) for p in points.tolist()] == expected

@@ -27,46 +27,44 @@ def shifted_pair(seed, sx, sy, width=160, height=120):
 
 def interior_features(frame, n=20, border=20):
     points = detect_good_features(frame, 4 * n)
-    points = [
-        p for p in points
-        if border <= p.x < frame.width - border
-        and border <= p.y < frame.height - border
-    ]
-    return points[:n]
+    x, y = points[:, 0], points[:, 1]
+    inside = ((border <= x) & (x < frame.width - border)
+              & (border <= y) & (y < frame.height - border))
+    return points[inside][:n]
 
 
 def xy_of(points):
-    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+    return points[:, :2]
 
 
 class TestBuildPyramid:
     def test_three_level_dims(self):
         f = make_frame(np.zeros((120, 160), dtype=np.uint8))
         pyr = build_pyramid(f, 3)
-        assert [lev.shape for lev in pyr.levels] == [(120, 160), (60, 80), (30, 40)]
+        assert [lev.shape for lev in pyr] == [(120, 160), (60, 80), (30, 40)]
 
     def test_constant_stays_constant(self):
         f = make_frame(np.full((64, 64), 123, dtype=np.uint8))
         pyr = build_pyramid(f, 3)
-        for lev in pyr.levels:
+        for lev in pyr:
             assert np.allclose(lev, 123.0)
 
     def test_single_level(self):
         f = make_frame(np.arange(64, dtype=np.uint8).reshape(8, 8))
         pyr = build_pyramid(f, 1)
-        assert len(pyr.levels) == 1
-        assert np.array_equal(pyr.levels[0], f.as_float())
+        assert len(pyr) == 1
+        assert np.array_equal(pyr[0], f.as_float())
 
     def test_levels_clamped_on_small_frames(self):
         f = make_frame(np.zeros((20, 20), dtype=np.uint8))
         pyr = build_pyramid(f, 5)
         # one halving would drop below the 16 px minimum side
-        assert len(pyr.levels) == 1
+        assert len(pyr) == 1
 
     def test_ceil_halving_on_odd_dims(self):
         f = make_frame(np.zeros((45, 33), dtype=np.uint8))
         pyr = build_pyramid(f, 2)
-        assert pyr.levels[1].shape == (23, 17)
+        assert pyr[1].shape == (23, 17)
 
     @pytest.mark.parametrize("shape", [
         (33, 33), (45, 33), (33, 45), (37, 51), (120, 160), (121, 161), (240, 320),
@@ -75,7 +73,7 @@ class TestBuildPyramid:
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         for img in (rng.integers(0, 256, shape).astype(np.uint8),
                     rng.uniform(-50.0, 300.0, shape)):
-            levels = build_pyramid(img, 4).levels
+            levels = build_pyramid(img, 4)
             assert len(levels) >= 2
             for fine, coarse in zip(levels, levels[1:]):
                 assert np.array_equal(coarse, smooth_separable_roll(fine)[::2, ::2])
@@ -120,7 +118,7 @@ class TestTrackPoint:
         for p, tracked, residual in zip(points, t.tracked, t.residual):
             if not tracked:
                 continue
-            x, y = int(p.x), int(p.y)
+            x, y = int(p[0]), int(p[1])
             wi = img_i[y - hw : y + hw + 1, x - hw : x + hw + 1]
             wj = img_j[y - hw : y + hw + 1, x - hw : x + hw + 1]
             at_zero = np.sqrt(np.mean((wi - wj) ** 2))
@@ -179,10 +177,9 @@ class TestTrackPoints:
         for f in (f_i, f_j):
             f.pixels[40:80, 40:80] = 100
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        corners = [
-            p for p in interior_features(f_i, 8)
-            if not (40 <= p.x < 80 and 40 <= p.y < 80)
-        ]
+        points = interior_features(f_i, 8)
+        x, y = points[:, 0], points[:, 1]
+        corners = points[~((40 <= x) & (x < 80) & (40 <= y) & (y < 80))]
         xy = np.vstack([xy_of(corners), [[60.0, 60.0]]])
         t = track_points(pi, pj, xy)
         kept = t.tracked[:-1]
