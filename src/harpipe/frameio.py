@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import stat
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -74,6 +75,14 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
+def _decimal(tok: bytes) -> int:
+    """Value of a token of ASCII digits. Past nine significant digits it is
+    read as 10**9, which exceeds every dimension, maxval and sample this
+    decoder can accept; ``int()`` refuses tokens of thousands of digits."""
+    digits = tok.lstrip(b"0")
+    return int(digits or b"0") if len(digits) <= 9 else 10**9
+
+
 def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
     """Read n_tokens whitespace-separated integers after the magic, skipping
     '#' comments. Returns the values and the offset one whitespace byte past
@@ -96,7 +105,7 @@ def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
         tok = data[start:i]
         if not tok.isdigit():
             raise MalformedHeaderError(f"non-numeric header field {tok!r}")
-        tokens.append(int(tok))
+        tokens.append(_decimal(tok))
     if i >= n:
         raise TruncatedDataError("no pixel data after header")
     return tokens, i + 1  # single whitespace separates header from payload
@@ -140,7 +149,7 @@ def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
                 raise BadSampleError(f"non-decimal pixel sample {f!r}")
         # clamped to 256 so that a sample too large for int64 fails the
         # maxval check below
-        values = np.array([min(int(f), 256) for f in samples], dtype=np.int64)
+        values = np.array([min(_decimal(f), 256) for f in samples], dtype=np.int64)
     if values.max(initial=0) > maxval:
         raise BadSampleError("pixel sample exceeds declared maxval")
     if maxval != 255:
@@ -208,6 +217,24 @@ def _normalize(frame: Union[Frame, RgbFrame], working_resolution) -> Frame:
 PNM_EXTENSIONS = (".pgm", ".ppm", ".pnm")
 
 
+def parse_raw_geometry(raw: str) -> tuple[int, int, int]:
+    """Width, height and channel count of a raw stream from its ``WxH`` or
+    ``WxH:rgb`` spec, case-insensitive; each side is a positive number of
+    ASCII digits."""
+    spec = raw.lower()
+    channels = 3 if spec.endswith(":rgb") else 1
+    sides = spec.removesuffix(":rgb").split("x")
+    try:
+        if len(sides) != 2 or not all(s.isascii() and s.isdigit() for s in sides):
+            raise ValueError
+        w, h = (int(s) for s in sides)
+        if w < 1 or h < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad raw geometry {raw!r}, expected WxH[:rgb]") from None
+    return w, h, channels
+
+
 def load_sequence(
     path_spec: str,
     working_resolution: tuple[int, int] | None = (160, 120),
@@ -219,21 +246,16 @@ def load_sequence(
     ``raw='WxH'`` or ``raw='WxH:rgb'``, a raw concatenated 8-bit stream.
     """
     if raw is not None:
-        spec = raw.lower()
-        is_rgb = spec.endswith(":rgb")
-        if is_rgb:
-            spec = spec[: -len(":rgb")]
-        try:
-            w, h = (int(p) for p in spec.split("x"))
-            if w < 1 or h < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad raw geometry {raw!r}, expected WxH[:rgb]") from None
-        frame_bytes = w * h * (3 if is_rgb else 1)
-        # one frame at a time into one reused buffer (a fresh buffer per
-        # frame was measurably slower); a partial tail frame is dropped
-        buf = np.empty(frame_bytes, dtype=np.uint8)
+        w, h, channels = parse_raw_geometry(raw)
+        frame_bytes = w * h * channels
         with open(path_spec, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            # a file shorter than one frame must not size the buffer
+            if stat.S_ISREG(st.st_mode) and st.st_size < frame_bytes:
+                raise EmptySequenceError(f"{path_spec} holds no complete frame")
+            # one frame at a time into one reused buffer (a fresh buffer per
+            # frame was measurably slower); a partial tail frame is dropped
+            buf = np.empty(frame_bytes, dtype=np.uint8)
             for i in itertools.count():
                 if fh.readinto(buf) < frame_bytes:
                     if i == 0:
@@ -241,7 +263,7 @@ def load_sequence(
                             f"{path_spec} holds no complete frame"
                         )
                     return
-                if is_rgb:
+                if channels == 3:
                     fr: Union[Frame, RgbFrame] = RgbFrame(
                         w, h, i, buf.reshape(h, w, 3)
                     )

@@ -7,6 +7,13 @@ system against the gradient-weighted intensity difference, seeding the next
 finer level with the doubled estimate. Template gradients come from the
 first frame only. Points are dropped on singular tensors, out-of-bounds
 windows, or a final RMS residual above threshold.
+
+A pyramid level is one (h, w) image or a (K, h, w) stack of images, and each
+point carries the index of its image, so one call tracks points on many
+frame pairs. Level 0 is the input itself (a frame's uint8 pixels); the
+bilinear blends promote it to float64. Sampled windows are held windows
+last, (n, n, P), so every blend, difference and product runs over P
+contiguous values.
 """
 
 from __future__ import annotations
@@ -59,41 +66,44 @@ class Tracks:
         return self.status == TrackStatus.TRACKED
 
 
-def _smooth_separable(img: np.ndarray) -> np.ndarray:
-    """5-tap binomial smoothing with edge padding: each pass sums shifted
-    slices of one padded array, tap by tap."""
-    h, w = img.shape
-    padded = np.pad(img, 2, mode="edge")
-    tmp = SMOOTH_KERNEL[0] * padded[:, :w]
+def _smooth_decimate(img: np.ndarray) -> np.ndarray:
+    """5-tap binomial smoothing with edge padding of the last two axes,
+    computed at every second row and column only: each pass sums strided
+    slices of one padded array, tap by tap. Returns a C-contiguous float64
+    array."""
+    h, w = img.shape[-2:]
+    pad = [(0, 0)] * (img.ndim - 2) + [(2, 2), (2, 2)]
+    padded = np.pad(img, pad, mode="edge")
+    tmp = SMOOTH_KERNEL[0] * padded[..., :, 0:w:2]
     for i in range(1, 5):
-        tmp += SMOOTH_KERNEL[i] * padded[:, i : i + w]
-    out = SMOOTH_KERNEL[0] * tmp[:h]
+        tmp += SMOOTH_KERNEL[i] * padded[..., :, i : i + w : 2]
+    out = SMOOTH_KERNEL[0] * tmp[..., 0:h:2, :]
     for i in range(1, 5):
-        out += SMOOTH_KERNEL[i] * tmp[i : i + h]
+        out += SMOOTH_KERNEL[i] * tmp[..., i : i + h : 2, :]
     return out
 
 
 def build_pyramid(f: Frame | np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
-    """Low-pass-and-decimate pyramid: the float64 levels, full resolution
-    first; level count silently clamped so the coarsest level keeps both
-    sides >= 16 px."""
-    img = f.as_float() if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
-    out = [img]
+    """Low-pass-and-decimate pyramid of an (h, w) image, or of a (K, h, w)
+    stack of images level by level, full resolution first. Level 0 is the
+    input itself (a frame's uint8 pixels), the coarser levels are float64;
+    every level is C-contiguous. The level count is silently clamped so the
+    coarsest level keeps both sides >= 16 px."""
+    out = [np.ascontiguousarray(f.pixels if isinstance(f, Frame) else f)]
     for _ in range(max(1, levels) - 1):
-        prev = out[-1]
-        if (prev.shape[0] + 1) // 2 < MIN_COARSEST_SIDE:
+        h, w = out[-1].shape[-2:]
+        if (h + 1) // 2 < MIN_COARSEST_SIDE or (w + 1) // 2 < MIN_COARSEST_SIDE:
             break
-        if (prev.shape[1] + 1) // 2 < MIN_COARSEST_SIDE:
-            break
-        out.append(_smooth_separable(prev)[::2, ::2])
+        out.append(_smooth_decimate(out[-1]))
     return tuple(out)
 
 
-def _clamped_taps(c: np.ndarray, hw: int, size: int):
+def _clamped_taps(xy: np.ndarray, hw: int, w: int, h: int):
     """Lower and upper sample indices and the fractional weight of each of
-    the 2hw+1 taps along one axis, every tap clamped to the image on its
-    own; (P, 2hw+1) each."""
-    pos = np.clip(c[:, None] + np.arange(-hw, hw + 1, dtype=np.float64),
+    the 2hw+1 taps along x and along y, every tap clamped to the image on
+    its own; (2, 2hw+1, P) each, x first."""
+    size = np.array([w, h])[:, None, None]
+    pos = np.clip(xy.T[:, None, :] + np.arange(-hw, hw + 1, dtype=np.float64)[:, None],
                   0.0, size - 1.0)
     lo = np.floor(pos)
     frac = pos - lo
@@ -101,49 +111,133 @@ def _clamped_taps(c: np.ndarray, hw: int, size: int):
     return lo, np.minimum(lo + 1, size - 1), frac
 
 
-def sample_windows(img: np.ndarray, xy: np.ndarray, hw: int) -> np.ndarray:
+def sample_windows(
+    img: np.ndarray, xy: np.ndarray, hw: int, image: np.ndarray | None = None
+) -> np.ndarray:
     """Bilinear (2hw+1)^2 windows around each point of ``xy`` (P, 2), clamped
-    at the borders; returns (P, 2hw+1, 2hw+1). ``hw=0`` samples the points
+    at the borders; returns them windows last, (2hw+1, 2hw+1, P). ``img`` is
+    an (h, w) image or a (K, h, w) stack and ``image`` the (P,) stack index
+    of each point (all 0 when omitted). ``hw=0`` samples the points
     themselves."""
-    h, w = img.shape
+    h, w = img.shape[-2:]
     n = 2 * hw + 1
-    flat = img.ravel()
-    x0 = np.floor(xy[:, 0] - hw)
-    y0 = np.floor(xy[:, 1] - hw)
-    interior = (0 <= x0) & (x0 + n < w) & (0 <= y0) & (y0 + n < h)
-    out = np.empty((len(xy), n, n))
+    flat = img.reshape(-1)
+    offset = (np.zeros(len(xy), dtype=np.intp) if image is None
+              else np.asarray(image, dtype=np.intp) * (h * w))
+    shifted = xy - hw
+    lo = np.floor(shifted)  # each window's top-left sample, (x0, y0)
+    interior = ((lo >= 0) & (lo + n < (w, h))).all(axis=1)
 
     # an interior window is unit-spaced from one shared fractional offset:
     # a blend of shifted slices of one (n+1)^2 patch
     i = np.flatnonzero(interior)
-    fx = (xy[i, 0] - hw - x0[i])[:, None, None]
-    fy = (xy[i, 1] - hw - y0[i])[:, None, None]
+    fx, fy = (shifted[i] - lo[i]).T
     grid = np.arange(n + 1)
-    corner = (y0[i] * w + x0[i]).astype(np.intp)
-    patch = flat[corner[:, None, None] + (grid[:, None] * w + grid)]
-    rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx
-    out[i] = rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
+    corner = (lo[i, 1] * w + lo[i, 0]).astype(np.intp) + offset[i]
+    patch = flat.take((grid[:, None] * w + grid)[:, :, None] + corner)
+    rows = patch[:, :-1] * (1 - fx) + patch[:, 1:] * fx
+    del patch  # before the second blend, which needs the most memory
+    inner = rows[:-1] * (1 - fy) + rows[1:] * fy
+    b = np.flatnonzero(~interior)
+    if not b.size:
+        return inner
+    out = np.empty((n, n, len(xy)))
+    out[..., i] = inner
 
     # a window that crosses the border clamps every tap on its own
-    b = np.flatnonzero(~interior)
-    if b.size:
-        col_lo, col_hi, fx = _clamped_taps(xy[b, 0], hw, w)
-        row_lo, row_hi, fy = _clamped_taps(xy[b, 1], hw, h)
-        top_rows = row_lo[:, :, None] * w
-        bot_rows = row_hi[:, :, None] * w
-        col_lo = col_lo[:, None, :]
-        col_hi = col_hi[:, None, :]
-        fx = fx[:, None, :]
-        fy = fy[:, :, None]
-        top = flat[top_rows + col_lo] * (1 - fx) + flat[top_rows + col_hi] * fx
-        bot = flat[bot_rows + col_lo] * (1 - fx) + flat[bot_rows + col_hi] * fx
-        out[b] = top * (1 - fy) + bot * fy
+    (col_lo, row_lo), (col_hi, row_hi), (fx, fy) = _clamped_taps(xy[b], hw, w, h)
+    top_rows = row_lo[:, None] * w + offset[b]
+    bot_rows = row_hi[:, None] * w + offset[b]
+    fy = fy[:, None]
+    top = flat.take(top_rows + col_lo) * (1 - fx) + flat.take(top_rows + col_hi) * fx
+    bot = flat.take(bot_rows + col_lo) * (1 - fx) + flat.take(bot_rows + col_hi) * fx
+    out[..., b] = top * (1 - fy) + bot * fy
     return out
 
 
-def _window_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of each (P, n, n) window, in the same order as a 2-D ``sum()``."""
-    return a.reshape(a.shape[0], a.shape[1] * a.shape[2]).sum(axis=1)
+def _window_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of each window of ``a * b``, for windows-last (..., n, n, P)
+    arrays; returns (..., P). The products are written window by window into
+    one contiguous buffer, so each window is added in the same order as a
+    2-D ``sum()``."""
+    *lead, n, m, p = max(a.shape, b.shape, key=len)
+    out = np.empty((*lead, p, n, m))
+    np.multiply(a, b, out=out.swapaxes(-3, -1).swapaxes(-3, -2))
+    return out.reshape(*lead, p, n * m).sum(axis=-1)
+
+
+def _points(mask: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Each array of per-point values (points last) at the points of mask."""
+    if mask.all():
+        return arrays
+    return [a[..., mask] for a in arrays]
+
+
+def _inside(pts: np.ndarray, lo: float, hi_x: float, hi_y: float) -> np.ndarray:
+    x, y = pts[:, 0], pts[:, 1]
+    return (lo <= x) & (x <= hi_x) & (lo <= y) & (y <= hi_y)
+
+
+def _template_windows(
+    img: np.ndarray, p: np.ndarray, hw: int, image: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (2hw+1)^2 template windows of the points ``p`` and, stacked, their
+    x and y central-difference gradient windows, all cut from one
+    (2hw+3)^2 window per point."""
+    big = sample_windows(img, p, hw + 1, image)
+    grad = np.stack(((big[1:-1, 2:] - big[1:-1, :-2]) / 2.0,
+                     (big[2:, 1:-1] - big[:-2, 1:-1]) / 2.0))
+    return big[1:-1, 1:-1], grad
+
+
+def _refine(
+    imgi: np.ndarray,
+    imgj: np.ndarray,
+    p: np.ndarray,
+    guess: np.ndarray,
+    image: np.ndarray,
+    params: TrackParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pyramid level's iterations for the points ``p`` (L, 2), in that
+    level's pixels, seeded with the displacements ``guess``. Returns each
+    point's (L,) status, LOST_SINGULAR for a singular structure tensor and
+    LOST_BOUNDS for an estimate that leaves the level, and its (L, 2)
+    increment to ``guess``."""
+    hw = params.half_window
+    eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
+    eps_sq = params.convergence_eps**2
+    lh, lw = imgi.shape[-2:]
+    status = np.full(len(p), TrackStatus.TRACKED, dtype=np.int8)
+
+    iw, grad = _template_windows(imgi, p, hw, image)
+    zxx, zxy, zyy = (_window_dots(grad[a], grad[b]) for a, b in ((0, 0), (0, 1), (1, 1)))
+    det = zxx * zyy - zxy * zxy
+    lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
+    singular = (lam_min < eigen_floor) | (det <= 0.0)
+    status[singular] = TrackStatus.LOST_SINGULAR
+
+    d = np.zeros_like(p)
+    active = np.flatnonzero(~singular)  # points still iterating
+    # their template and gradient windows, tensor terms and image indices,
+    # compacted only when the active set shrinks
+    state = _points(~singular, [iw, grad, zxx, zxy, zyy, det, image])
+    for _ in range(params.max_iterations):
+        if active.size == 0:
+            break
+        q = p[active] + guess[active] + d[active]
+        ok = _inside(q, 0.0, lw - 1, lh - 1)
+        status[active[~ok]] = TrackStatus.LOST_BOUNDS
+        active, q, state = active[ok], q[ok], _points(ok, state)
+        iw, grad, zxx, zxy, zyy, det, k = state
+        diff = iw - sample_windows(imgj, q, hw, k)
+        ex, ey = _window_dots(diff, grad)
+        sx = (zyy * ex - zxy * ey) / det
+        sy = (zxx * ey - zxy * ex) / det
+        d[active, 0] += sx
+        d[active, 1] += sy
+        moving = ~(sx * sx + sy * sy < eps_sq)
+        active, state = active[moving], _points(moving, state)
+    return status, d
 
 
 def track_points(
@@ -151,20 +245,22 @@ def track_points(
     pj: tuple[np.ndarray, ...],
     xy: np.ndarray,
     params: TrackParams = TrackParams(),
+    image: np.ndarray | None = None,
 ) -> Tracks:
-    """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj``."""
+    """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj``.
+
+    Pyramid levels are (h, w) images or (K, h, w) stacks of K images of one
+    size; ``image`` gives each point's (P,) index into the stacks, and a
+    point is tracked from image k of ``pi`` to image k of ``pj`` exactly as
+    it would be on its own pair (all points use image 0 when omitted).
+    """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    image = (np.zeros(len(xy), dtype=np.intp) if image is None
+             else np.asarray(image, dtype=np.intp))
     hw = params.half_window
-    eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
-    eps_sq = params.convergence_eps**2
-    h0, w0 = pi[0].shape
+    h0, w0 = pi[0].shape[-2:]
     status = np.full(len(xy), TrackStatus.TRACKED, dtype=np.int8)
-
-    def inside(pts: np.ndarray, lo: float, hi_x: float, hi_y: float) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
-        return (lo <= x) & (x <= hi_x) & (lo <= y) & (y <= hi_y)
-
-    status[~inside(xy, hw, w0 - 1 - hw, h0 - 1 - hw)] = TrackStatus.LOST_BOUNDS
+    status[~_inside(xy, hw, w0 - 1 - hw, h0 - 1 - hw)] = TrackStatus.LOST_BOUNDS
 
     # displacement after the latest level, in that level's pixels
     shift = np.zeros_like(xy)
@@ -173,57 +269,20 @@ def track_points(
         live = np.flatnonzero(status == TrackStatus.TRACKED)
         if live.size == 0:
             break
-        imgi = pi[level]
-        imgj = pj[level]
-        lh, lw = imgi.shape
-        p = xy[live] / (1 << level)
-
-        # one (2hw+3)^2 window yields the template and both gradient windows
-        big = sample_windows(imgi, p, hw + 1)
-        grad_x = (big[:, 1:-1, 2:] - big[:, 1:-1, :-2]) / 2.0
-        grad_y = (big[:, 2:, 1:-1] - big[:, :-2, 1:-1]) / 2.0
-        zxx = _window_sums(grad_x * grad_x)
-        zxy = _window_sums(grad_x * grad_y)
-        zyy = _window_sums(grad_y * grad_y)
-        det = zxx * zyy - zxy * zxy
-        lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
-        singular = (lam_min < eigen_floor) | (det <= 0.0)
-        status[live[singular]] = TrackStatus.LOST_SINGULAR
-        keep = ~singular
-        live, p = live[keep], p[keep]
-        iw = big[keep, 1:-1, 1:-1]
-        grad_x, grad_y = grad_x[keep], grad_y[keep]
-        zxx, zxy, zyy, det = zxx[keep], zxy[keep], zyy[keep], det[keep]
-
         guess = 2.0 * shift[live]
-        d = np.zeros_like(p)
-        active = np.arange(live.size)  # rows of ``live`` still iterating
-        for _ in range(params.max_iterations):
-            if active.size == 0:
-                break
-            q = p[active] + guess[active] + d[active]
-            ok = inside(q, 0.0, lw - 1, lh - 1)
-            status[live[active[~ok]]] = TrackStatus.LOST_BOUNDS
-            active, q = active[ok], q[ok]
-            diff = iw[active] - sample_windows(imgj, q, hw)
-            ex = _window_sums(diff * grad_x[active])
-            ey = _window_sums(diff * grad_y[active])
-            sx = (zyy[active] * ex - zxy[active] * ey) / det[active]
-            sy = (zxx[active] * ey - zxy[active] * ex) / det[active]
-            d[active, 0] += sx
-            d[active, 1] += sy
-            active = active[~(sx * sx + sy * sy < eps_sq)]
+        status[live], d = _refine(pi[level], pj[level], xy[live] / (1 << level),
+                                  guess, image[live], params)
         shift[live] = guess + d
 
     live = np.flatnonzero(status == TrackStatus.TRACKED)
     moved = xy[live] + shift[live]
-    ok = inside(moved, hw, w0 - 1 - hw, h0 - 1 - hw)
+    ok = _inside(moved, hw, w0 - 1 - hw, h0 - 1 - hw)
     status[live[~ok]] = TrackStatus.LOST_BOUNDS
     live, moved = live[ok], moved[ok]
-    iw = sample_windows(pi[0], xy[live], hw)
-    jw = sample_windows(pj[0], moved, hw)
-    sq = (iw - jw) ** 2
-    residual = np.sqrt(_window_sums(sq) / (sq.shape[1] * sq.shape[2]))
+    iw = sample_windows(pi[0], xy[live], hw, image[live])
+    jw = sample_windows(pj[0], moved, hw, image[live])
+    diff = iw - jw
+    residual = np.sqrt(_window_dots(diff, diff) / (diff.shape[0] * diff.shape[1]))
     status[live[~(residual <= params.residual_max)]] = TrackStatus.LOST_RESIDUAL
 
     new_xy = xy.copy()

@@ -30,70 +30,10 @@ def detect_features(frame: Frame, cfg: PipelineConfig) -> np.ndarray:
     )
 
 
-def extract_window_sample(
-    frames: Sequence[Frame],
-    cfg: PipelineConfig,
-    label: Optional[str] = None,
-) -> SampleVector:
-    """One fixed-length sample from one window of frames.
-
-    Features are detected on the first frame and tracked at every
-    flow_step-th frame; each step fills and marks its tracked slots' rows
-    of the (slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
-    averages.
-    """
-    if not frames:
-        raise ValueError("empty window")
-    steps = (len(frames) - 1) // cfg.flow_step
-    n = cfg.feature_size
-    if steps < 1:
-        return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
-
-    params = track_params(cfg)
-    xy = detect_features(frames[0], cfg)[:, :2].copy()
-    alive = np.ones(len(xy), dtype=bool)
-    prev_uv = np.zeros_like(xy)
-    table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
-    tracked = np.zeros((n, steps), dtype=bool)
-    frame_size = (frames[0].width, frames[0].height)
-
-    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi[0], xy, 0)[:, 0, 0]
-    h_probe = cfg.jacobian_probe_offset
-    for step in range(steps):
-        live = np.flatnonzero(alive)
-        if live.size == 0:
-            break
-        pj = lkflow.build_pyramid(
-            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
-        )
-
-        # one call tracks every live slot together with its Jacobian probes
-        probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
-        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
-        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
-        alive[live[~centre_ok]] = False
-        live, uv = live[centre_ok], uv[centre_ok]
-        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
-        # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
-        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
-        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[:, 0, 0]
-        uv = uv[:, 0]
-        # the first step has no velocity history, so u_t = v_t = 0 there
-        uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)
-        i_t = (cur_intensity - intensity[live]) / cfg.flow_step
-        table[live, step] = flowdesc.point_descriptors(
-            xy[live], frame_size, step, steps, i_t, uv, uv_t,
-            flowdesc.flow_invariants(jac),
-        )
-        tracked[live, step] = True
-        xy[live] = new_xy
-        prev_uv[live] = uv
-        intensity[live] = cur_intensity
-        pi = pj
-
-    return flowdesc.pool_window(table, tracked, label=label)
+# consecutive windows whose points share one tracker call per flow step; a
+# module constant, so the call size and its memory stay bounded on long
+# streams
+WINDOWS_PER_CALL = 4
 
 
 def window_starts(n_frames: int, cfg: PipelineConfig) -> list[int]:
@@ -103,13 +43,88 @@ def window_starts(n_frames: int, cfg: PipelineConfig) -> list[int]:
 def sequence_samples(
     frames: Sequence[Frame], cfg: PipelineConfig, label: Optional[str] = None
 ) -> list[tuple[int, SampleVector]]:
-    """(window start frame, sample) for each full window in the sequence."""
+    """(window start frame, sample) for each full window in the sequence,
+    extracted ``WINDOWS_PER_CALL`` consecutive windows at a time."""
     frames = list(frames)
+    starts = window_starts(len(frames), cfg)
     out = []
-    for start in window_starts(len(frames), cfg):
-        window = frames[start : start + cfg.window_frames]
-        out.append((start, extract_window_sample(window, cfg, label=label)))
+    for g in range(0, len(starts), WINDOWS_PER_CALL):
+        group = starts[g : g + WINDOWS_PER_CALL]
+        out += zip(group, _window_samples(frames, group, cfg, label))
     return out
+
+
+def _window_samples(
+    frames: list[Frame], starts: list[int], cfg: PipelineConfig,
+    label: Optional[str],
+) -> list[SampleVector]:
+    """One fixed-length sample for each window starting at ``starts``.
+
+    Features are detected on each window's first frame and tracked at every
+    flow_step-th frame. Window w's frames are image w of the stacked
+    pyramids, so one tracker call per step takes every window's live slots
+    with their Jacobian probes. Each step fills and marks its tracked slots'
+    rows of their window's (slots, steps, 12) descriptor table, which
+    ``flowdesc.pool_window`` averages.
+    """
+    steps = (cfg.window_frames - 1) // cfg.flow_step
+    n = cfg.feature_size
+    if steps < 1:
+        return [SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
+                for _ in starts]
+
+    def pyramid(step: int) -> tuple[np.ndarray, ...]:
+        stack = np.stack([frames[s + step * cfg.flow_step].pixels for s in starts])
+        return lkflow.build_pyramid(stack, cfg.pyramid_levels)
+
+    # every window's points in one array: point m is slot rank[m] of window win[m]
+    found = [detect_features(frames[s], cfg)[:, :2] for s in starts]
+    xy = np.concatenate(found)
+    win = np.repeat(np.arange(len(starts)), [len(f) for f in found])
+    rank = np.concatenate([np.arange(len(f)) for f in found])
+    alive = np.ones(len(xy), dtype=bool)
+    prev_uv = np.zeros_like(xy)
+    table = np.zeros((len(starts), n, steps, flowdesc.DESCRIPTOR_DIM))
+    tracked = np.zeros((len(starts), n, steps), dtype=bool)
+    frame_size = (frames[0].width, frames[0].height)
+
+    params = track_params(cfg)
+    pi = pyramid(0)
+    intensity = lkflow.sample_windows(pi[0], xy, 0, win)[0, 0]
+    h_probe = cfg.jacobian_probe_offset
+    for step in range(steps):
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            break
+        pj = pyramid(step + 1)
+
+        # one call tracks every live slot together with its Jacobian probes
+        probes = flowdesc.jacobian_probes(xy[live], h_probe)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params,
+                                     np.repeat(win[live], probes.shape[1]))
+        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
+        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
+        alive[live[~centre_ok]] = False
+        live, uv = live[centre_ok], uv[centre_ok]
+        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
+        # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
+        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
+        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0, win[live])[0, 0]
+        uv = uv[:, 0]
+        # the first step has no velocity history, so u_t = v_t = 0 there
+        uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)
+        i_t = (cur_intensity - intensity[live]) / cfg.flow_step
+        table[win[live], rank[live], step] = flowdesc.point_descriptors(
+            xy[live], frame_size, step, steps, i_t, uv, uv_t,
+            flowdesc.flow_invariants(jac),
+        )
+        tracked[win[live], rank[live], step] = True
+        xy[live] = new_xy
+        prev_uv[live] = uv
+        intensity[live] = cur_intensity
+        pi = pj
+
+    return [flowdesc.pool_window(t, m, label=label) for t, m in zip(table, tracked)]
 
 
 def majority_label(window_classes: Sequence[int]) -> int:

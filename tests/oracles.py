@@ -9,10 +9,12 @@ same taps in the same order as ``lkflow.build_pyramid``;
 ``resize_bilinear_ix``, the float64 fancy-index form of
 ``frameio.resize_bilinear``; ``rprop_step``, the per-layer masked form of
 ``mlp.rprop_step``; ``save_model_per_value``, the per-value form of
-``mlp.save_model``; and ``window_sample_loop``, which builds a window's
-sample from per-slot, per-step ``PointDescriptor`` records on the package's
-own detector, tracker and Jacobian. The package must reproduce all of them
-exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
+``mlp.save_model``; ``extract_window_sample``, which extracts one window
+per tracker call, the reference for the batched
+``pipeline.sequence_samples``; and ``window_sample_loop``, which builds a
+window's sample from per-slot, per-step ``PointDescriptor`` records on the
+package's own detector, tracker and Jacobian. The package must reproduce all
+of them exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
 ``goodfeat.min_eigenvalue_map``, which must match them within 1e-9.
 """
 
@@ -186,16 +188,16 @@ def smooth_texture(rng, width, height, passes=2, lo=0, hi=255):
 def smooth_separable_roll(img):
     """5-tap binomial smoothing of an edge-padded image, one whole-array
     ``np.roll`` copy per tap: the reference for ``lkflow.build_pyramid``'s
-    low-pass step."""
+    low-pass step. An integer image is smoothed in float64."""
     import numpy as np
 
     from harpipe.lkflow import SMOOTH_KERNEL
 
     padded = np.pad(img, 2, mode="edge")
-    tmp = np.zeros_like(padded)
+    tmp = np.zeros(padded.shape)
     for i, c in enumerate(SMOOTH_KERNEL):
         tmp += c * np.roll(padded, 2 - i, axis=1)
-    out = np.zeros_like(padded)
+    out = np.zeros(padded.shape)
     for i, c in enumerate(SMOOTH_KERNEL):
         out += c * np.roll(tmp, 2 - i, axis=0)
     return out[2:-2, 2:-2]
@@ -514,8 +516,78 @@ def aggregate_sample(slot_descriptors, n_slots, steps_per_window):
     return values
 
 
+def extract_window_sample(frames, cfg, label=None):
+    """One window's sample, one window per tracker call: the reference for
+    the batched ``pipeline.sequence_samples``, which must give each window
+    exactly this sample.
+
+    Features are detected on the first frame and tracked at every
+    flow_step-th frame; each step fills and marks its tracked slots' rows
+    of the (slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
+    averages.
+    """
+    import numpy as np
+
+    from harpipe import flowdesc, lkflow
+    from harpipe.flowdesc import SampleVector
+    from harpipe.pipeline import detect_features, track_params
+
+    if not frames:
+        raise ValueError("empty window")
+    steps = (len(frames) - 1) // cfg.flow_step
+    n = cfg.feature_size
+    if steps < 1:
+        return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
+
+    params = track_params(cfg)
+    xy = detect_features(frames[0], cfg)[:, :2].copy()
+    alive = np.ones(len(xy), dtype=bool)
+    prev_uv = np.zeros_like(xy)
+    table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
+    tracked = np.zeros((n, steps), dtype=bool)
+    frame_size = (frames[0].width, frames[0].height)
+
+    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+    intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
+    h_probe = cfg.jacobian_probe_offset
+    for step in range(steps):
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            break
+        pj = lkflow.build_pyramid(
+            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
+        )
+
+        # one call tracks every live slot together with its Jacobian probes
+        probes = flowdesc.jacobian_probes(xy[live], h_probe)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
+        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
+        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
+        alive[live[~centre_ok]] = False
+        live, uv = live[centre_ok], uv[centre_ok]
+        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
+        # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
+        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
+        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[0, 0]
+        uv = uv[:, 0]
+        # the first step has no velocity history, so u_t = v_t = 0 there
+        uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)
+        i_t = (cur_intensity - intensity[live]) / cfg.flow_step
+        table[live, step] = flowdesc.point_descriptors(
+            xy[live], frame_size, step, steps, i_t, uv, uv_t,
+            flowdesc.flow_invariants(jac),
+        )
+        tracked[live, step] = True
+        xy[live] = new_xy
+        prev_uv[live] = uv
+        intensity[live] = cur_intensity
+        pi = pj
+
+    return flowdesc.pool_window(table, tracked, label=label)
+
+
 def window_sample_loop(frames, cfg):
-    """``pipeline.extract_window_sample``'s values, built one slot and one
+    """``extract_window_sample``'s values, built one slot and one
     step at a time from ``PointDescriptor`` records and pooled by
     ``aggregate_sample``. Detection, tracking and the Jacobian are the
     package's own, so this is the reference for the descriptor table and its
@@ -540,7 +612,7 @@ def window_sample_loop(frames, cfg):
     prev_uv = np.zeros_like(xy)
 
     pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi[0], xy, 0)[:, 0, 0]
+    intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
         live = np.flatnonzero(alive)
@@ -558,7 +630,7 @@ def window_sample_loop(frames, cfg):
         new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
         jac, _ = flowdesc.flow_jacobian(uv, h_probe)
         invariants = np.column_stack(flowdesc.flow_invariants(jac))
-        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[:, 0, 0]
+        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[0, 0]
 
         for k, slot in enumerate(live):
             slot_uv = (uv[k, 0, 0], uv[k, 0, 1])

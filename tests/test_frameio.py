@@ -1,4 +1,9 @@
+import contextlib
+import io
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from harpipe.frameio import (
     decode_pnm,
     encode_pgm,
     load_sequence,
+    parse_raw_geometry,
     resize_bilinear,
     to_grayscale,
 )
@@ -261,3 +267,95 @@ class TestLoadSequence:
         frames = list(load_sequence(str(path), raw="3x2", working_resolution=None))
         assert [f.index for f in frames] == list(range(5))
         assert [f.pixels.tolist() for f in frames] == [[[v] * 3] * 2 for v in range(5)]
+
+
+# header and sample tokens near the edges of what decodes: small numbers,
+# numbers past maxval and int64, tokens too long for int(), and near-numbers
+TOKENS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.integers(0, 10**30).map(str),
+    st.sampled_from(["0" * 5000 + "7", "9" * 5000, "-1", "+7", "1_0", "0x1",
+                     "\u0667", "1.5", "#", ""]),
+    st.text(alphabet="0123456789+-_xX#. \t\n", max_size=6),
+)
+
+
+@st.composite
+def pnm_like(draw):
+    """Bytes shaped like a PNM file: a magic, header and sample tokens with
+    arbitrary separators, then arbitrary binary payload."""
+    magic = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6", b"P1", b"P", b""]))
+    seps = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" # note\n", b""])
+    out = magic
+    for tok in draw(st.lists(TOKENS, max_size=10)):
+        out += draw(seps) + tok.encode("utf-8")
+    return out + draw(seps) + draw(st.binary(max_size=40))
+
+
+def dump_exit_code(path: str, *extra: str) -> int:
+    """``harpipe dump`` on path, asserting that a failure is reported as a
+    one-line error, not a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["dump", path, *extra])
+    if rc:
+        assert err.getvalue().startswith(("data error: ", "usage error: "))
+    return rc
+
+
+class TestFuzz:
+    """Arbitrary input raises only the decoder's own errors, and the CLI
+    reports every one of them as a data error."""
+
+    @given(st.one_of(pnm_like(), st.binary(max_size=80)))
+    @settings(max_examples=400, deadline=None)
+    def test_decode_pnm_raises_only_pnm_errors(self, data):
+        try:
+            decode_pnm(data)
+        except PnmError:
+            pass
+
+    @given(pnm_like())
+    @settings(max_examples=100, deadline=None)
+    def test_dump_pnm_exits_2(self, data):
+        try:
+            decode_pnm(data)
+            decodes = True
+        except PnmError:
+            decodes = False
+        with tempfile.TemporaryDirectory() as d:
+            with open(os.path.join(d, "frame.pgm"), "wb") as fh:
+                fh.write(data)
+            assert dump_exit_code(d) == (0 if decodes else 2)
+
+    GEOMETRY = st.one_of(
+        st.text(max_size=12),
+        st.from_regex(r"\A[0-9 +_\-]{0,6}[xX][0-9 +_\-]{0,6}(:rgb|:RGB)?\Z"),
+        st.builds("{}x{}".format, st.integers(0, 10**12), st.integers(0, 10**12)),
+    )
+
+    @given(GEOMETRY)
+    @settings(max_examples=400, deadline=None)
+    def test_raw_geometry_parser(self, raw):
+        m = re.fullmatch(r"([0-9]+)x([0-9]+)(:rgb)?", raw.lower())
+        try:
+            w, h, channels = parse_raw_geometry(raw)
+        except ValueError as e:
+            assert str(e).startswith("bad raw geometry")
+            assert not (m and int(m[1]) and int(m[2]))
+        else:
+            assert (w, h, channels) == (int(m[1]), int(m[2]), 3 if m[3] else 1)
+
+    @given(GEOMETRY)
+    @settings(max_examples=100, deadline=None)
+    def test_dump_raw_geometry_exits_2(self, raw):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "stream.raw")
+            with open(path, "wb") as fh:
+                fh.write(bytes(48))
+            try:
+                w, h, channels = parse_raw_geometry(raw)
+                holds_frame = w * h * channels <= 48
+            except ValueError:
+                holds_frame = False
+            assert dump_exit_code(path, f"--raw={raw}") == (0 if holds_frame else 2)

@@ -79,6 +79,29 @@ class TestBuildPyramid:
                 assert np.array_equal(coarse, smooth_separable_roll(fine)[::2, ::2])
 
 
+    def test_levels_c_contiguous(self):
+        img = smooth_texture(np.random.default_rng(12), 200, 150)
+        # a frame cut from a larger image has strided pixels
+        f = make_frame(img[10:130, 20:180])
+        assert not f.pixels.flags.c_contiguous
+        stack = np.stack([img[:120, :160], img[30:150, 40:200]])
+        for pyr in (build_pyramid(f, 3), build_pyramid(stack, 3)):
+            assert len(pyr) == 3
+            assert all(lev.flags.c_contiguous for lev in pyr)
+            assert pyr[0].dtype == np.uint8
+            assert all(lev.dtype == np.float64 for lev in pyr[1:])
+
+    def test_stacked_levels_match_per_image(self):
+        rng = np.random.default_rng(14)
+        images = [smooth_texture(rng, 161, 121) for _ in range(3)]
+        stacked = build_pyramid(np.stack(images), 3)
+        assert [lev.shape for lev in stacked] == [(3, 121, 161), (3, 61, 81),
+                                                  (3, 31, 41)]
+        for k, img in enumerate(images):
+            for lev, single in zip(stacked, build_pyramid(img, 3)):
+                assert lev[k].tobytes() == single.tobytes()
+
+
 class TestTrackPoint:
     def test_zero_motion_fixed_point(self):
         f, _ = shifted_pair(0, 0, 0)
@@ -197,6 +220,31 @@ class TestTrackPoints:
             assert np.array_equal(t.dxy[k], single.dxy[0])
             assert t.residual[k] == single.residual[0]
             assert t.status[k] == single.status[0]
+
+
+    def test_stacked_images_match_one_call_per_image(self):
+        rng = np.random.default_rng(13)
+        pairs = [shifted_pair(400 + k, *(int(v) for v in rng.integers(-5, 6, 2)))
+                 for k in range(3)]
+        for f in pairs[1]:
+            f.pixels[30:70, 30:90] = 77  # flat patch: singular tensors
+        pi = build_pyramid(np.stack([fi.pixels for fi, _ in pairs]), 3)
+        pj = build_pyramid(np.stack([fj.pixels for _, fj in pairs]), 3)
+        # the frame and beyond, so border and out-of-frame points occur
+        xy = np.column_stack([rng.uniform(-5, 165, 120), rng.uniform(-5, 125, 120)])
+        xy[:20] = np.round(xy[:20])
+        xy[20:30, 0] = TrackParams().half_window
+        image = rng.integers(0, len(pairs), len(xy))
+        t = track_points(pi, pj, xy, image=image)
+        for k, (fi, fj) in enumerate(pairs):
+            rows = image == k
+            single = track_points(build_pyramid(fi, 3), build_pyramid(fj, 3), xy[rows])
+            for name in ("xy", "dxy", "residual"):
+                assert np.array_equal(getattr(t, name)[rows].view(np.int64),
+                                      getattr(single, name).view(np.int64)), name
+            assert np.array_equal(t.status[rows], single.status)
+        assert set(TrackStatus(s) for s in t.status) >= {
+            TrackStatus.TRACKED, TrackStatus.LOST_BOUNDS, TrackStatus.LOST_SINGULAR}
 
 
 def assert_matches_oracle(pi, pj, xy, params=TrackParams()):

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from harpipe import cli, mlp, synth
+from harpipe import cli, lkflow, mlp, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame
 from harpipe.pipeline import (
-    extract_window_sample,
+    WINDOWS_PER_CALL,
     majority_label,
     sequence_samples,
     window_starts,
 )
 
 from conftest import make_frame
-from oracles import smooth_texture, window_sample_loop
+from oracles import extract_window_sample, smooth_texture, window_sample_loop
 
 
 def synth_frames(label, seed=0, count=None):
@@ -76,7 +76,9 @@ class TestScalarOracle:
 
     @staticmethod
     def assert_bit_identical(frames, cfg):
-        values = extract_window_sample(frames, cfg).values
+        # a 25-frame sequence holds exactly one window
+        [(_, sample)] = sequence_samples(frames, cfg)
+        values = sample.values
         expected = window_sample_loop(frames, cfg)
         assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
@@ -112,26 +114,86 @@ class TestSequenceSamples:
             assert s.values.size == 12 * cfg.feature_size
             assert s.label == "running"
 
+    @pytest.mark.parametrize("label", ["boxing", "clapping", "running", "walking"])
+    @pytest.mark.parametrize("feature_size", [1, 10, 14])
+    @pytest.mark.parametrize("flow_step,window_stride,count", [
+        (1, 0, 50),  # two windows in one call
+        (3, 10, 65),  # five overlapping windows: more than one call takes
+    ])
+    def test_matches_per_window_oracle(self, label, feature_size, flow_step,
+                                       window_stride, count):
+        frames = synth_frames(label, seed=11, count=count)
+        cfg = PipelineConfig(feature_size=feature_size, flow_step=flow_step,
+                             window_stride=window_stride)
+        samples = sequence_samples(frames, cfg, label=label)
+        starts = window_starts(len(frames), cfg)
+        assert [start for start, _ in samples] == starts
+        for start, sample in samples:
+            expected = extract_window_sample(
+                frames[start : start + cfg.window_frames], cfg, label=label)
+            assert sample.label == label
+            assert (sample.values.view(np.int64).tolist()
+                    == expected.values.view(np.int64).tolist())
+
+
+def write_raw(path, frames):
+    path.write_bytes(b"".join(f.pixels.tobytes() for f in frames))
+
+
+def constant_model(path):
+    """A model that scores every sample the same, for the default config."""
+    biases = np.full(4, -1.0)
+    biases[0] = 1.0
+    n_inputs = PipelineConfig().feature_size * DESCRIPTOR_DIM
+    mlp.save_model(
+        mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases]),
+        str(path),
+    )
+
 
 class TestClassify:
     def test_too_short_sequence(self, tmp_path, capsys):
         # 24 frames hold no full 25-frame window, so classify prints no
         # window line and exits with a data error
-        frames = synth_frames("boxing", count=24)
         raw = tmp_path / "short.raw"
-        raw.write_bytes(b"".join(f.pixels.tobytes() for f in frames))
-        biases = np.full(4, -1.0)
-        biases[0] = 1.0
-        n_inputs = PipelineConfig().feature_size * DESCRIPTOR_DIM
+        write_raw(raw, synth_frames("boxing", count=24))
         model = tmp_path / "constant.txt"
-        mlp.save_model(
-            mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases]),
-            str(model),
-        )
+        constant_model(model)
         rc = cli.main(["classify", str(raw), str(model),
                        "--raw", f"{synth.WIDTH}x{synth.HEIGHT}"])
         assert rc == 2
         assert capsys.readouterr().out == ""
+
+    def test_tracker_calls_bounded_on_long_streams(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # with a stride of 8, the 50-frame stream already fills one call
+        # with 4 windows; 8 times as many frames must not make a call larger
+        sizes = []
+        track_points = lkflow.track_points
+
+        def spy(pi, pj, xy, *args, **kwargs):
+            sizes.append(len(xy))
+            return track_points(pi, pj, xy, *args, **kwargs)
+
+        monkeypatch.setattr(lkflow, "track_points", spy)
+        model = tmp_path / "constant.txt"
+        constant_model(model)
+        frames = [f for seed in range(6) for f in synth_frames("walking", seed)]
+        largest = {}
+        for n_frames in (50, 400):
+            raw = tmp_path / f"stream_{n_frames}.raw"
+            write_raw(raw, frames[:n_frames])
+            sizes.clear()
+            rc = cli.main(["classify", str(raw), str(model), "--set",
+                           "window_stride=8",
+                           "--raw", f"{synth.WIDTH}x{synth.HEIGHT}"])
+            assert rc == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == (n_frames - 25) // 8 + 1
+            largest[n_frames] = max(sizes)
+        # every slot of 4 windows, with its centre and 4 Jacobian probes
+        bound = WINDOWS_PER_CALL * PipelineConfig().feature_size * 5
+        assert largest[400] <= largest[50] <= bound
 
 
 class TestMajorityLabel:
