@@ -75,12 +75,14 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5)
 
 
-def _decimal(tok: bytes) -> int:
-    """Value of a token of ASCII digits. Past nine significant digits it is
-    read as 10**9, which exceeds every dimension, maxval and sample this
-    decoder can accept; ``int()`` refuses tokens of thousands of digits."""
-    digits = tok.lstrip(b"0")
-    return int(digits or b"0") if len(digits) <= 9 else 10**9
+def _decimal(tok: bytes, error: type[PnmError]) -> int:
+    """Exact value of a token of ASCII digits, leading zeros allowed. A token
+    with more significant digits than ``int()`` converts (4,300 by default)
+    raises ``error``."""
+    try:
+        return int(tok.lstrip(b"0") or b"0")
+    except ValueError:
+        raise error(f"number of {len(tok)} digits is too long") from None
 
 
 def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
@@ -105,7 +107,7 @@ def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
         tok = data[start:i]
         if not tok.isdigit():
             raise MalformedHeaderError(f"non-numeric header field {tok!r}")
-        tokens.append(_decimal(tok))
+        tokens.append(_decimal(tok, MalformedHeaderError))
     if i >= n:
         raise TruncatedDataError("no pixel data after header")
     return tokens, i + 1  # single whitespace separates header from payload
@@ -149,7 +151,9 @@ def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
                 raise BadSampleError(f"non-decimal pixel sample {f!r}")
         # clamped to 256 so that a sample too large for int64 fails the
         # maxval check below
-        values = np.array([min(_decimal(f), 256) for f in samples], dtype=np.int64)
+        values = np.array(
+            [min(_decimal(f, BadSampleError), 256) for f in samples], dtype=np.int64
+        )
     if values.max(initial=0) > maxval:
         raise BadSampleError("pixel sample exceeds declared maxval")
     if maxval != 255:

@@ -86,6 +86,20 @@ class TestDecodePnm:
         assert cli.main(["dump", str(tmp_path)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_long_numbers(self):
+        # values are read exactly, and so reported exactly
+        with pytest.raises(UnsupportedMaxvalError, match="maxval 12345678901 "):
+            decode_pnm(b"P2 1 1 12345678901\n1\n")
+        with pytest.raises(TruncatedDataError, match="expected 1234567890 pixel"):
+            decode_pnm(b"P5 1234567890 1 255\n\0")
+        # leading zeros are allowed; past int()'s digit limit is an error
+        padded = decode_pnm(b"P2 1 1 255\n" + b"0" * 5000 + b"7\n")
+        assert padded.pixels.tolist() == [[7]]
+        with pytest.raises(MalformedHeaderError, match="5000 digits"):
+            decode_pnm(b"P2 1 1 " + b"9" * 5000 + b"\n1\n")
+        with pytest.raises(BadSampleError, match="5000 digits"):
+            decode_pnm(b"P2 1 1 255\n" + b"9" * 5000 + b"\n")
+
     def test_low_maxval_rescaled(self):
         f = decode_pnm(b"P2 2 1 15\n0 15\n")
         assert f.pixels.tolist() == [[0, 255]]

@@ -37,10 +37,12 @@ class TestWindowStarts:
 
 
 class TestExtractWindowSample:
+    """The sample of a 25-frame sequence, which holds exactly one window."""
+
     def test_length_on_moving_texture(self):
         frames = synth_frames("walking", count=25)
         cfg = PipelineConfig()
-        sample = extract_window_sample(frames, cfg, label="walking")
+        [(_, sample)] = sequence_samples(frames, cfg, label="walking")
         assert sample.values.size == 12 * cfg.feature_size
         assert sample.label == "walking"
         assert np.isfinite(sample.values).all()
@@ -52,17 +54,16 @@ class TestExtractWindowSample:
             make_frame(np.full((120, 160), 50, dtype=np.uint8), index=i)
             for i in range(25)
         ]
-        sample = extract_window_sample(frames, cfg)
+        [(_, sample)] = sequence_samples(frames, cfg)
         assert sample.values.size == 12 * 7
         assert not sample.values.any()
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            extract_window_sample([], PipelineConfig())
+        assert sequence_samples([], PipelineConfig()) == []
 
     def test_walking_mean_u_near_speed(self):
         frames = synth_frames("walking", count=25)
-        sample = extract_window_sample(frames, PipelineConfig())
+        [(_, sample)] = sequence_samples(frames, PipelineConfig())
         u = sample.values.reshape(-1, DESCRIPTOR_DIM)[:, 4]
         live = u[np.abs(u) > 1e-6]
         assert live.size > 0
