@@ -86,15 +86,18 @@ class PipelineConfig:
         return self.window_stride if self.window_stride > 0 else self.window_frames
 
 
+_EXPECTED = {tuple: "WxH", int: "an integer", float: "a number"}
+
+
 def _parse_value(name: str, raw: str, ftype):
     raw = raw.strip()
-    if ftype is tuple:
-        try:
+    try:
+        if ftype is tuple:
             w, h = (int(p) for p in raw.lower().split("x"))
             return (w, h)
-        except ValueError:
-            raise ValueError(f"{name}: expected WxH, got {raw!r}") from None
-    return ftype(raw)
+        return ftype(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {_EXPECTED[ftype]}, got {raw!r}") from None
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineConfig:

@@ -104,51 +104,24 @@ def backprop(
     return grads_w, grads_b, loss
 
 
-def _views(buf: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of a flat buffer with the given shapes."""
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
-    return [part.reshape(shape)
-            for part, shape in zip(np.split(buf, ends[:-1]), shapes)]
-
-
 @dataclass
 class RpropState:
-    """Per-parameter RPROP state. The per-layer lists are views into flat
-    buffers that cover every layer, weights first, so that one update is a
-    few whole-buffer operations: write into them in place, do not rebind."""
+    """Per-parameter RPROP state: step sizes and previous gradients, each one
+    flat array over every layer's weights and then every layer's biases."""
 
-    step_w: list[np.ndarray]
-    step_b: list[np.ndarray]
-    prev_grad_w: list[np.ndarray]
-    prev_grad_b: list[np.ndarray]
+    step: np.ndarray
+    prev_grad: np.ndarray
     eta_plus: float = 1.2
     eta_minus: float = 0.5
     step_init: float = 0.1
     step_min: float = 1e-6
     step_max: float = 50.0
 
-    def __post_init__(self):
-        layers = len(self.step_w)
-        shapes = [np.shape(a) for a in (*self.step_w, *self.step_b)]
-        n = sum(int(np.prod(shape)) for shape in shapes)
-        self._step, self._prev, self._grad, self._work = np.empty((4, n))
-        self._grew, self._flipped = np.empty((2, n), dtype=bool)
-        step, prev = _views(self._step, shapes), _views(self._prev, shapes)
-        for dst, src in zip(step + prev, (*self.step_w, *self.step_b,
-                                          *self.prev_grad_w, *self.prev_grad_b)):
-            dst[...] = src
-        self.step_w, self.step_b = step[:layers], step[layers:]
-        self.prev_grad_w, self.prev_grad_b = prev[:layers], prev[layers:]
-        self._grad_parts = _views(self._grad, shapes)
-        self._work_parts = _views(self._work, shapes)
-
 
 def init_rprop(m: MlpModel, **hyper) -> RpropState:
-    # read-only zero views: the state copies them into its own buffers
-    zeros = [np.broadcast_to(0.0, w.shape) for w in m.weights]
-    zeros_b = [np.broadcast_to(0.0, b.shape) for b in m.biases]
-    state = RpropState(zeros, zeros_b, zeros, zeros_b, **hyper)
-    state._step.fill(state.step_init)
+    n = sum(p.size for p in (*m.weights, *m.biases))
+    state = RpropState(np.empty(n), np.zeros(n), **hyper)
+    state.step.fill(state.step_init)
     return state
 
 
@@ -166,15 +139,15 @@ def rprop_step(
 ) -> None:
     """One RPROP- update on every weight and bias, in place.
 
-    Branch-free over the flat buffers: masked ufuncs and boolean indexing
-    run an order of magnitude slower on the scattered masks of training.
+    Branch-free over the flat state: masked ufuncs and boolean indexing run
+    an order of magnitude slower on the scattered masks of training.
     """
-    for dst, g in zip(s._grad_parts, (*grads_w, *grads_b)):
-        dst[...] = g
-    g, step, work, grew, flipped = s._grad, s._step, s._work, s._grew, s._flipped
-    np.multiply(g, s._prev, out=work)
-    np.greater(work, 0.0, out=grew)
-    np.less(work, 0.0, out=flipped)
+    g = np.concatenate((*grads_w, *grads_b), axis=None, dtype=np.float64)
+    # prev_grad is read only here, so it is the scratch array until the
+    # last line stores this step's gradient in it
+    step, work = s.step, s.prev_grad
+    np.multiply(g, work, out=work)
+    grew, flipped = work > 0.0, work < 0.0
     np.multiply(step, s.eta_plus, out=work)
     np.minimum(work, s.step_max, out=work)
     _choose(grew, work, step)
@@ -183,12 +156,14 @@ def rprop_step(
     _choose(flipped, work, step)
     np.sign(g, out=work)
     work *= step
-    for param, delta in zip((*m.weights, *m.biases), s._work_parts):
-        param -= delta
+    start = 0
+    for param in (*m.weights, *m.biases):
+        param -= work[start:start + param.size].reshape(param.shape)
+        start += param.size
     # a flipped gradient is zeroed (+0.0) so the next sign test sees no
     # direction
     np.logical_not(flipped, out=flipped)
-    np.multiply(g.view(np.uint64), flipped, out=s._prev.view(np.uint64))
+    np.multiply(g.view(np.uint64), flipped, out=s.prev_grad.view(np.uint64))
 
 
 def train(
@@ -272,7 +247,10 @@ def load_model(path: str) -> MlpModel:
         std = np.array(list(map(float, lines[4].split())))
     except (IndexError, ValueError) as e:
         raise ValueError(f"malformed model file {path}: {e}") from None
-    if len(layer_sizes) < 2 or mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
+    if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+        raise ValueError(f"malformed model file {path}: "
+                         "need two or more layer sizes, each >= 1")
+    if mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
         raise ValueError("standardization vectors do not match the input layer")
     weights = []
     biases = []

@@ -69,9 +69,6 @@ def _window_samples(
     """
     steps = (cfg.window_frames - 1) // cfg.flow_step
     n = cfg.feature_size
-    if steps < 1:
-        return [SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
-                for _ in starts]
 
     def pyramid(step: int) -> tuple[np.ndarray, ...]:
         stack = np.stack([frames[s + step * cfg.flow_step].pixels for s in starts])

@@ -173,9 +173,8 @@ def test_criterion_6_rprop_behavior():
                 w = m.weights[0][0]
                 grad = (2 * c * (w - target))[None, :]
                 mlp.rprop_step(m, [grad], [np.zeros(1)], s)
-                for step in s.step_w:
-                    assert (step >= s.step_min).all()
-                    assert (step <= s.step_max).all()
+                assert (s.step >= s.step_min).all()
+                assert (s.step <= s.step_max).all()
             assert np.abs(m.weights[0][0] - target).max() < 10 * s.step_min
 
     report(6, "RPROP converges on ill-conditioned diagonal quadratics for "

@@ -1,12 +1,39 @@
+import contextlib
+import dataclasses
+import io
+import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harpipe import cli, mlp
+from harpipe.config import PipelineConfig, load_config
 from harpipe.mlp import ACTION_LABELS
 
 FAST = ["--set", "epochs=5", "--set", "feature_size=4", "--set", "hidden_nodes=16"]
+
+
+# a valid model file for layer sizes 2, 3, 4: the standardization mean and
+# std, then per layer the weight rows and the bias row
+SMALL_MODEL = """harmlp 1
+2 3 4
+1.0 1.0
+0.0 0.5
+1.0 2.0
+0.1 -0.2
+0.3 0.4
+-0.5 0.6
+0.0 0.1 -0.1
+0.1 0.2 0.3
+-0.1 -0.2 -0.3
+0.5 0.0 -0.5
+1.0 -1.0 0.25
+0.0 0.0 0.0 0.0
+"""
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +197,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("data error: ")
         assert "5 nodes" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_data_error_on_layer_size_below_one(self, command, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(SMALL_MODEL.replace("2 3 4\n", "2 3 -1\n", 1))
+        rc = cli.main([command, "no-such-target", str(model)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert ">= 1" in err[0]
+
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    @pytest.mark.parametrize("setting,expected", [
+        ("feature_size=1e3", "feature_size: expected an integer, got '1e3'"),
+        ("gmm_alpha=half", "gmm_alpha: expected a number, got 'half'"),
+    ])
+    def test_unparsable_value_names_its_key(self, source, setting, expected,
+                                            tmp_path, capsys):
+        if source == "--config":
+            (tmp_path / "pipeline.cfg").write_text(setting.replace("=", " = ") + "\n")
+            setting = str(tmp_path / "pipeline.cfg")
+        rc = cli.main(["classify", "no-such-sequence", "no-such-model.txt",
+                       source, setting])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {expected}\n"
 
     def test_data_error_on_class_without_samples(self, tiny_corpus, tmp_path,
                                                  capsys):
@@ -340,3 +392,112 @@ class TestDump:
         assert flow_files
         line = flow_files[0].read_text().splitlines()[0].split()
         assert len(line) == 7  # index x y u v status residual
+
+# tokens near the edges of what parses: sizes below 1, non-finite and
+# out-of-range floats, digit strings too long for int(), near-numbers
+TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "1e999", "-0", "1e3", "9" * 5000, "1_0",
+                     "+7", "0x1", "\u0667", "3x3", "harmlp", "#", "="]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def model_bytes(draw):
+    """SMALL_MODEL with, maybe, a new layer sizes line, and a few tokens or
+    lines replaced, dropped or repeated, most often in the header lines;
+    then possibly cut short or followed by bytes that are not UTF-8."""
+    lines = [ln.split() for ln in SMALL_MODEL.splitlines()]
+    if draw(st.booleans()):
+        # the input size still matches the standardization vectors
+        lines[1] = ["2", *map(str, draw(st.lists(st.integers(-2, 5), max_size=3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.one_of(st.integers(0, 2), st.integers(0, len(lines) - 1)))
+        op = draw(st.sampled_from(["set", "drop", "add", "drop_line", "copy_line"]))
+        j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+        if op == "set" and lines[i]:
+            lines[i][j] = draw(TOKENS)
+        elif op == "drop" and lines[i]:
+            del lines[i][j]
+        elif op == "add":
+            lines[i].insert(j, draw(TOKENS))
+        elif op == "drop_line" and len(lines) > 1:
+            del lines[i]
+        elif op == "copy_line":
+            lines.insert(i, list(lines[i]))
+    data = "".join(" ".join(ln) + "\n" for ln in lines).encode()
+    data = data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+    return data + draw(st.sampled_from([b"", b"\xff", b"\x00\n", b"\xc3"]))
+
+
+KEYS = st.one_of(
+    st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def config_bytes(draw):
+    """Config lines: known or arbitrary keys with edge-case values, comments,
+    lines without '=', and bytes that are not UTF-8."""
+    line = st.one_of(
+        st.tuples(KEYS, st.sampled_from(["=", " = ", " =", "= "]),
+                  TOKENS, st.sampled_from(["", " # note"])).map("".join),
+        st.text(max_size=12),
+    )
+    text = "\n".join(draw(st.lists(line, max_size=6)))
+    return text.encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+
+
+def classify_stderr(*argv: str) -> tuple[int, list[str]]:
+    """``harpipe classify`` exit code and stderr lines; a traceback would
+    escape ``cli.main`` and fail the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["classify", "no-such-sequence", *argv])
+    return rc, err.getvalue().splitlines()
+
+
+@contextlib.contextmanager
+def temp_file(data: bytes, name: str):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        yield path
+
+
+class TestFuzz:
+    """Mutated model and config files raise only ValueError or OSError, and
+    the CLI reports each as a one-line error: a data error (2) for a model,
+    a usage error (1) for a config."""
+
+    @given(model_bytes())
+    @settings(max_examples=300, deadline=None)
+    def test_model_file(self, data):
+        with temp_file(data, "model.txt") as path:
+            try:
+                mlp.load_model(path)
+            except (ValueError, OSError):
+                pass
+            rc, err = classify_stderr(path)
+        # a model that loads fails next on the input size or the sequence
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
+    @given(config_bytes())
+    @settings(max_examples=300, deadline=None)
+    def test_config_file(self, data):
+        with temp_file(data, "pipeline.cfg") as path:
+            try:
+                load_config(path)
+                loads = True
+            except (ValueError, OSError):
+                loads = False
+            rc, err = classify_stderr("no-such-model.txt", "--config", path)
+        # a config that loads fails next on the missing model
+        assert rc == (2 if loads else 1)
+        assert len(err) == 1
+        assert err[0].startswith("data error: " if loads else "usage error: ")

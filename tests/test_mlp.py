@@ -186,13 +186,13 @@ class TestRprop:
         m, s = self._scalar_model()
         rprop_step(m, [np.array([[2.0]])], [np.zeros(1)], s)
         assert m.weights[0][0, 0] == -s.step_init
-        assert s.step_w[0][0, 0] == s.step_init
+        assert s.step[0] == s.step_init
 
     def test_same_sign_grows_step(self):
         m, s = self._scalar_model()
         for _ in range(2):
             rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
-        assert s.step_w[0][0, 0] == pytest.approx(s.step_init * s.eta_plus)
+        assert s.step[0] == pytest.approx(s.step_init * s.eta_plus)
         assert m.weights[0][0, 0] == pytest.approx(
             -s.step_init * (1 + s.eta_plus)
         )
@@ -201,11 +201,11 @@ class TestRprop:
         m, s = self._scalar_model()
         rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
         rprop_step(m, [np.array([[-1.0]])], [np.zeros(1)], s)
-        assert s.step_w[0][0, 0] == pytest.approx(s.step_init * s.eta_minus)
-        assert s.prev_grad_w[0][0, 0] == 0.0
+        assert s.step[0] == pytest.approx(s.step_init * s.eta_minus)
+        assert s.prev_grad[0] == 0.0
         # next step sees sign product 0: step size unchanged
         rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
-        assert s.step_w[0][0, 0] == pytest.approx(s.step_init * s.eta_minus)
+        assert s.step[0] == pytest.approx(s.step_init * s.eta_minus)
 
     def test_zero_gradient_no_move(self):
         m, s = self._scalar_model(w0=0.7)
@@ -223,9 +223,8 @@ class TestRprop:
                   for w in m.weights]
             gb = [rng.normal(size=b.shape) for b in m.biases]
             rprop_step(m, gw, gb, s)
-            for step in s.step_w + s.step_b:
-                assert (step >= s.step_min).all()
-                assert (step <= s.step_max).all()
+            assert (s.step >= s.step_min).all()
+            assert (s.step <= s.step_max).all()
 
     def test_diagonal_quadratic_scale_robustness(self):
         # E = sum c_i (w_i - w*_i)^2, conditioning 1e6: every coordinate
@@ -247,7 +246,7 @@ def assert_same_bits(a, b):
 
 
 class TestRpropOracle:
-    """The flat-buffer update against the per-layer masked reference."""
+    """The flat-array update against the per-layer masked reference."""
 
     @given(st.integers(0, 10_000), st.sampled_from([3, 4]))
     @settings(max_examples=40, deadline=None)
@@ -282,16 +281,15 @@ class TestRpropOracle:
             gw, gb = grads[: len(m.weights)], grads[len(m.weights):]
             rprop_step(m, gw, gb, s)
             oracles.rprop_step(ref, gw, gb, s_ref)
-            for a, b in zip(
-                m.weights + m.biases + s.step_w + s.step_b
-                + s.prev_grad_w + s.prev_grad_b,
-                ref.weights + ref.biases + s_ref.step_w + s_ref.step_b
-                + s_ref.prev_grad_w + s_ref.prev_grad_b,
-            ):
+            for a, b in zip(m.weights + m.biases, ref.weights + ref.biases):
                 assert_same_bits(a, b)
-            steps = np.concatenate([x.ravel() for x in s.step_w + s.step_b])
-            pinned_min |= bool((steps == step_min).any())
-            pinned_max |= bool((steps == hyper["step_max"]).any())
+            # the flat state holds the per-layer arrays end to end
+            assert_same_bits(s.step, np.concatenate(
+                s_ref.step_w + s_ref.step_b, axis=None))
+            assert_same_bits(s.prev_grad, np.concatenate(
+                s_ref.prev_grad_w + s_ref.prev_grad_b, axis=None))
+            pinned_min |= bool((s.step == step_min).any())
+            pinned_max |= bool((s.step == hyper["step_max"]).any())
         assert pinned_min and pinned_max
 
 
