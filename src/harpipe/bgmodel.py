@@ -15,45 +15,32 @@ adjacent-swap network over the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .config import PipelineConfig
 from .frameio import Frame
 
 
-@dataclass
 class BackgroundModel:
-    width: int
-    height: int
-    k: int = 3
-    alpha: float = 0.05
-    t: float = 0.7
-    match_radius: float = 2.5
-    initial_variance: float = 225.0
-    variance_floor: float = 4.0
-    # (k, height*width) component state, fitness-sorted per pixel
-    weights: np.ndarray = field(init=False, repr=False)
-    means: np.ndarray = field(init=False, repr=False)
-    variances: np.ndarray = field(init=False, repr=False)
-    _seeded: bool = field(default=False, init=False, repr=False)
-    # per-frame work buffers, reused by every update
-    _fit: np.ndarray = field(init=False, repr=False)
-    _rows: np.ndarray = field(init=False, repr=False)
-    _flags: np.ndarray = field(init=False, repr=False)
-    _pos: np.ndarray = field(init=False, repr=False)
+    """A model of width x height frames with the ``gmm_*`` settings of
+    ``cfg``."""
 
-    def __post_init__(self):
-        n = self.width * self.height
-        self.weights = np.zeros((self.k, n))
-        self.means = np.zeros((self.k, n))
-        self.variances = np.full((self.k, n), self.initial_variance)
-        self._fit = np.empty((self.k, n))
+    def __init__(self, cfg: PipelineConfig, width: int, height: int):
+        self.cfg = cfg
+        self.width = width
+        self.height = height
+        k, n = cfg.gmm_components, width * height
+        # (k, height*width) component state, fitness-sorted per pixel
+        self.weights = np.zeros((k, n))
+        self.means = np.zeros((k, n))
+        self.variances = np.full((k, n), cfg.gmm_initial_variance)
+        self._seeded = False
+        # per-frame work buffers, reused by every update
+        self._fit = np.empty((k, n))
         self._rows = np.zeros((5, n))
         self._flags = np.empty((3, n), dtype=bool)
         # rank of each pixel's matched component; k when nothing matched
-        self._pos = np.empty(n, dtype=np.min_scalar_type(self.k))
+        self._pos = np.empty(n, dtype=np.min_scalar_type(k))
 
     def update_and_classify(self, f: Frame) -> np.ndarray:
         """Update the model with one frame; returns its (height, width) bool
@@ -61,7 +48,8 @@ class BackgroundModel:
         if (f.width, f.height) != (self.width, self.height):
             raise ValueError("frame dimensions do not match the model")
         w, mu, var = self.weights, self.means, self.variances
-        k, a = self.k, self.alpha
+        cfg = self.cfg
+        k, a = cfg.gmm_components, cfg.gmm_alpha
         x, s, d, rho, keep = self._rows
         hit, aux, swap = self._flags
         pos = self._pos
@@ -79,7 +67,7 @@ class BackgroundModel:
         pos.fill(k)
         for j in reversed(range(k)):
             np.sqrt(var[j], out=s)
-            s *= self.match_radius
+            s *= cfg.gmm_match_radius
             np.subtract(x, mu[j], out=d)
             np.abs(d, out=d)
             np.less_equal(d, s, out=hit)
@@ -115,13 +103,13 @@ class BackgroundModel:
             # no match: swap the weakest component for a fresh one, renormalize
             np.copyto(w[-1], a, where=aux)
             np.copyto(mu[-1], x, where=aux)
-            np.copyto(var[-1], self.initial_variance, where=aux)
+            np.copyto(var[-1], cfg.gmm_initial_variance, where=aux)
             np.copyto(s, w[0], where=aux)
             for j in range(1, k):
                 np.add(s, w[j], out=s, where=aux)
             np.divide(w, s, out=w, where=aux)
 
-        np.maximum(var, self.variance_floor, out=var)
+        np.maximum(var, cfg.gmm_variance_floor, out=var)
 
         # stable re-sort by descending fitness: bubble passes of adjacent
         # swaps, carrying the matched component's rank along
@@ -150,18 +138,9 @@ class BackgroundModel:
         np.copyto(cum, w[0])
         for j in range(1, k):
             np.equal(pos, j, out=swap)
-            np.less(cum, self.t, out=aux)
+            np.less(cum, cfg.gmm_threshold, out=aux)
             aux &= swap
             background |= aux
             cum += w[j]
         return (~background).reshape(self.height, self.width)
 
-
-def from_config(cfg: PipelineConfig, width: int, height: int) -> BackgroundModel:
-    """A model for width x height frames with the config's gmm_* settings."""
-    return BackgroundModel(
-        width, height, k=cfg.gmm_components, alpha=cfg.gmm_alpha,
-        t=cfg.gmm_threshold, match_radius=cfg.gmm_match_radius,
-        initial_variance=cfg.gmm_initial_variance,
-        variance_floor=cfg.gmm_variance_floor,
-    )

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import bgmodel, lkflow, mlp, pipeline, synth
+from . import bgmodel, goodfeat, lkflow, mlp, pipeline, synth
 from .config import PipelineConfig, load_config
 from .flowdesc import DESCRIPTOR_DIM
 from .frameio import EmptySequenceError, Frame, encode_pgm, load_sequence
@@ -279,7 +279,7 @@ def cmd_dump(args) -> int:
     frames = _load_frames(args.sequence, cfg, raw=args.raw)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
-        model = bgmodel.from_config(cfg, frames[0].width, frames[0].height)
+        model = bgmodel.BackgroundModel(cfg, frames[0].width, frames[0].height)
         for f in frames:
             mask = model.update_and_classify(f)
             pixels = np.where(mask, 255, 0).astype(np.uint8)
@@ -289,19 +289,18 @@ def cmd_dump(args) -> int:
     if args.dump_features:
         os.makedirs(args.dump_features, exist_ok=True)
         for f in frames:
-            points = pipeline.detect_features(f, cfg)
+            points = goodfeat.detect_good_features(f, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
             with open(path, "w") as fh:
                 for x, y, score in points.tolist():
                     fh.write(f"{f.index} {x} {y} {score}\n")
     if args.dump_flow:
         os.makedirs(args.dump_flow, exist_ok=True)
-        params = pipeline.track_params(cfg)
         pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
         for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
             pj = lkflow.build_pyramid(frames[i + cfg.flow_step], cfg.pyramid_levels)
-            xy = pipeline.detect_features(frames[i], cfg)[:, :2]
-            tracks = lkflow.track_points(pi, pj, xy, params)
+            xy = goodfeat.detect_good_features(frames[i], cfg)[:, :2]
+            tracks = lkflow.track_points(pi, pj, xy, cfg)
             rows = zip(xy.tolist(), (tracks.dxy / cfg.flow_step).tolist(),
                        tracks.status, tracks.residual.tolist())
             path = os.path.join(args.dump_flow, f"flow_{i:05d}.txt")

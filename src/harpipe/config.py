@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every pipeline setting, checked on construction and frozen after.
+    The detector, tracker and background model read theirs from this
+    object, so each default is written here only."""
+
     working_resolution: tuple[int, int] = (160, 120)
     flow_step: int = 3
     window_frames: int = 25
@@ -65,11 +70,14 @@ class PipelineConfig:
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0")
         for key in ("track_convergence_eps", "track_residual_max",
-                    "jacobian_probe_offset", "gmm_match_radius",
-                    "gmm_initial_variance", "gmm_variance_floor",
-                    "activation_a", "activation_beta"):
+                    "gmm_match_radius", "gmm_initial_variance",
+                    "gmm_variance_floor"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
+        # inf would zero every sample or train a NaN model
+        for key in ("jacobian_probe_offset", "activation_a", "activation_beta"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0")
         for key in ("quality_rel", "gmm_alpha", "gmm_threshold"):
             if not 0 < getattr(self, key) <= 1:
                 raise ValueError(f"{key} must be in (0, 1]")

@@ -25,7 +25,7 @@ class SampleVector:
     label: Optional[str] = None
 
 
-def flow_velocity(tracks: Tracks, frame_step: int = 3) -> np.ndarray:
+def flow_velocity(tracks: Tracks, frame_step: int) -> np.ndarray:
     """(P, 2) flow velocities in pixels per frame; NaN where the point was
     not TRACKED."""
     if frame_step < 1:
@@ -33,14 +33,14 @@ def flow_velocity(tracks: Tracks, frame_step: int = 3) -> np.ndarray:
     return np.where(tracks.tracked[:, None], tracks.dxy / frame_step, np.nan)
 
 
-def jacobian_probes(xy: np.ndarray, h: float = 2.0) -> np.ndarray:
+def jacobian_probes(xy: np.ndarray, h: float) -> np.ndarray:
     """(P, 5, 2) points whose flow ``flow_jacobian`` reads: each point of
     ``xy`` itself, then its probes at +x, -x, +y and -y, h away."""
     steps = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     return xy[:, None, :] + h * steps
 
 
-def flow_jacobian(uv: np.ndarray, h: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+def flow_jacobian(uv: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Spatial flow partials of P points from the (P, 5, 2) velocities at
     their ``jacobian_probes`` (NaN where a probe was not tracked).
 

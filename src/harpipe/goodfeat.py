@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import PipelineConfig
 from .frameio import Frame
 
 
@@ -24,7 +25,7 @@ def spatial_gradients(f: Frame) -> tuple[np.ndarray, np.ndarray]:
     return ix, iy
 
 
-def min_eigenvalue_map(f: Frame, half_window: int = 2) -> np.ndarray:
+def min_eigenvalue_map(f: Frame, half_window: int) -> np.ndarray:
     """Per-pixel smaller structure-tensor eigenvalue; zero where the window
     does not fit."""
     ix, iy = spatial_gradients(f)
@@ -62,22 +63,18 @@ def _nms_3x3(lam: np.ndarray) -> np.ndarray:
     return keep
 
 
-def detect_good_features(
-    f: Frame,
-    max_n: int,
-    quality_rel: float = 0.05,
-    min_distance: float = 7.0,
-    half_window: int = 2,
-) -> np.ndarray:
-    """Strongest corners after relative thresholding, 3x3 non-max suppression
-    and greedy minimum-distance selection, as an (n, 3) array of rows
-    (x, y, score); (0, 3) when there are none. Sorted by descending score,
-    ties broken by lower y then lower x."""
-    lam = min_eigenvalue_map(f, half_window)
+def detect_good_features(f: Frame, cfg: PipelineConfig) -> np.ndarray:
+    """The ``cfg.feature_size`` strongest corners after relative thresholding
+    (``quality_rel``), 3x3 non-max suppression and greedy minimum-distance
+    selection (``min_distance``) on the ``tensor_half_window`` structure
+    tensor, as an (n, 3) array of rows (x, y, score); (0, 3) when there are
+    none. Sorted by descending score, ties broken by lower y then lower x."""
+    lam = min_eigenvalue_map(f, cfg.tensor_half_window)
     lam_max = lam.max()
-    if lam_max <= 0.0 or max_n < 1:
+    if lam_max <= 0.0:
         return np.empty((0, 3))
-    threshold = quality_rel * lam_max
+    max_n, min_distance = cfg.feature_size, cfg.min_distance
+    threshold = cfg.quality_rel * lam_max
     candidates = _nms_3x3(lam) & (lam >= threshold)
     ys, xs = np.nonzero(candidates)
     scores = lam[ys, xs]

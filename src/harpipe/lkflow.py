@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .frameio import Frame
 
 SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -36,14 +37,6 @@ class TrackStatus(enum.IntEnum):
     LOST_RESIDUAL = 1
     LOST_BOUNDS = 2
     LOST_SINGULAR = 3
-
-
-@dataclass(frozen=True)
-class TrackParams:
-    half_window: int = 7
-    max_iterations: int = 20
-    convergence_eps: float = 0.03
-    residual_max: float = 12.0
 
 
 @dataclass(frozen=True)
@@ -196,16 +189,16 @@ def _refine(
     p: np.ndarray,
     guess: np.ndarray,
     image: np.ndarray,
-    params: TrackParams,
+    cfg: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pyramid level's iterations for the points ``p`` (L, 2), in that
     level's pixels, seeded with the displacements ``guess``. Returns each
     point's (L,) status, LOST_SINGULAR for a singular structure tensor and
     LOST_BOUNDS for an estimate that leaves the level, and its (L, 2)
     increment to ``guess``."""
-    hw = params.half_window
+    hw = cfg.track_half_window
     eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
-    eps_sq = params.convergence_eps**2
+    eps_sq = cfg.track_convergence_eps**2
     lh, lw = imgi.shape[-2:]
     status = np.full(len(p), TrackStatus.TRACKED, dtype=np.int8)
 
@@ -221,7 +214,7 @@ def _refine(
     # their template and gradient windows, tensor terms and image indices,
     # compacted only when the active set shrinks
     state = _points(~singular, [iw, grad, zxx, zxy, zyy, det, image])
-    for _ in range(params.max_iterations):
+    for _ in range(cfg.track_max_iterations):
         if active.size == 0:
             break
         q = p[active] + guess[active] + d[active]
@@ -244,10 +237,11 @@ def track_points(
     pi: tuple[np.ndarray, ...],
     pj: tuple[np.ndarray, ...],
     xy: np.ndarray,
-    params: TrackParams = TrackParams(),
+    cfg: PipelineConfig,
     image: np.ndarray | None = None,
 ) -> Tracks:
-    """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj``.
+    """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj`` with
+    the ``track_*`` settings of ``cfg``.
 
     Pyramid levels are (h, w) images or (K, h, w) stacks of K images of one
     size; ``image`` gives each point's (P,) index into the stacks, and a
@@ -257,7 +251,7 @@ def track_points(
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     image = (np.zeros(len(xy), dtype=np.intp) if image is None
              else np.asarray(image, dtype=np.intp))
-    hw = params.half_window
+    hw = cfg.track_half_window
     h0, w0 = pi[0].shape[-2:]
     status = np.full(len(xy), TrackStatus.TRACKED, dtype=np.int8)
     status[~_inside(xy, hw, w0 - 1 - hw, h0 - 1 - hw)] = TrackStatus.LOST_BOUNDS
@@ -271,7 +265,7 @@ def track_points(
             break
         guess = 2.0 * shift[live]
         status[live], d = _refine(pi[level], pj[level], xy[live] / (1 << level),
-                                  guess, image[live], params)
+                                  guess, image[live], cfg)
         shift[live] = guess + d
 
     live = np.flatnonzero(status == TrackStatus.TRACKED)
@@ -283,7 +277,7 @@ def track_points(
     jw = sample_windows(pj[0], moved, hw, image[live])
     diff = iw - jw
     residual = np.sqrt(_window_dots(diff, diff) / (diff.shape[0] * diff.shape[1]))
-    status[live[~(residual <= params.residual_max)]] = TrackStatus.LOST_RESIDUAL
+    status[live[~(residual <= cfg.track_residual_max)]] = TrackStatus.LOST_RESIDUAL
 
     new_xy = xy.copy()
     dxy = np.zeros_like(xy)

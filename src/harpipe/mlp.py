@@ -252,6 +252,13 @@ def load_model(path: str) -> MlpModel:
                          "need two or more layer sizes, each >= 1")
     if mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
         raise ValueError("standardization vectors do not match the input layer")
+    # written so that NaN fails too
+    if not (0 < a < np.inf and 0 < beta < np.inf):
+        raise ValueError(f"malformed model file {path}: "
+                         "activation a and beta must be finite and > 0")
+    if not (std > 0).all():
+        raise ValueError(f"malformed model file {path}: "
+                         "standardization std must be > 0")
     weights = []
     biases = []
     cursor = 5

@@ -12,24 +12,6 @@ from .frameio import Frame
 from .flowdesc import SampleVector
 
 
-def track_params(cfg: PipelineConfig) -> lkflow.TrackParams:
-    return lkflow.TrackParams(
-        half_window=cfg.track_half_window,
-        max_iterations=cfg.track_max_iterations,
-        convergence_eps=cfg.track_convergence_eps,
-        residual_max=cfg.track_residual_max,
-    )
-
-
-def detect_features(frame: Frame, cfg: PipelineConfig) -> np.ndarray:
-    """The ``cfg.feature_size`` strongest good features of one frame, as
-    ``goodfeat.detect_good_features`` rows (x, y, score)."""
-    return goodfeat.detect_good_features(
-        frame, max_n=cfg.feature_size, quality_rel=cfg.quality_rel,
-        min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
-    )
-
-
 # consecutive windows whose points share one tracker call per flow step; a
 # module constant, so the call size and its memory stay bounded on long
 # streams
@@ -75,7 +57,7 @@ def _window_samples(
         return lkflow.build_pyramid(stack, cfg.pyramid_levels)
 
     # every window's points in one array: point m is slot rank[m] of window win[m]
-    found = [detect_features(frames[s], cfg)[:, :2] for s in starts]
+    found = [goodfeat.detect_good_features(frames[s], cfg)[:, :2] for s in starts]
     xy = np.concatenate(found)
     win = np.repeat(np.arange(len(starts)), [len(f) for f in found])
     rank = np.concatenate([np.arange(len(f)) for f in found])
@@ -85,7 +67,6 @@ def _window_samples(
     tracked = np.zeros((len(starts), n, steps), dtype=bool)
     frame_size = (frames[0].width, frames[0].height)
 
-    params = track_params(cfg)
     pi = pyramid(0)
     intensity = lkflow.sample_windows(pi[0], xy, 0, win)[0, 0]
     h_probe = cfg.jacobian_probe_offset
@@ -97,7 +78,7 @@ def _window_samples(
 
         # one call tracks every live slot together with its Jacobian probes
         probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params,
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg,
                                      np.repeat(win[live], probes.shape[1]))
         uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
         centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]

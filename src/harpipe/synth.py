@@ -110,7 +110,7 @@ def generate_sequence(label: str, rng: np.random.Generator) -> list[np.ndarray]:
     return frames
 
 
-def write_corpus(out_dir: str, seed: int = 0,
+def write_corpus(out_dir: str, seed: int,
                  train_per_class: int = TRAIN_PER_CLASS,
                  test_per_class: int = TEST_PER_CLASS) -> dict[str, int]:
     """Write out_dir/{train,test}/<class>/seq_NNN/frame_NNN.pgm; returns

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from harpipe.lkflow import MIN_EIGEN_PER_PIXEL, TrackParams, TrackStatus
+from harpipe.config import PipelineConfig
+from harpipe.lkflow import MIN_EIGEN_PER_PIXEL, TrackStatus
 
 
 class ScalarGmmOracle:
@@ -34,8 +35,8 @@ class ScalarGmmOracle:
     foreground for that input.
     """
 
-    def __init__(self, k=3, alpha=0.05, t=0.7, match_radius=2.5,
-                 initial_variance=225.0, variance_floor=4.0):
+    def __init__(self, k, alpha, t, match_radius, initial_variance,
+                 variance_floor):
         self.k = k
         self.alpha = alpha
         self.t = t
@@ -97,9 +98,18 @@ class ScalarGmmOracle:
         return pos >= prefix_len
 
 
-def brute_force_good_features(pixels, max_n, quality_rel=0.05,
-                              min_distance=7.0, half_window=2):
-    """Literal per-pixel reimplementation of the corner detector.
+def gmm_oracle(cfg: PipelineConfig) -> ScalarGmmOracle:
+    """A scalar GMM with the ``gmm_*`` settings of ``cfg``."""
+    return ScalarGmmOracle(
+        k=cfg.gmm_components, alpha=cfg.gmm_alpha, t=cfg.gmm_threshold,
+        match_radius=cfg.gmm_match_radius,
+        initial_variance=cfg.gmm_initial_variance,
+        variance_floor=cfg.gmm_variance_floor)
+
+
+def brute_force_good_features(pixels, cfg: PipelineConfig):
+    """Literal per-pixel reimplementation of the corner detector, with the
+    detector settings of ``cfg``.
 
     Returns (x, y, score) tuples in the same order as detect_good_features.
     """
@@ -116,7 +126,7 @@ def brute_force_good_features(pixels, max_n, quality_rel=0.05,
         for x in range(w):
             iy[y][x] = (img[y + 1][x] - img[y - 1][x]) / 2.0
 
-    hw = half_window
+    hw = cfg.tensor_half_window
     lam = [[0.0] * w for _ in range(h)]
     for y in range(hw, h - hw):
         for x in range(hw, w - hw):
@@ -132,9 +142,9 @@ def brute_force_good_features(pixels, max_n, quality_rel=0.05,
             lam[y][x] = max(0.0, (zxx + zyy - disc) / 2.0)
 
     lam_max = max(max(row) for row in lam)
-    if lam_max <= 0.0 or max_n < 1:
+    if lam_max <= 0.0:
         return []
-    threshold = quality_rel * lam_max
+    threshold = cfg.quality_rel * lam_max
 
     candidates = []
     for y in range(h):
@@ -158,12 +168,12 @@ def brute_force_good_features(pixels, max_n, quality_rel=0.05,
     for x, y, s in candidates:
         ok = True
         for cx, cy, _ in chosen:
-            if (cx - x) ** 2 + (cy - y) ** 2 < min_distance ** 2:
+            if (cx - x) ** 2 + (cy - y) ** 2 < cfg.min_distance ** 2:
                 ok = False
                 break
         if ok:
             chosen.append((float(x), float(y), s))
-            if len(chosen) == max_n:
+            if len(chosen) == cfg.feature_size:
                 break
     return chosen
 
@@ -247,12 +257,12 @@ def sample_window(img, cx, cy, hw):
     return top * (1 - fy) + bot * fy
 
 
-def track_point(pi, pj, x, y, params=TrackParams()):
+def track_point(pi, pj, x, y, cfg: PipelineConfig):
     """One point at a time through the pyramids: the scalar reference for
     ``lkflow.track_points``."""
     import numpy as np
 
-    hw = params.half_window
+    hw = cfg.track_half_window
     eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
     h0, w0 = pi[0].shape
 
@@ -286,7 +296,7 @@ def track_point(pi, pj, x, y, params=TrackParams()):
             return lost(TrackStatus.LOST_SINGULAR)
 
         dx = dy = 0.0
-        for _ in range(params.max_iterations):
+        for _ in range(cfg.track_max_iterations):
             qx = px + gx + dx
             qy = py + gy + dy
             if not (0.0 <= qx <= lw - 1 and 0.0 <= qy <= lh - 1):
@@ -298,7 +308,7 @@ def track_point(pi, pj, x, y, params=TrackParams()):
             sy = (zxx * ey - zxy * ex) / det
             dx += sx
             dy += sy
-            if sx * sx + sy * sy < params.convergence_eps**2:
+            if sx * sx + sy * sy < cfg.track_convergence_eps**2:
                 break
         if level > 0:
             gx = 2.0 * (gx + dx)
@@ -315,7 +325,7 @@ def track_point(pi, pj, x, y, params=TrackParams()):
     residual = float(np.sqrt(np.mean((iw - jw) ** 2)))
     status = (
         TrackStatus.TRACKED
-        if residual <= params.residual_max
+        if residual <= cfg.track_residual_max
         else TrackStatus.LOST_RESIDUAL
     )
     return TrackResult(nx, ny, tx, ty, residual, status)
@@ -528,9 +538,8 @@ def extract_window_sample(frames, cfg, label=None):
     """
     import numpy as np
 
-    from harpipe import flowdesc, lkflow
+    from harpipe import flowdesc, goodfeat, lkflow
     from harpipe.flowdesc import SampleVector
-    from harpipe.pipeline import detect_features, track_params
 
     if not frames:
         raise ValueError("empty window")
@@ -539,8 +548,7 @@ def extract_window_sample(frames, cfg, label=None):
     if steps < 1:
         return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
 
-    params = track_params(cfg)
-    xy = detect_features(frames[0], cfg)[:, :2].copy()
+    xy = goodfeat.detect_good_features(frames[0], cfg)[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     prev_uv = np.zeros_like(xy)
     table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
@@ -560,7 +568,7 @@ def extract_window_sample(frames, cfg, label=None):
 
         # one call tracks every live slot together with its Jacobian probes
         probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg)
         uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
         centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
         alive[live[~centre_ok]] = False
@@ -595,17 +603,12 @@ def window_sample_loop(frames, cfg):
     import numpy as np
 
     from harpipe import flowdesc, goodfeat, lkflow
-    from harpipe.pipeline import track_params
 
     steps = (len(frames) - 1) // cfg.flow_step
     n = cfg.feature_size
     if steps < 1:
         return np.zeros(n * flowdesc.DESCRIPTOR_DIM)
-    points = goodfeat.detect_good_features(
-        frames[0], max_n=n, quality_rel=cfg.quality_rel,
-        min_distance=cfg.min_distance, half_window=cfg.tensor_half_window,
-    )
-    params = track_params(cfg)
+    points = goodfeat.detect_good_features(frames[0], cfg)
     xy = points[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     descriptors = [[] for _ in points]
@@ -622,7 +625,7 @@ def window_sample_loop(frames, cfg):
             frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
         )
         probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), params)
+        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg)
         uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
         centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
         alive[live[~centre_ok]] = False

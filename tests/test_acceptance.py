@@ -17,7 +17,7 @@ from harpipe.lkflow import build_pyramid, track_points
 from harpipe.pipeline import sequence_samples
 
 from conftest import make_frame
-from oracles import ScalarGmmOracle, brute_force_good_features, smooth_texture
+from oracles import brute_force_good_features, smooth_texture
 from test_bgmodel import run_oracle, run_single_pixel
 from test_flowdesc import jacobian_of
 from test_lkflow import interior_features, shifted_pair, xy_of
@@ -81,8 +81,9 @@ def test_criterion_2_good_feature_oracle_equivalence():
         rng = np.random.default_rng(1)
         for _ in range(25):
             img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-            got = detect_good_features(make_frame(img), 10)
-            want = brute_force_good_features(img.tolist(), 10)
+            cfg = PipelineConfig(feature_size=10)
+            got = detect_good_features(make_frame(img), cfg)
+            want = brute_force_good_features(img.tolist(), cfg)
             assert [tuple(p) for p in got.tolist()] == want
         assert time.perf_counter() - t0 < 5.0
 
@@ -100,10 +101,10 @@ def test_criterion_3_flow_accuracy():
             f_i, f_j = shifted_pair(100 + seed, sx, sy)
             pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
             start = xy_of(interior_features(f_i))
-            fwd = track_points(pi, pj, start)
+            fwd = track_points(pi, pj, start, PipelineConfig())
             ok = fwd.tracked
             errors = list(np.hypot(fwd.dxy[ok, 0] - sx, fwd.dxy[ok, 1] - sy))
-            back = track_points(pj, pi, fwd.xy[ok])
+            back = track_points(pj, pi, fwd.xy[ok], PipelineConfig())
             fb_errors = list(
                 np.hypot(*(back.xy - start[ok])[back.tracked].T)
             )

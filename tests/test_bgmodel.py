@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harpipe.bgmodel import BackgroundModel, from_config
+from harpipe.bgmodel import BackgroundModel
 from harpipe.config import PipelineConfig
 
 from conftest import make_frame
-from oracles import ScalarGmmOracle
+from oracles import gmm_oracle
+
+DEFAULT = PipelineConfig()
 
 
 def components(model, i):
@@ -16,10 +18,10 @@ def components(model, i):
                     model.variances[:, i].tolist()))
 
 
-def run_single_pixel(inputs, **kw):
+def run_single_pixel(inputs, cfg=DEFAULT):
     """Drive a 1x1 model; returns (per-step foreground flags, per-step
     component traces as (w, mu, var) tuples)."""
-    model = BackgroundModel(1, 1, **kw)
+    model = BackgroundModel(cfg, 1, 1)
     flags = []
     traces = []
     for v in inputs:
@@ -29,8 +31,8 @@ def run_single_pixel(inputs, **kw):
     return flags, traces
 
 
-def run_oracle(inputs, **kw):
-    oracle = ScalarGmmOracle(**kw)
+def run_oracle(inputs, cfg=DEFAULT):
+    oracle = gmm_oracle(cfg)
     flags = []
     traces = []
     for v in inputs:
@@ -66,9 +68,9 @@ class TestOracleEquivalence:
         # rank-0 weight the prefix ends at rank 0, so the match is foreground
         inputs = [50, 200, 200]
         _, otraces = run_oracle(inputs)
-        t = otraces[2][0][0]
-        flags, _ = run_single_pixel(inputs, t=t)
-        assert flags == run_oracle(inputs, t=t)[0]
+        cfg = PipelineConfig(gmm_threshold=otraces[2][0][0])
+        flags, _ = run_single_pixel(inputs, cfg)
+        assert flags == run_oracle(inputs, cfg)[0]
         assert flags[2] is True
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=100))
@@ -96,19 +98,19 @@ class TestModelBehavior:
         assert flags[30] is True
 
     def test_mean_converges_on_constant_input(self):
-        alpha = 0.05
-        n = int(np.ceil(3 / alpha))
-        _, traces = run_single_pixel([137] * (n + 1), alpha=alpha)
+        cfg = PipelineConfig(gmm_alpha=0.05)
+        n = int(np.ceil(3 / cfg.gmm_alpha))
+        _, traces = run_single_pixel([137] * (n + 1), cfg)
         top_mean = traces[-1][0][1]
         assert abs(top_mean - 137) <= 1.0
 
     def test_variance_floor_respected(self):
         _, traces = run_single_pixel([100] * 80)
         for trace in traces:
-            assert all(var >= 4.0 for _, _, var in trace)
+            assert all(var >= DEFAULT.gmm_variance_floor for _, _, var in trace)
 
     def test_dimension_mismatch(self):
-        model = BackgroundModel(4, 4)
+        model = BackgroundModel(DEFAULT, 4, 4)
         with pytest.raises(ValueError):
             model.update_and_classify(make_frame(np.zeros((2, 2), dtype=np.uint8)))
 
@@ -133,8 +135,9 @@ class TestModelBehavior:
                            (n_frames, height, width))
         frames = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
         for k, t in ((1, 0.7), (2, 0.7), (3, 0.7), (5, 0.7), (3, 1.0)):
-            model = BackgroundModel(width, height, k=k, t=t)
-            oracles = [ScalarGmmOracle(k=k, t=t) for _ in range(width * height)]
+            cfg = PipelineConfig(gmm_components=k, gmm_threshold=t)
+            model = BackgroundModel(cfg, width, height)
+            oracles = [gmm_oracle(cfg) for _ in range(width * height)]
             for step, pixels in enumerate(frames):
                 bits = model.update_and_classify(make_frame(pixels)).ravel()
                 for i, (v, oracle) in enumerate(zip(pixels.ravel(), oracles)):
@@ -145,18 +148,8 @@ class TestModelBehavior:
                         assert mu == pytest.approx(omu, rel=1e-9, abs=1e-12)
                         assert var == pytest.approx(ovar, rel=1e-9)
 
-    def test_from_config(self):
-        cfg = PipelineConfig(gmm_components=4, gmm_alpha=0.1, gmm_threshold=0.8,
-                             gmm_match_radius=3.0, gmm_initial_variance=100.0,
-                             gmm_variance_floor=2.0)
-        model = from_config(cfg, 5, 2)
-        assert (model.width, model.height, model.k) == (5, 2, 4)
-        assert (model.alpha, model.t, model.match_radius) == (0.1, 0.8, 3.0)
-        assert (model.initial_variance, model.variance_floor) == (100.0, 2.0)
-        assert model.weights.shape == (4, 10)
-
     def test_mask_after_jump(self):
-        model = BackgroundModel(1, 1)
+        model = BackgroundModel(DEFAULT, 1, 1)
         first = model.update_and_classify(make_frame([[50]]))
         mask = model.update_and_classify(make_frame([[250]]))
         assert first.dtype == bool and first.shape == (1, 1) and not first[0, 0]

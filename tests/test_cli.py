@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harpipe import cli, mlp
+from harpipe import cli, mlp, synth
 from harpipe.config import PipelineConfig, load_config
 from harpipe.mlp import ACTION_LABELS
+
+from test_pipeline import synth_frames, write_raw
 
 FAST = ["--set", "epochs=5", "--set", "feature_size=4", "--set", "hidden_nodes=16"]
 
@@ -119,6 +121,7 @@ class TestExitCodes:
         "track_half_window=0", "track_half_window=-1",
         "track_max_iterations=0", "pyramid_levels=0",
         "jacobian_probe_offset=0", "jacobian_probe_offset=-2",
+        "jacobian_probe_offset=inf",
         "track_convergence_eps=0", "track_residual_max=0",
         "track_residual_max=nan",
     ])
@@ -139,8 +142,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         "hidden_nodes=0", "hidden_nodes=-4", "epochs=-1",
-        "activation_a=0", "activation_a=nan",
+        "activation_a=0", "activation_a=nan", "activation_a=inf",
         "activation_beta=0", "activation_beta=-1", "activation_beta=nan",
+        "activation_beta=inf",
         "rprop_eta_minus=0", "rprop_eta_minus=1", "rprop_eta_minus=nan",
         "rprop_eta_plus=1", "rprop_eta_plus=0.5", "rprop_eta_plus=nan",
         "rprop_step_min=-1", "rprop_step_min=0", "rprop_step_min=0.5",
@@ -207,6 +211,29 @@ class TestExitCodes:
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("data error: ")
         assert ">= 1" in err[0]
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    @pytest.mark.parametrize("line,value,message", [
+        (2, "nan 1.0", "a and beta"), (2, "1.0 0.0", "a and beta"),
+        (2, "-1.0 1.0", "a and beta"), (2, "1.0 inf", "a and beta"),
+        (4, " ".join(["1.0"] * 47 + ["0.0"]), "std"),
+    ], ids=["a-nan", "beta-zero", "a-negative", "beta-inf", "std-zero"])
+    def test_data_error_on_unusable_model_parameters(
+            self, command, line, value, message, tiny_corpus, tmp_path, capsys):
+        # the model takes FAST's 48 inputs, so only the edited line is wrong
+        model = tmp_path / "model.txt"
+        mlp.save_model(mlp.init_model([48, 8, 4]), str(model))
+        lines = model.read_text().splitlines()
+        lines[line] = value
+        model.write_text("\n".join(lines) + "\n")
+        target = (next((tiny_corpus / "test" / "walking").iterdir())
+                  if command == "classify" else tiny_corpus / "test")
+        rc = cli.main([command, str(target), str(model)] + FAST)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        [err] = captured.err.splitlines()
+        assert err.startswith("data error: ") and message in err
 
     @pytest.mark.parametrize("source", ["--set", "--config"])
     @pytest.mark.parametrize("setting,expected", [
@@ -392,6 +419,73 @@ class TestDump:
         assert flow_files
         line = flow_files[0].read_text().splitlines()[0].split()
         assert len(line) == 7  # index x y u v status residual
+
+DUMP_STAGES = ("masks", "features", "flow")
+
+# each detector, tracker and GMM key with a valid value other than its
+# default, and the dump outputs that value must change: a detector key moves
+# the features and so the flow, a tracker key the flow only, a GMM key the
+# masks only
+CONFIG_PATH = {
+    "quality_rel=0.5": {"features", "flow"},
+    "min_distance=20": {"features", "flow"},
+    "tensor_half_window=4": {"features", "flow"},
+    "pyramid_levels=1": {"flow"},
+    "track_half_window=3": {"flow"},
+    "track_max_iterations=1": {"flow"},
+    "track_convergence_eps=1.0": {"flow"},
+    "track_residual_max=1.0": {"flow"},
+    "gmm_components=1": {"masks"},
+    "gmm_alpha=0.5": {"masks"},
+    "gmm_threshold=0.3": {"masks"},
+    "gmm_match_radius=0.5": {"masks"},
+    "gmm_initial_variance=4.0": {"masks"},
+    "gmm_variance_floor=100.0": {"masks"},
+}
+
+
+class TestConfigPath:
+    """Each key reaches its component: ``dump`` on a short raw stream with
+    one key changed writes different files for that key's stages and the
+    same files for the others."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stream") / "walking.raw"
+        write_raw(path, synth_frames("walking", count=10))
+        return path
+
+    @staticmethod
+    def dump(stream, out, *settings):
+        argv = ["dump", str(stream), "--raw", f"{synth.WIDTH}x{synth.HEIGHT}"]
+        for stage in DUMP_STAGES:
+            argv += [f"--dump-{stage}", str(out / stage)]
+        for setting in settings:
+            argv += ["--set", setting]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return {stage: {p.name: p.read_bytes() for p in (out / stage).iterdir()}
+                for stage in DUMP_STAGES}
+
+    @pytest.fixture(scope="class")
+    def default_dump(self, stream, tmp_path_factory):
+        return self.dump(stream, tmp_path_factory.mktemp("default"))
+
+    def test_every_component_key_listed(self):
+        keys = {f.name for f in dataclasses.fields(PipelineConfig)
+                if f.name.startswith(("track_", "gmm_"))}
+        keys |= {"quality_rel", "min_distance", "tensor_half_window",
+                 "pyramid_levels"}
+        assert {setting.split("=")[0] for setting in CONFIG_PATH} == keys
+
+    @pytest.mark.parametrize("setting", list(CONFIG_PATH))
+    def test_key_changes_its_stages(self, setting, stream, default_dump,
+                                    tmp_path):
+        got = self.dump(stream, tmp_path, setting)
+        changed = {stage for stage in DUMP_STAGES
+                   if got[stage] != default_dump[stage]}
+        assert changed == CONFIG_PATH[setting]
+
 
 # tokens near the edges of what parses: sizes below 1, non-finite and
 # out-of-range floats, digit strings too long for int(), near-numbers

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from harpipe.config import PipelineConfig, apply_settings, load_config
@@ -15,6 +17,15 @@ class TestDefaults:
     def test_stride_defaults_to_window_length(self):
         assert PipelineConfig().stride == 25
         assert PipelineConfig(window_stride=5).stride == 5
+
+    def test_frozen(self):
+        # the components read the validated object itself, so no field may
+        # change after the checks ran
+        cfg = PipelineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.track_half_window = 0
+        assert cfg.track_half_window == 7
+        assert len(dataclasses.fields(cfg)) == 30
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harpipe.config import PipelineConfig
 from harpipe.goodfeat import (
     detect_good_features,
     min_eigenvalue_map,
@@ -16,6 +17,11 @@ from oracles import (
     min_eigenvalue,
     structure_tensor_at,
 )
+
+
+def top(n, **settings):
+    """The default config asking for the n strongest features."""
+    return PipelineConfig(feature_size=n, **settings)
 
 
 class TestSpatialGradients:
@@ -130,12 +136,12 @@ class TestMinEigenvalueMap:
 class TestDetectGoodFeatures:
     def test_uniform_frame_empty(self):
         f = make_frame(np.full((32, 32), 77, dtype=np.uint8))
-        assert detect_good_features(f, 10).shape == (0, 3)
+        assert detect_good_features(f, top(10)).shape == (0, 3)
 
     def test_white_square_corners(self):
         img = np.zeros((40, 40), dtype=np.uint8)
         img[10:30, 10:30] = 255
-        points = detect_good_features(make_frame(img), 4)
+        points = detect_good_features(make_frame(img), top(4))
         assert len(points) == 4
         corners = {(10, 10), (10, 29), (29, 10), (29, 29)}
         for x, y, _ in points:
@@ -145,8 +151,9 @@ class TestDetectGoodFeatures:
     def test_max_n_one_is_global_max(self):
         rng = np.random.default_rng(11)
         f = make_frame(rng.integers(0, 256, (24, 24), dtype=np.uint8))
-        points = detect_good_features(f, 1)
-        lam = min_eigenvalue_map(f)
+        cfg = top(1)
+        points = detect_good_features(f, cfg)
+        lam = min_eigenvalue_map(f, cfg.tensor_half_window)
         assert len(points) == 1
         assert points[0, 2] == lam.max()
 
@@ -155,18 +162,24 @@ class TestDetectGoodFeatures:
     def test_sorted_and_spaced(self, seed):
         rng = np.random.default_rng(seed)
         f = make_frame(rng.integers(0, 256, (32, 32), dtype=np.uint8))
-        points = detect_good_features(f, 10)
+        cfg = top(10)
+        points = detect_good_features(f, cfg)
         scores = points[:, 2].tolist()
         assert scores == sorted(scores, reverse=True)
         for i, (px, py, _) in enumerate(points):
             for qx, qy, _ in points[i + 1:]:
-                assert (px - qx) ** 2 + (py - qy) ** 2 >= 7.0**2
+                assert (px - qx) ** 2 + (py - qy) ** 2 >= cfg.min_distance**2
 
-    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @given(st.integers(0, 10_000), st.integers(1, 12),
+           st.sampled_from([0.01, 0.05, 0.3, 1.0]),
+           st.sampled_from([0.0, 3.5, 7.0, 12.0]), st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
-    def test_matches_brute_force_exactly(self, seed, max_n):
+    def test_matches_brute_force_exactly(self, seed, max_n, quality_rel,
+                                         min_distance, half_window):
         rng = np.random.default_rng(seed)
         img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-        points = detect_good_features(make_frame(img), max_n)
-        expected = brute_force_good_features(img.tolist(), max_n)
+        cfg = top(max_n, quality_rel=quality_rel, min_distance=min_distance,
+                  tensor_half_window=half_window)
+        points = detect_good_features(make_frame(img), cfg)
+        expected = brute_force_good_features(img.tolist(), cfg)
         assert [tuple(p) for p in points.tolist()] == expected

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harpipe.config import PipelineConfig
 from harpipe.goodfeat import detect_good_features
 from harpipe.lkflow import (
-    TrackParams,
     TrackStatus,
     build_pyramid,
     track_points,
@@ -13,6 +13,8 @@ from harpipe.lkflow import (
 
 from conftest import make_frame
 from oracles import smooth_separable_roll, smooth_texture, track_point
+
+CFG = PipelineConfig()
 
 
 def shifted_pair(seed, sx, sy, width=160, height=120):
@@ -26,7 +28,7 @@ def shifted_pair(seed, sx, sy, width=160, height=120):
 
 
 def interior_features(frame, n=20, border=20):
-    points = detect_good_features(frame, 4 * n)
+    points = detect_good_features(frame, PipelineConfig(feature_size=4 * n))
     x, y = points[:, 0], points[:, 1]
     inside = ((border <= x) & (x < frame.width - border)
               & (border <= y) & (y < frame.height - border))
@@ -106,15 +108,15 @@ class TestTrackPoint:
     def test_zero_motion_fixed_point(self):
         f, _ = shifted_pair(0, 0, 0)
         pyr = build_pyramid(f, 3)
-        t = track_points(pyr, pyr, xy_of(interior_features(f, 10)))
+        t = track_points(pyr, pyr, xy_of(interior_features(f, 10)), CFG)
         assert t.tracked.all()
-        assert (np.hypot(*t.dxy.T) <= TrackParams().convergence_eps).all()
+        assert (np.hypot(*t.dxy.T) <= CFG.track_convergence_eps).all()
         assert (t.residual <= 1.0).all()
 
     def test_integer_shift_recovery(self):
         f_i, f_j = shifted_pair(1, 3, 0)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        t = track_points(pi, pj, xy_of(interior_features(f_i)), CFG)
         errors = np.hypot(t.dxy[t.tracked, 0] - 3, t.dxy[t.tracked, 1])
         assert len(errors) >= 10
         assert np.sqrt(np.mean(np.square(errors))) <= 0.25
@@ -123,8 +125,8 @@ class TestTrackPoint:
         f_i, f_j = shifted_pair(2, 4, -2)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
         start = xy_of(interior_features(f_i))
-        fwd = track_points(pi, pj, start)
-        back = track_points(pj, pi, fwd.xy[fwd.tracked])
+        fwd = track_points(pi, pj, start, CFG)
+        back = track_points(pj, pi, fwd.xy[fwd.tracked], CFG)
         both = back.tracked
         gaps = np.hypot(*(back.xy[both] - start[fwd.tracked][both]).T)
         assert (gaps <= 0.5).all()
@@ -133,11 +135,10 @@ class TestTrackPoint:
     def test_residual_not_worse_than_no_motion(self):
         f_i, f_j = shifted_pair(3, 2, 2)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        params = TrackParams()
-        hw = params.half_window
+        hw = CFG.track_half_window
         img_i, img_j = f_i.as_float(), f_j.as_float()
         points = interior_features(f_i, 10)
-        t = track_points(pi, pj, xy_of(points), params)
+        t = track_points(pi, pj, xy_of(points), CFG)
         for p, tracked, residual in zip(points, t.tracked, t.residual):
             if not tracked:
                 continue
@@ -150,20 +151,20 @@ class TestTrackPoint:
     def test_flat_region_is_singular(self):
         f = make_frame(np.full((64, 64), 90, dtype=np.uint8))
         pyr = build_pyramid(f, 2)
-        t = track_points(pyr, pyr, np.array([[32.0, 32.0]]))
+        t = track_points(pyr, pyr, np.array([[32.0, 32.0]]), CFG)
         assert t.status[0] == TrackStatus.LOST_SINGULAR
 
     def test_border_point_is_out_of_bounds(self):
         f, _ = shifted_pair(4, 0, 0)
         pyr = build_pyramid(f, 2)
-        t = track_points(pyr, pyr, np.array([[2.0, 60.0]]))
+        t = track_points(pyr, pyr, np.array([[2.0, 60.0]]), CFG)
         assert t.status[0] == TrackStatus.LOST_BOUNDS
 
     def test_tracked_point_stays_inside_frame(self):
         f_i, f_j = shifted_pair(5, -5, 3)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        hw = TrackParams().half_window
-        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        hw = CFG.track_half_window
+        t = track_points(pi, pj, xy_of(interior_features(f_i)), CFG)
         x, y = t.xy[t.tracked].T
         assert ((hw <= x) & (x <= f_j.width - 1 - hw)).all()
         assert ((hw <= y) & (y <= f_j.height - 1 - hw)).all()
@@ -173,7 +174,7 @@ class TestTrackPoint:
     def test_shift_equivariance_property(self, sx, sy, seed):
         f_i, f_j = shifted_pair(seed, sx, sy)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
-        t = track_points(pi, pj, xy_of(interior_features(f_i)))
+        t = track_points(pi, pj, xy_of(interior_features(f_i)), CFG)
         errors = np.hypot(t.dxy[t.tracked, 0] - sx, t.dxy[t.tracked, 1] - sy)
         assert errors.size
         assert np.sqrt(np.mean(np.square(errors))) <= 0.25
@@ -183,7 +184,7 @@ class TestTrackPoints:
     def test_empty_input(self):
         f, _ = shifted_pair(6, 0, 0)
         pyr = build_pyramid(f, 2)
-        t = track_points(pyr, pyr, np.zeros((0, 2)))
+        t = track_points(pyr, pyr, np.zeros((0, 2)), CFG)
         assert t.xy.shape == t.dxy.shape == (0, 2)
         assert t.residual.shape == t.status.shape == (0,)
 
@@ -191,7 +192,7 @@ class TestTrackPoints:
         f = make_frame(np.full((48, 48), 10, dtype=np.uint8))
         pyr = build_pyramid(f, 2)
         xy = np.array([(x, 24.0) for x in (16.0, 24.0, 32.0)])
-        t = track_points(pyr, pyr, xy)
+        t = track_points(pyr, pyr, xy, CFG)
         assert (t.status == TrackStatus.LOST_SINGULAR).all()
 
     def test_mixed_corner_and_flat(self):
@@ -204,7 +205,7 @@ class TestTrackPoints:
         x, y = points[:, 0], points[:, 1]
         corners = points[~((40 <= x) & (x < 80) & (40 <= y) & (y < 80))]
         xy = np.vstack([xy_of(corners), [[60.0, 60.0]]])
-        t = track_points(pi, pj, xy)
+        t = track_points(pi, pj, xy, CFG)
         kept = t.tracked[:-1]
         assert (np.hypot(t.dxy[:-1][kept, 0] - 3, t.dxy[:-1][kept, 1]) <= 0.25).all()
         assert not t.tracked[-1]
@@ -213,9 +214,9 @@ class TestTrackPoints:
         f_i, f_j = shifted_pair(8, 1, 1)
         pi, pj = build_pyramid(f_i, 2), build_pyramid(f_j, 2)
         xy = xy_of(interior_features(f_i, 5))
-        t = track_points(pi, pj, xy)
+        t = track_points(pi, pj, xy, CFG)
         for k in range(len(xy)):
-            single = track_points(pi, pj, xy[k : k + 1])
+            single = track_points(pi, pj, xy[k : k + 1], CFG)
             assert np.array_equal(t.xy[k], single.xy[0])
             assert np.array_equal(t.dxy[k], single.dxy[0])
             assert t.residual[k] == single.residual[0]
@@ -233,12 +234,13 @@ class TestTrackPoints:
         # the frame and beyond, so border and out-of-frame points occur
         xy = np.column_stack([rng.uniform(-5, 165, 120), rng.uniform(-5, 125, 120)])
         xy[:20] = np.round(xy[:20])
-        xy[20:30, 0] = TrackParams().half_window
+        xy[20:30, 0] = CFG.track_half_window
         image = rng.integers(0, len(pairs), len(xy))
-        t = track_points(pi, pj, xy, image=image)
+        t = track_points(pi, pj, xy, CFG, image)
         for k, (fi, fj) in enumerate(pairs):
             rows = image == k
-            single = track_points(build_pyramid(fi, 3), build_pyramid(fj, 3), xy[rows])
+            single = track_points(build_pyramid(fi, 3), build_pyramid(fj, 3),
+                                  xy[rows], CFG)
             for name in ("xy", "dxy", "residual"):
                 assert np.array_equal(getattr(t, name)[rows].view(np.int64),
                                       getattr(single, name).view(np.int64)), name
@@ -247,11 +249,11 @@ class TestTrackPoints:
             TrackStatus.TRACKED, TrackStatus.LOST_BOUNDS, TrackStatus.LOST_SINGULAR}
 
 
-def assert_matches_oracle(pi, pj, xy, params=TrackParams()):
+def assert_matches_oracle(pi, pj, xy, cfg=CFG):
     """Batched tracks equal one-at-a-time scalar reference tracks."""
-    t = track_points(pi, pj, xy, params)
+    t = track_points(pi, pj, xy, cfg)
     for k, (x, y) in enumerate(xy.tolist()):
-        r = track_point(pi, pj, x, y, params)
+        r = track_point(pi, pj, x, y, cfg)
         assert t.status[k] == r.status, (k, x, y)
         assert t.xy[k] == pytest.approx((r.new_x, r.new_y), abs=1e-9)
         assert t.dxy[k] == pytest.approx((r.dx, r.dy), abs=1e-9)
@@ -276,7 +278,7 @@ class TestScalarOracle:
             xy[:10] = np.round(xy[:10])
             xy[10:15, 0] = hw
             xy[15:20, 1] = 119 - hw
-            t = assert_matches_oracle(pi, pj, xy, TrackParams(half_window=hw))
+            t = assert_matches_oracle(pi, pj, xy, PipelineConfig(track_half_window=hw))
             statuses.update(TrackStatus(s) for s in t.status)
         assert statuses >= {TrackStatus.TRACKED, TrackStatus.LOST_BOUNDS,
                             TrackStatus.LOST_SINGULAR}
@@ -296,6 +298,7 @@ class TestScalarOracle:
         f_j, _ = shifted_pair(301, 0, 0)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
         t = assert_matches_oracle(
-            pi, pj, xy_of(interior_features(f_i)), TrackParams(residual_max=2.0)
+            pi, pj, xy_of(interior_features(f_i)),
+            PipelineConfig(track_residual_max=2.0),
         )
         assert (t.status == TrackStatus.LOST_RESIDUAL).any()

@@ -409,10 +409,10 @@ class TestModelFiles:
 
     def test_save_is_deterministic(self, tmp_path):
         m = init_model([5, 3, 4], seed=4)
-        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        save_model(m, p1)
-        save_model(m, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_model(m, str(p1))
+        save_model(m, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_matches_per_value_formatter(self, tmp_path):
         m = init_model([3, 4, 2], seed=5)
@@ -435,10 +435,9 @@ class TestModelFiles:
             load_model(str(path))
 
     def test_layer_shape_mismatch(self, tmp_path):
-        path = str(tmp_path / "model.txt")
-        m = init_model([2, 2], seed=0)
-        save_model(m, path)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "model.txt"
+        save_model(init_model([2, 2], seed=0), str(path))
+        lines = path.read_text().splitlines()
         lines[1] = "3 2"  # header now disagrees with the stored matrix
         (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from harpipe import cli, lkflow, mlp, synth
 from harpipe.config import PipelineConfig
@@ -150,6 +152,33 @@ def constant_model(path):
         mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases]),
         str(path),
     )
+
+
+# valid detector, tracker and Jacobian settings, out to the extremes that
+# config accepts; the iteration cap and window sides stay small enough to run
+# many examples
+EXTRACTION_SETTINGS = st.fixed_dictionaries({
+    "quality_rel": st.floats(1e-9, 1.0),
+    "min_distance": st.one_of(st.floats(0.0, 300.0), st.just(float("inf"))),
+    "tensor_half_window": st.integers(1, 6),
+    "pyramid_levels": st.integers(1, 6),
+    "track_half_window": st.integers(1, 20),
+    "track_max_iterations": st.integers(1, 30),
+    "track_convergence_eps": st.floats(1e-12, 100.0),
+    "track_residual_max": st.one_of(st.floats(1e-6, 1e6), st.just(float("inf"))),
+    "jacobian_probe_offset": st.one_of(
+        st.floats(5e-324, 1e-6, allow_subnormal=True), st.floats(1e-6, 1e4)),
+})
+
+
+class TestFiniteSamples:
+    @seed(11)
+    @given(EXTRACTION_SETTINGS, st.sampled_from(mlp.ACTION_LABELS))
+    @settings(max_examples=40, deadline=None)
+    def test_every_value_finite(self, settings, label):
+        frames = synth_frames(label, count=25)
+        [(_, sample)] = sequence_samples(frames, PipelineConfig(**settings))
+        assert np.isfinite(sample.values).all(), settings
 
 
 class TestClassify:

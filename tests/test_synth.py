@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,4 +69,4 @@ class TestWriteCorpus:
             for name in files:
                 pa = os.path.join(root, name)
                 pb = os.path.join(b, rel, name)
-                assert open(pa, "rb").read() == open(pb, "rb").read()
+                assert Path(pa).read_bytes() == Path(pb).read_bytes()
