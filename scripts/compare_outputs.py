@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Run the CLI's commands with two source trees and compare what they write.
+
+On the default synthetic corpus (seed 0), synthesised once, each tree runs
+`train`, `evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
+and `dump --dump-masks --dump-features --dump-flow` on one test sequence.
+One line per artifact (a command's stdout, the model file, or one dump
+directory) says `identical`, gives the largest absolute difference between
+numeric tokens when all other text matches, or says `differs`. The exit
+status is 1 if any artifact differs.
+
+Usage: compare_outputs.py OLD_SRC NEW_SRC
+where each path is a directory holding the `harpipe` package, such as a
+checkout's `src/`. Both trees together take about two minutes on a 2-CPU machine.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+DUMPS = ("masks", "features", "flow")
+
+
+def run(src: str, cwd: str, name: str, args: list[str]) -> None:
+    """Run one harpipe command with ``src`` on the import path, from
+    ``cwd``, and keep its stdout as the artifact ``name``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "harpipe.cli", *args], cwd=cwd,
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"{src}: harpipe {' '.join(args)} exited {proc.returncode}")
+    with open(os.path.join(cwd, name), "wb") as fh:
+        fh.write(proc.stdout)
+
+
+def difference(a: bytes, b: bytes) -> float | None:
+    """The largest absolute difference between the numeric tokens of two
+    texts whose other text is equal; None when they cannot be matched."""
+    try:
+        ta, tb = a.decode(), b.decode()
+    except UnicodeDecodeError:
+        return None
+    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
+    if len(na) != len(nb) or NUMBER.split(ta) != NUMBER.split(tb):
+        return None
+    worst = 0.0
+    for x, y in zip(na, nb):
+        if x != y:
+            d = abs(float(x) - float(y))
+            if not d >= 0:  # NaN against a number
+                return None
+            worst = max(worst, d)
+    return worst
+
+
+def compare(old: str, new: str) -> str:
+    """Compare two files, or two directories file by file."""
+    if os.path.isdir(old):
+        names = sorted(os.listdir(old))
+        if names != sorted(os.listdir(new)):
+            return "differs"
+        pairs = [(os.path.join(old, n), os.path.join(new, n)) for n in names]
+    else:
+        pairs = [(old, new)]
+    worst = 0.0
+    identical = True
+    for a, b in pairs:
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            da, db = fa.read(), fb.read()
+        if da == db:
+            continue
+        identical = False
+        d = difference(da, db)
+        if d is None:
+            return "differs"
+        worst = max(worst, d)
+    return "identical" if identical else f"max abs diff {worst:.3g}"
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.stderr.write(__doc__)
+        return 2
+    trees = dict(zip(("old", "new"), sys.argv[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus")
+        os.makedirs(os.path.join(tmp, "old"))
+        os.makedirs(os.path.join(tmp, "new"))
+        run(trees["new"], tmp, "synth.out", ["synth", corpus, "--seed", "0"])
+        train, test = os.path.join(corpus, "train"), os.path.join(corpus, "test")
+        label = sorted(os.listdir(test))[0]
+        sequence = os.path.join(test, label, sorted(os.listdir(os.path.join(test, label)))[0])
+        steps = [
+            ("train.out", ["train", train, "model.txt"]),
+            ("evaluate.out", ["evaluate", test, "model.txt"]),
+            ("classify.out", ["classify", sequence, "model.txt"]),
+            ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
+            ("dump.out", ["dump", sequence] + [a for d in DUMPS for a in (f"--dump-{d}", d)]),
+        ]
+        for side, src in trees.items():
+            for name, args in steps:
+                print(f"{side}: harpipe {args[0]}", file=sys.stderr, flush=True)
+                run(src, os.path.join(tmp, side), name, args)
+        failed = False
+        names = ["train.out", "model.txt"] + [n for n, _ in steps[1:]] + list(DUMPS)
+        for name in names:
+            verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))
+            failed |= verdict == "differs"
+            print(f"{name:<14} {verdict}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,13 +69,13 @@ class PipelineConfig:
         for key in ("window_stride", "seed", "epochs", "min_distance"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0")
-        for key in ("track_convergence_eps", "track_residual_max",
-                    "gmm_match_radius", "gmm_initial_variance",
-                    "gmm_variance_floor"):
+        for key in ("track_convergence_eps", "track_residual_max"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
-        # inf would zero every sample or train a NaN model
-        for key in ("jacobian_probe_offset", "activation_a", "activation_beta"):
+        # inf would zero every sample, train a NaN model or call every pixel
+        # background
+        for key in ("jacobian_probe_offset", "activation_a", "activation_beta",
+                    "gmm_match_radius", "gmm_initial_variance", "gmm_variance_floor"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be finite and > 0")
         for key in ("quality_rel", "gmm_alpha", "gmm_threshold"):

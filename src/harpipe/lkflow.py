@@ -11,9 +11,10 @@ windows, or a final RMS residual above threshold.
 A pyramid level is one (h, w) image or a (K, h, w) stack of images, and each
 point carries the index of its image, so one call tracks points on many
 frame pairs. Level 0 is the input itself (a frame's uint8 pixels); the
-bilinear blends promote it to float64. Sampled windows are held windows
-last, (n, n, P), so every blend, difference and product runs over P
-contiguous values.
+bilinear blends promote it to float64. One sampler reads every window: it
+samples the image extended by its edge pixels, with one shared fractional
+offset per window. Sampled windows are held windows last, (n, n, P), so
+every blend, difference and product runs over P contiguous values.
 """
 
 from __future__ import annotations
@@ -91,61 +92,31 @@ def build_pyramid(f: Frame | np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _clamped_taps(xy: np.ndarray, hw: int, w: int, h: int):
-    """Lower and upper sample indices and the fractional weight of each of
-    the 2hw+1 taps along x and along y, every tap clamped to the image on
-    its own; (2, 2hw+1, P) each, x first."""
-    size = np.array([w, h])[:, None, None]
-    pos = np.clip(xy.T[:, None, :] + np.arange(-hw, hw + 1, dtype=np.float64)[:, None],
-                  0.0, size - 1.0)
-    lo = np.floor(pos)
-    frac = pos - lo
-    lo = lo.astype(np.intp)
-    return lo, np.minimum(lo + 1, size - 1), frac
-
-
 def sample_windows(
     img: np.ndarray, xy: np.ndarray, hw: int, image: np.ndarray | None = None
 ) -> np.ndarray:
-    """Bilinear (2hw+1)^2 windows around each point of ``xy`` (P, 2), clamped
-    at the borders; returns them windows last, (2hw+1, 2hw+1, P). ``img`` is
-    an (h, w) image or a (K, h, w) stack and ``image`` the (P,) stack index
-    of each point (all 0 when omitted). ``hw=0`` samples the points
-    themselves."""
+    """Bilinear (2hw+1)^2 windows around each point of ``xy`` (P, 2), over
+    the image extended by its edge pixels; returns them windows last,
+    (2hw+1, 2hw+1, P). ``img`` is an (h, w) image or a (K, h, w) stack and
+    ``image`` the (P,) stack index of each point (all 0 when omitted).
+    ``hw=0`` samples the points themselves."""
     h, w = img.shape[-2:]
     n = 2 * hw + 1
-    flat = img.reshape(-1)
-    offset = (np.zeros(len(xy), dtype=np.intp) if image is None
-              else np.asarray(image, dtype=np.intp) * (h * w))
+    offset = 0 if image is None else np.asarray(image, dtype=np.intp) * (h * w)
     shifted = xy - hw
     lo = np.floor(shifted)  # each window's top-left sample, (x0, y0)
-    interior = ((lo >= 0) & (lo + n < (w, h))).all(axis=1)
+    fx, fy = (shifted - lo).T
 
-    # an interior window is unit-spaced from one shared fractional offset:
-    # a blend of shifted slices of one (n+1)^2 patch
-    i = np.flatnonzero(interior)
-    fx, fy = (shifted[i] - lo[i]).T
-    grid = np.arange(n + 1)
-    corner = (lo[i, 1] * w + lo[i, 0]).astype(np.intp) + offset[i]
-    patch = flat.take((grid[:, None] * w + grid)[:, :, None] + corner)
+    # a window is unit-spaced from one shared fractional offset: a blend of
+    # shifted slices of one (n+1)^2 patch, whose rows and columns are clamped
+    # to the image, so a window that crosses the border repeats its edge
+    grid = np.arange(n + 1)[:, None]
+    ix = np.clip(lo[:, 0].astype(np.intp) + grid, 0, w - 1)
+    iy = np.clip(lo[:, 1].astype(np.intp) + grid, 0, h - 1) * w + offset
+    patch = img.reshape(-1).take(iy[:, None] + ix)
     rows = patch[:, :-1] * (1 - fx) + patch[:, 1:] * fx
     del patch  # before the second blend, which needs the most memory
-    inner = rows[:-1] * (1 - fy) + rows[1:] * fy
-    b = np.flatnonzero(~interior)
-    if not b.size:
-        return inner
-    out = np.empty((n, n, len(xy)))
-    out[..., i] = inner
-
-    # a window that crosses the border clamps every tap on its own
-    (col_lo, row_lo), (col_hi, row_hi), (fx, fy) = _clamped_taps(xy[b], hw, w, h)
-    top_rows = row_lo[:, None] * w + offset[b]
-    bot_rows = row_hi[:, None] * w + offset[b]
-    fy = fy[:, None]
-    top = flat.take(top_rows + col_lo) * (1 - fx) + flat.take(top_rows + col_hi) * fx
-    bot = flat.take(bot_rows + col_lo) * (1 - fx) + flat.take(bot_rows + col_hi) * fx
-    out[..., b] = top * (1 - fy) + bot * fy
-    return out
+    return rows[:-1] * (1 - fy) + rows[1:] * fy
 
 
 def _window_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

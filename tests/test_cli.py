@@ -133,9 +133,10 @@ class TestExitCodes:
         "gmm_alpha=0", "gmm_alpha=1.5", "gmm_alpha=nan",
         "gmm_threshold=0", "gmm_threshold=-0.5", "gmm_threshold=1.01",
         "gmm_threshold=nan",
-        "gmm_match_radius=0", "gmm_match_radius=nan",
+        "gmm_match_radius=0", "gmm_match_radius=nan", "gmm_match_radius=inf",
         "gmm_initial_variance=0", "gmm_initial_variance=-1",
-        "gmm_variance_floor=0", "gmm_variance_floor=nan",
+        "gmm_initial_variance=inf",
+        "gmm_variance_floor=0", "gmm_variance_floor=nan", "gmm_variance_floor=inf",
     ])
     def test_usage_error_on_bad_gmm_setting(self, setting, capsys):
         self.assert_usage_error(setting, capsys)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from harpipe.config import PipelineConfig
@@ -8,11 +8,12 @@ from harpipe.goodfeat import detect_good_features
 from harpipe.lkflow import (
     TrackStatus,
     build_pyramid,
+    sample_windows,
     track_points,
 )
 
 from conftest import make_frame
-from oracles import smooth_separable_roll, smooth_texture, track_point
+from oracles import sample_window, smooth_separable_roll, smooth_texture, track_point
 
 CFG = PipelineConfig()
 
@@ -102,6 +103,43 @@ class TestBuildPyramid:
         for k, img in enumerate(images):
             for lev, single in zip(stacked, build_pyramid(img, 3)):
                 assert lev[k].tobytes() == single.tobytes()
+
+
+class TestSampleWindows:
+    """``sample_windows`` against ``oracles.sample_window``, which clamps
+    every tap of a window that crosses the border on its own."""
+
+    @seed(12)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.integers(0, 3), st.booleans(), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_tap_oracle(self, rng_seed, h, w, stack, as_uint8, hw):
+        # stack 0 is one (h, w) image, sampled without image indices, which
+        # then are all 0
+        rng = np.random.default_rng(rng_seed)
+        shape = (max(stack, 1), h, w)
+        imgs = (rng.integers(0, 256, shape).astype(np.uint8) if as_uint8
+                else rng.uniform(0.0, 255.0, shape))
+        # anywhere in the image, integer points on each edge, and the corners
+        xy = [np.column_stack([rng.uniform(0, w - 1, 12), rng.uniform(0, h - 1, 12)])]
+        for x, y in ((rng.integers(0, w, 3), [0] * 3), (rng.integers(0, w, 3), [h - 1] * 3),
+                     ([0] * 3, rng.integers(0, h, 3)), ([w - 1] * 3, rng.integers(0, h, 3))):
+            xy.append(np.column_stack([x, y]))
+        xy.append([[0, 0], [w - 1, 0], [0, h - 1], [w - 1, h - 1]])
+        xy = np.concatenate(xy).astype(np.float64)
+        image = rng.integers(0, shape[0], len(xy))
+        got = (sample_windows(imgs, xy, hw, image) if stack
+               else sample_windows(imgs[0], xy, hw))
+        n = 2 * hw + 1
+        assert got.shape == (n, n, len(xy))
+        for p, ((x, y), k) in enumerate(zip(xy.tolist(), image)):
+            want = sample_window(imgs[k], x, y, hw)
+            x0, y0 = np.floor(x - hw), np.floor(y - hw)
+            if 0 <= x0 and x0 + n < w and 0 <= y0 and y0 + n < h:
+                assert np.array_equal(got[..., p], want), (x, y)
+            else:
+                np.testing.assert_allclose(got[..., p], want, rtol=0, atol=1e-9,
+                                           err_msg=f"{(x, y)}")
 
 
 class TestTrackPoint:
