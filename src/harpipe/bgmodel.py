@@ -18,18 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig
-from .frameio import Frame
 
 
 class BackgroundModel:
-    """A model of width x height frames with the ``gmm_*`` settings of
-    ``cfg``."""
+    """A model of frames of the (height, width) ``shape`` with the ``gmm_*``
+    settings of ``cfg``."""
 
-    def __init__(self, cfg: PipelineConfig, width: int, height: int):
+    def __init__(self, cfg: PipelineConfig, shape: tuple[int, int]):
         self.cfg = cfg
-        self.width = width
-        self.height = height
-        k, n = cfg.gmm_components, width * height
+        self.shape = tuple(shape)
+        k, n = cfg.gmm_components, shape[0] * shape[1]
         # (k, height*width) component state, fitness-sorted per pixel
         self.weights = np.zeros((k, n))
         self.means = np.zeros((k, n))
@@ -42,10 +40,10 @@ class BackgroundModel:
         # rank of each pixel's matched component; k when nothing matched
         self._pos = np.empty(n, dtype=np.min_scalar_type(k))
 
-    def update_and_classify(self, f: Frame) -> np.ndarray:
-        """Update the model with one frame; returns its (height, width) bool
-        mask, True = foreground."""
-        if (f.width, f.height) != (self.width, self.height):
+    def update_and_classify(self, pixels: np.ndarray) -> np.ndarray:
+        """Update the model with one frame's (height, width) pixels; returns
+        its bool mask of that shape, True = foreground."""
+        if pixels.shape != self.shape:
             raise ValueError("frame dimensions do not match the model")
         w, mu, var = self.weights, self.means, self.variances
         cfg = self.cfg
@@ -53,14 +51,14 @@ class BackgroundModel:
         x, s, d, rho, keep = self._rows
         hit, aux, swap = self._flags
         pos = self._pos
-        np.copyto(x, f.pixels.reshape(-1))
+        np.copyto(x, pixels.reshape(-1))
 
         if not self._seeded:
             # first frame seeds the dominant component at the observed value
             w[0] = 1.0
             mu[:] = x
             self._seeded = True
-            return np.zeros((self.height, self.width), dtype=bool)
+            return np.zeros(self.shape, dtype=bool)
 
         # components are fitness-sorted, so the first match is the best one:
         # scan from the last row so that earlier rows overwrite later ones
@@ -142,5 +140,5 @@ class BackgroundModel:
             aux &= swap
             background |= aux
             cum += w[j]
-        return (~background).reshape(self.height, self.width)
+        return (~background).reshape(self.shape)
 

@@ -132,6 +132,10 @@ def _train_model(inputs, labels, cfg: PipelineConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
+    # checked before the corpus is extracted, as the model is in _load_model
+    out_dir = os.path.dirname(args.model_out) or "."
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"no directory {out_dir!r} for {args.model_out!r}")
     values, labels, _, _ = _extract_dataset(args.dataset_dir, cfg)
     model, trace = _train_model(values, labels, cfg)
     mlp.save_model(model, args.model_out)
@@ -224,6 +228,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if min(args.train_per_class, args.test_per_class) < 0:
+        raise UsageError("--train-per-class and --test-per-class must be >= 0")
     if args.seed is not None:
         # validated like any other seed setting
         args.set = (args.set or []) + [f"seed={args.seed}"]
@@ -279,9 +285,9 @@ def cmd_dump(args) -> int:
     frames = _load_frames(args.sequence, cfg, raw=args.raw)
     if args.dump_masks:
         os.makedirs(args.dump_masks, exist_ok=True)
-        model = bgmodel.BackgroundModel(cfg, frames[0].width, frames[0].height)
+        model = bgmodel.BackgroundModel(cfg, frames[0].pixels.shape)
         for f in frames:
-            mask = model.update_and_classify(f)
+            mask = model.update_and_classify(f.pixels)
             pixels = np.where(mask, 255, 0).astype(np.uint8)
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")
             with open(path, "wb") as fh:
@@ -289,17 +295,18 @@ def cmd_dump(args) -> int:
     if args.dump_features:
         os.makedirs(args.dump_features, exist_ok=True)
         for f in frames:
-            points = goodfeat.detect_good_features(f, cfg)
+            points = goodfeat.detect_good_features(f.pixels, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
             with open(path, "w") as fh:
                 for x, y, score in points.tolist():
                     fh.write(f"{f.index} {x} {y} {score}\n")
     if args.dump_flow:
         os.makedirs(args.dump_flow, exist_ok=True)
-        pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+        pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
         for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
-            pj = lkflow.build_pyramid(frames[i + cfg.flow_step], cfg.pyramid_levels)
-            xy = goodfeat.detect_good_features(frames[i], cfg)[:, :2]
+            pj = lkflow.build_pyramid(frames[i + cfg.flow_step].pixels,
+                                      cfg.pyramid_levels)
+            xy = goodfeat.detect_good_features(frames[i].pixels, cfg)[:, :2]
             tracks = lkflow.track_points(pi, pj, xy, cfg)
             rows = zip(xy.tolist(), (tracks.dxy / cfg.flow_step).tolist(),
                        tracks.status, tracks.residual.tolist())
@@ -373,7 +380,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, OSError) as e:
+        # input read errors are already Data- or UsageErrors, so an OSError
+        # here is an output path that cannot be written
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except DataError as e:

@@ -107,18 +107,16 @@ def point_descriptors(
     )
 
 
-def pool_window(
-    table: np.ndarray, tracked: np.ndarray, label: Optional[str] = None
-) -> SampleVector:
-    """One window's sample from its (slots, steps, 12) descriptor table and
-    the (slots, steps) mask of the steps each slot was tracked for: each
+def pool_window(table: np.ndarray, tracked: np.ndarray) -> np.ndarray:
+    """Samples from (..., slots, steps, 12) descriptor tables and the
+    (..., slots, steps) masks of the steps each slot was tracked for: each
     slot's mean over its tracked steps, zero for a slot tracked for half the
-    steps or fewer."""
-    counts = tracked.sum(axis=1)
-    keep = 2 * counts > tracked.shape[1]
+    steps or fewer, flattened to (..., 12 * slots)."""
+    counts = tracked.sum(axis=-1)
+    keep = 2 * counts > tracked.shape[-1]
     # adding -0.0 changes no sum, so the untracked rows drop out and the
     # tracked ones are added in step order
-    sums = np.where(tracked[..., None], table, -0.0).sum(axis=1)
-    values = np.zeros((len(table), DESCRIPTOR_DIM))
+    sums = np.where(tracked[..., None], table, -0.0).sum(axis=-2)
+    values = np.zeros_like(sums)
     values[keep] = sums[keep] / counts[keep, None]
-    return SampleVector(values.reshape(-1), label=label)
+    return values.reshape(*table.shape[:-3], -1)

@@ -53,9 +53,6 @@ class Frame:
         if self.pixels.shape != (self.height, self.width):
             raise ValueError("pixel buffer does not match declared dimensions")
 
-    def as_float(self) -> np.ndarray:
-        return self.pixels.astype(np.float64)
-
 
 @dataclass(frozen=True)
 class RgbFrame:
@@ -213,9 +210,7 @@ def resize_bilinear(f: Frame, out_w: int, out_h: int) -> Frame:
 def _normalize(frame: Union[Frame, RgbFrame], working_resolution) -> Frame:
     if isinstance(frame, RgbFrame):
         frame = to_grayscale(frame)
-    if working_resolution is not None:
-        frame = resize_bilinear(frame, working_resolution[0], working_resolution[1])
-    return frame
+    return resize_bilinear(frame, working_resolution[0], working_resolution[1])
 
 
 PNM_EXTENSIONS = (".pgm", ".ppm", ".pnm")
@@ -241,10 +236,11 @@ def parse_raw_geometry(raw: str) -> tuple[int, int, int]:
 
 def load_sequence(
     path_spec: str,
-    working_resolution: tuple[int, int] | None = (160, 120),
+    working_resolution: tuple[int, int] = (160, 120),
     raw: str | None = None,
 ) -> Iterator[Frame]:
-    """Yield grayscale frames at the working resolution, indices 0, 1, ...
+    """Yield grayscale frames resized to the (width, height)
+    ``working_resolution``, indices 0, 1, ...; each frame owns its pixels.
 
     ``path_spec`` is a directory of PNM files (lexicographic order) or, with
     ``raw='WxH'`` or ``raw='WxH:rgb'``, a raw concatenated 8-bit stream.
@@ -273,10 +269,7 @@ def load_sequence(
                     )
                 else:
                     fr = Frame(w, h, i, buf.reshape(h, w))
-                frame = _normalize(fr, working_resolution)
-                if np.shares_memory(frame.pixels, buf):
-                    frame = Frame(w, h, i, frame.pixels.copy())
-                yield frame
+                yield _normalize(fr, working_resolution)
 
     names = sorted(
         n for n in os.listdir(path_spec)

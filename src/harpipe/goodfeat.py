@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig
-from .frameio import Frame
 
 
-def spatial_gradients(f: Frame) -> tuple[np.ndarray, np.ndarray]:
+def spatial_gradients(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradients (Ix, Iy); zero on the one-pixel border."""
-    if f.width < 3 or f.height < 3:
+    if min(pixels.shape) < 3:
         raise ValueError("frame must be at least 3x3")
-    img = f.as_float()
+    img = pixels.astype(np.float64)
     ix = np.zeros_like(img)
     iy = np.zeros_like(img)
     ix[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
@@ -25,10 +24,10 @@ def spatial_gradients(f: Frame) -> tuple[np.ndarray, np.ndarray]:
     return ix, iy
 
 
-def min_eigenvalue_map(f: Frame, half_window: int) -> np.ndarray:
+def min_eigenvalue_map(pixels: np.ndarray, half_window: int) -> np.ndarray:
     """Per-pixel smaller structure-tensor eigenvalue; zero where the window
     does not fit."""
-    ix, iy = spatial_gradients(f)
+    ix, iy = spatial_gradients(pixels)
     h = half_window
     ih, iw = ix.shape
     vh, vw = ih - 2 * h, iw - 2 * h
@@ -63,13 +62,13 @@ def _nms_3x3(lam: np.ndarray) -> np.ndarray:
     return keep
 
 
-def detect_good_features(f: Frame, cfg: PipelineConfig) -> np.ndarray:
-    """The ``cfg.feature_size`` strongest corners after relative thresholding
-    (``quality_rel``), 3x3 non-max suppression and greedy minimum-distance
-    selection (``min_distance``) on the ``tensor_half_window`` structure
-    tensor, as an (n, 3) array of rows (x, y, score); (0, 3) when there are
-    none. Sorted by descending score, ties broken by lower y then lower x."""
-    lam = min_eigenvalue_map(f, cfg.tensor_half_window)
+def detect_good_features(pixels: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """The ``cfg.feature_size`` strongest corners of an (h, w) image after
+    relative thresholding (``quality_rel``), 3x3 non-max suppression and
+    greedy minimum-distance selection (``min_distance``) on the
+    ``tensor_half_window`` structure tensor, as an (n, 3) array of rows
+    (x, y, score); (0, 3) when there are none. Sorted by descending score, ties broken by lower y then lower x."""
+    lam = min_eigenvalue_map(pixels, cfg.tensor_half_window)
     lam_max = lam.max()
     if lam_max <= 0.0:
         return np.empty((0, 3))

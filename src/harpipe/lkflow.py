@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .frameio import Frame
 
 SMOOTH_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 MIN_COARSEST_SIDE = 16
@@ -77,13 +76,13 @@ def _smooth_decimate(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_pyramid(f: Frame | np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
+def build_pyramid(img: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
     """Low-pass-and-decimate pyramid of an (h, w) image, or of a (K, h, w)
     stack of images level by level, full resolution first. Level 0 is the
     input itself (a frame's uint8 pixels), the coarser levels are float64;
     every level is C-contiguous. The level count is silently clamped so the
     coarsest level keeps both sides >= 16 px."""
-    out = [np.ascontiguousarray(f.pixels if isinstance(f, Frame) else f)]
+    out = [np.ascontiguousarray(img)]
     for _ in range(max(1, levels) - 1):
         h, w = out[-1].shape[-2:]
         if (h + 1) // 2 < MIN_COARSEST_SIDE or (w + 1) // 2 < MIN_COARSEST_SIDE:

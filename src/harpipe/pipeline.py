@@ -27,37 +27,38 @@ def sequence_samples(
 ) -> list[tuple[int, SampleVector]]:
     """(window start frame, sample) for each full window in the sequence,
     extracted ``WINDOWS_PER_CALL`` consecutive windows at a time."""
-    frames = list(frames)
-    starts = window_starts(len(frames), cfg)
+    pixels = [f.pixels for f in frames]
+    starts = window_starts(len(pixels), cfg)
     out = []
     for g in range(0, len(starts), WINDOWS_PER_CALL):
         group = starts[g : g + WINDOWS_PER_CALL]
-        out += zip(group, _window_samples(frames, group, cfg, label))
+        values = _window_samples(pixels, group, cfg)
+        out += [(s, SampleVector(v, label=label)) for s, v in zip(group, values)]
     return out
 
 
 def _window_samples(
-    frames: list[Frame], starts: list[int], cfg: PipelineConfig,
-    label: Optional[str],
-) -> list[SampleVector]:
-    """One fixed-length sample for each window starting at ``starts``.
+    pixels: list[np.ndarray], starts: list[int], cfg: PipelineConfig
+) -> np.ndarray:
+    """The (W, 12 * N) samples of the W windows that start at ``starts`` in
+    the sequence of (h, w) frame images ``pixels``.
 
     Features are detected on each window's first frame and tracked at every
     flow_step-th frame. Window w's frames are image w of the stacked
     pyramids, so one tracker call per step takes every window's live slots
     with their Jacobian probes. Each step fills and marks its tracked slots'
-    rows of their window's (slots, steps, 12) descriptor table, which
+    rows of the (W, slots, steps, 12) descriptor table, which
     ``flowdesc.pool_window`` averages.
     """
     steps = (cfg.window_frames - 1) // cfg.flow_step
     n = cfg.feature_size
 
     def pyramid(step: int) -> tuple[np.ndarray, ...]:
-        stack = np.stack([frames[s + step * cfg.flow_step].pixels for s in starts])
+        stack = np.stack([pixels[s + step * cfg.flow_step] for s in starts])
         return lkflow.build_pyramid(stack, cfg.pyramid_levels)
 
     # every window's points in one array: point m is slot rank[m] of window win[m]
-    found = [goodfeat.detect_good_features(frames[s], cfg)[:, :2] for s in starts]
+    found = [goodfeat.detect_good_features(pixels[s], cfg)[:, :2] for s in starts]
     xy = np.concatenate(found)
     win = np.repeat(np.arange(len(starts)), [len(f) for f in found])
     rank = np.concatenate([np.arange(len(f)) for f in found])
@@ -65,7 +66,7 @@ def _window_samples(
     prev_uv = np.zeros_like(xy)
     table = np.zeros((len(starts), n, steps, flowdesc.DESCRIPTOR_DIM))
     tracked = np.zeros((len(starts), n, steps), dtype=bool)
-    frame_size = (frames[0].width, frames[0].height)
+    frame_size = pixels[0].shape[::-1]
 
     pi = pyramid(0)
     intensity = lkflow.sample_windows(pi[0], xy, 0, win)[0, 0]
@@ -102,7 +103,7 @@ def _window_samples(
         intensity[live] = cur_intensity
         pi = pj
 
-    return [flowdesc.pool_window(t, m, label=label) for t, m in zip(table, tracked)]
+    return flowdesc.pool_window(table, tracked)
 
 
 def majority_label(window_classes: Sequence[int]) -> int:

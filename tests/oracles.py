@@ -340,7 +340,7 @@ def resize_bilinear_ix(f, out_w, out_h):
 
     if (out_w, out_h) == (f.width, f.height):
         return Frame(out_w, out_h, f.index, f.pixels.copy())
-    src = f.as_float()
+    src = f.pixels.astype(np.float64)
     sx = f.width / out_w
     sy = f.height / out_h
     xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0.0, f.width - 1.0)
@@ -548,14 +548,14 @@ def extract_window_sample(frames, cfg, label=None):
     if steps < 1:
         return SampleVector(np.zeros(n * flowdesc.DESCRIPTOR_DIM), label=label)
 
-    xy = goodfeat.detect_good_features(frames[0], cfg)[:, :2].copy()
+    xy = goodfeat.detect_good_features(frames[0].pixels, cfg)[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     prev_uv = np.zeros_like(xy)
     table = np.zeros((n, steps, flowdesc.DESCRIPTOR_DIM))
     tracked = np.zeros((n, steps), dtype=bool)
     frame_size = (frames[0].width, frames[0].height)
 
-    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+    pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
     intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
@@ -563,7 +563,7 @@ def extract_window_sample(frames, cfg, label=None):
         if live.size == 0:
             break
         pj = lkflow.build_pyramid(
-            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
+            frames[(step + 1) * cfg.flow_step].pixels, cfg.pyramid_levels
         )
 
         # one call tracks every live slot together with its Jacobian probes
@@ -591,7 +591,7 @@ def extract_window_sample(frames, cfg, label=None):
         intensity[live] = cur_intensity
         pi = pj
 
-    return flowdesc.pool_window(table, tracked, label=label)
+    return SampleVector(flowdesc.pool_window(table, tracked), label=label)
 
 
 def window_sample_loop(frames, cfg):
@@ -608,13 +608,13 @@ def window_sample_loop(frames, cfg):
     n = cfg.feature_size
     if steps < 1:
         return np.zeros(n * flowdesc.DESCRIPTOR_DIM)
-    points = goodfeat.detect_good_features(frames[0], cfg)
+    points = goodfeat.detect_good_features(frames[0].pixels, cfg)
     xy = points[:, :2].copy()
     alive = np.ones(len(xy), dtype=bool)
     descriptors = [[] for _ in points]
     prev_uv = np.zeros_like(xy)
 
-    pi = lkflow.build_pyramid(frames[0], cfg.pyramid_levels)
+    pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
     intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
     h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
@@ -622,7 +622,7 @@ def window_sample_loop(frames, cfg):
         if live.size == 0:
             break
         pj = lkflow.build_pyramid(
-            frames[(step + 1) * cfg.flow_step], cfg.pyramid_levels
+            frames[(step + 1) * cfg.flow_step].pixels, cfg.pyramid_levels
         )
         probes = flowdesc.jacobian_probes(xy[live], h_probe)
         tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg)

@@ -82,7 +82,7 @@ def test_criterion_2_good_feature_oracle_equivalence():
         for _ in range(25):
             img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
             cfg = PipelineConfig(feature_size=10)
-            got = detect_good_features(make_frame(img), cfg)
+            got = detect_good_features(img, cfg)
             want = brute_force_good_features(img.tolist(), cfg)
             assert [tuple(p) for p in got.tolist()] == want
         assert time.perf_counter() - t0 < 5.0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from harpipe.bgmodel import BackgroundModel
 from harpipe.config import PipelineConfig
 
-from conftest import make_frame
 from oracles import gmm_oracle
 
 DEFAULT = PipelineConfig()
@@ -21,11 +20,11 @@ def components(model, i):
 def run_single_pixel(inputs, cfg=DEFAULT):
     """Drive a 1x1 model; returns (per-step foreground flags, per-step
     component traces as (w, mu, var) tuples)."""
-    model = BackgroundModel(cfg, 1, 1)
+    model = BackgroundModel(cfg, (1, 1))
     flags = []
     traces = []
     for v in inputs:
-        mask = model.update_and_classify(make_frame([[v]]))
+        mask = model.update_and_classify(np.array([[v]], dtype=np.uint8))
         flags.append(bool(mask[0, 0]))
         traces.append(components(model, 0))
     return flags, traces
@@ -110,9 +109,9 @@ class TestModelBehavior:
             assert all(var >= DEFAULT.gmm_variance_floor for _, _, var in trace)
 
     def test_dimension_mismatch(self):
-        model = BackgroundModel(DEFAULT, 4, 4)
+        model = BackgroundModel(DEFAULT, (4, 4))
         with pytest.raises(ValueError):
-            model.update_and_classify(make_frame(np.zeros((2, 2), dtype=np.uint8)))
+            model.update_and_classify(np.zeros((2, 2), dtype=np.uint8))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
@@ -136,10 +135,10 @@ class TestModelBehavior:
         frames = np.clip(np.rint(base + noise), 0, 255).astype(np.uint8)
         for k, t in ((1, 0.7), (2, 0.7), (3, 0.7), (5, 0.7), (3, 1.0)):
             cfg = PipelineConfig(gmm_components=k, gmm_threshold=t)
-            model = BackgroundModel(cfg, width, height)
+            model = BackgroundModel(cfg, (height, width))
             oracles = [gmm_oracle(cfg) for _ in range(width * height)]
             for step, pixels in enumerate(frames):
-                bits = model.update_and_classify(make_frame(pixels)).ravel()
+                bits = model.update_and_classify(pixels).ravel()
                 for i, (v, oracle) in enumerate(zip(pixels.ravel(), oracles)):
                     assert bits[i] == oracle.step(v), (k, t, step, i)
                     for (w, mu, var), (ow, omu, ovar) in zip(
@@ -149,8 +148,8 @@ class TestModelBehavior:
                         assert var == pytest.approx(ovar, rel=1e-9)
 
     def test_mask_after_jump(self):
-        model = BackgroundModel(DEFAULT, 1, 1)
-        first = model.update_and_classify(make_frame([[50]]))
-        mask = model.update_and_classify(make_frame([[250]]))
+        model = BackgroundModel(DEFAULT, (1, 1))
+        first = model.update_and_classify(np.array([[50]], dtype=np.uint8))
+        mask = model.update_and_classify(np.array([[250]], dtype=np.uint8))
         assert first.dtype == bool and first.shape == (1, 1) and not first[0, 0]
         assert mask.dtype == bool and mask.shape == (1, 1) and mask[0, 0]

@@ -174,6 +174,42 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "seed" in err
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
+    def test_usage_error_on_negative_synth_count(self, flag, tmp_path, capsys):
+        rc = cli.main(["synth", str(tmp_path / "corpus"), flag, "-1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and flag in err
+        assert not (tmp_path / "corpus").exists()
+        # no sequences at all is still a valid request
+        assert cli.main(["synth", str(tmp_path / "empty"), "--train-per-class",
+                         "0", "--test-per-class", "0"]) == 0
+
+    @pytest.mark.parametrize("output", [
+        "train", "synth", "--dump-masks", "--dump-features", "--dump-flow"])
+    def test_usage_error_on_unwritable_output(self, output, tiny_corpus,
+                                              tmp_path, capsys):
+        # a regular file where the output needs a directory, or a model file
+        # in a directory that does not exist
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        seq = next((tiny_corpus / "test" / "boxing").iterdir())
+        if output == "train":
+            path = tmp_path / "missing" / "model.txt"
+            argv = ["train", str(tiny_corpus / "train"), str(path)] + FAST
+        elif output == "synth":
+            path = blocker / "corpus"
+            argv = ["synth", str(path)]
+        else:
+            path = blocker
+            argv = ["dump", str(seq), output, str(path)]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err and "extracted" not in err
+        [line] = err.splitlines()
+        assert line.startswith("usage error: ") and str(path) in line
+
     @pytest.mark.parametrize("command", ["classify", "evaluate"])
     def test_data_error_on_feature_size_mismatch(self, command, tiny_corpus,
                                                  tiny_model, capsys):

@@ -53,7 +53,7 @@ def window_table(slots, steps=8, fill=np.nan):
 
 
 def pool(slots, steps=8, fill=np.nan):
-    return pool_window(*window_table(slots, steps, fill)).values
+    return pool_window(*window_table(slots, steps, fill))
 
 
 finite = st.floats(-10.0, 10.0)
@@ -292,24 +292,32 @@ class TestAggregateSample:
         expected = aggregate_sample([[PointDescriptor(*[-0.0] * 12)] * 5], 1, 8)
         assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
-    @given(st.integers(0, 10_000), st.integers(1, 9))
+    @given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
-    def test_bit_identical_to_list_oracle(self, seed, steps):
+    def test_bit_identical_to_list_oracle(self, seed, steps, n_windows):
         # random prefixes of random rows, -0.0 and +0.0 included, against the
         # per-slot mean of a stack of PointDescriptor records, whatever the
-        # untracked rows hold
+        # untracked rows hold; a stack of windows pools each one as if alone
         rng = np.random.default_rng(seed)
-        slots = []
-        for _ in range(int(rng.integers(1, 12))):
-            rows = rng.normal(0.0, 10.0 ** rng.integers(-3, 4),
-                              (int(rng.integers(0, steps + 1)), DESCRIPTOR_DIM))
-            rows[rng.random(rows.shape) < 0.2] = -0.0
-            rows[rng.random(rows.shape) < 0.1] = 0.0
-            slots.append(rows.tolist())
-        expected = aggregate_sample(
-            [[PointDescriptor(*row) for row in rows] for rows in slots],
-            len(slots), steps,
-        )
+        n_slots = int(rng.integers(1, 12))
+        windows = []
+        for _ in range(n_windows):
+            slots = []
+            for _ in range(n_slots):
+                rows = rng.normal(0.0, 10.0 ** rng.integers(-3, 4),
+                                  (int(rng.integers(0, steps + 1)), DESCRIPTOR_DIM))
+                rows[rng.random(rows.shape) < 0.2] = -0.0
+                rows[rng.random(rows.shape) < 0.1] = 0.0
+                slots.append(rows.tolist())
+            windows.append(slots)
         for fill in (np.nan, 0.0, -0.0, 1e300):
-            assert pool(slots, steps, fill).view(np.int64).tolist() == (
-                expected.view(np.int64).tolist())
+            tables = [window_table(slots, steps, fill) for slots in windows]
+            stacked = pool_window(*(np.stack(parts) for parts in zip(*tables)))
+            assert stacked.shape == (n_windows, n_slots * DESCRIPTOR_DIM)
+            for row, slots, table in zip(stacked, windows, tables):
+                expected = aggregate_sample(
+                    [[PointDescriptor(*r) for r in rows] for rows in slots],
+                    n_slots, steps,
+                ).view(np.int64).tolist()
+                assert row.view(np.int64).tolist() == expected
+                assert pool_window(*table).view(np.int64).tolist() == expected

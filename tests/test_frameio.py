@@ -236,7 +236,7 @@ class TestLoadSequence:
 
     def test_directory_indices(self, tmp_path):
         self._write_pgms(tmp_path, 10)
-        frames = list(load_sequence(str(tmp_path), working_resolution=None))
+        frames = list(load_sequence(str(tmp_path), working_resolution=(4, 4)))
         assert [f.index for f in frames] == list(range(10))
         assert [int(f.pixels[0, 0]) for f in frames] == list(range(10))
 
@@ -259,7 +259,7 @@ class TestLoadSequence:
     def test_raw_gray_stream_partial_tail_dropped(self, tmp_path):
         path = tmp_path / "stream.raw"
         path.write_bytes(bytes(4 * 4 * 2 + 3))
-        frames = list(load_sequence(str(path), raw="4x4", working_resolution=None))
+        frames = list(load_sequence(str(path), raw="4x4", working_resolution=(4, 4)))
         assert len(frames) == 2
 
     def test_raw_empty_stream(self, tmp_path):
@@ -278,7 +278,7 @@ class TestLoadSequence:
     def test_raw_frames_in_order(self, tmp_path):
         path = tmp_path / "stream.raw"
         path.write_bytes(bytes(v for v in range(5) for _ in range(6)))
-        frames = list(load_sequence(str(path), raw="3x2", working_resolution=None))
+        frames = list(load_sequence(str(path), raw="3x2", working_resolution=(3, 2)))
         assert [f.index for f in frames] == list(range(5))
         assert [f.pixels.tolist() for f in frames] == [[[v] * 3] * 2 for v in range(5)]
 

@@ -10,7 +10,6 @@ from harpipe.goodfeat import (
     spatial_gradients,
 )
 
-from conftest import make_frame
 from oracles import (
     StructureTensor,
     brute_force_good_features,
@@ -26,12 +25,12 @@ def top(n, **settings):
 
 class TestSpatialGradients:
     def test_constant_frame(self):
-        ix, iy = spatial_gradients(make_frame(np.full((5, 5), 42, dtype=np.uint8)))
+        ix, iy = spatial_gradients(np.full((5, 5), 42, dtype=np.uint8))
         assert not ix.any() and not iy.any()
 
     def test_horizontal_ramp(self):
         img = np.tile(np.arange(0, 80, 10, dtype=np.uint8), (5, 1))
-        ix, iy = spatial_gradients(make_frame(img))
+        ix, iy = spatial_gradients(img)
         assert (ix[:, 1:-1] == 10).all()
         assert not iy.any()
         assert not ix[:, 0].any() and not ix[:, -1].any()
@@ -39,31 +38,31 @@ class TestSpatialGradients:
     def test_vertical_step(self):
         img = np.zeros((6, 5), dtype=np.uint8)
         img[3:] = 100
-        _, iy = spatial_gradients(make_frame(img))
+        _, iy = spatial_gradients(img)
         assert (iy[2] == 50).all() and (iy[3] == 50).all()
         assert not iy[1].any() and not iy[4].any()
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            spatial_gradients(make_frame(np.zeros((2, 2), dtype=np.uint8)))
+            spatial_gradients(np.zeros((2, 2), dtype=np.uint8))
 
 
 class TestStructureTensor:
     def test_constant_region(self):
-        f = make_frame(np.full((7, 7), 9, dtype=np.uint8))
+        f = np.full((7, 7), 9, dtype=np.uint8)
         ix, iy = spatial_gradients(f)
         z = structure_tensor_at(ix, iy, 3, 3, 1)
         assert (z.zxx, z.zxy, z.zyy) == (0.0, 0.0, 0.0)
 
     def test_horizontal_ramp_window(self):
         img = np.tile(np.arange(0, 140, 20, dtype=np.uint8), (7, 1))
-        ix, iy = spatial_gradients(make_frame(img))
+        ix, iy = spatial_gradients(img)
         z = structure_tensor_at(ix, iy, 3, 3, 1)
         assert z.zxx == 9 * 20.0**2
         assert z.zxy == 0.0 and z.zyy == 0.0
 
     def test_out_of_bounds(self):
-        f = make_frame(np.zeros((5, 5), dtype=np.uint8))
+        f = np.zeros((5, 5), dtype=np.uint8)
         ix, iy = spatial_gradients(f)
         with pytest.raises(ValueError):
             structure_tensor_at(ix, iy, 0, 2, 1)
@@ -73,8 +72,7 @@ class TestStructureTensor:
         tile = np.array([[0, 255], [255, 0]], dtype=np.uint8)
         img = np.tile(tile, (6, 6))
         img[:6, :6] = rng.integers(0, 256, (6, 6))
-        f = make_frame(img)
-        ix, iy = spatial_gradients(f)
+        ix, iy = spatial_gradients(img)
         for (x, y) in [(4, 4), (6, 6), (5, 7)]:
             z = structure_tensor_at(ix, iy, x, y, 2)
             zxx = zxy = zyy = 0.0
@@ -91,7 +89,7 @@ class TestStructureTensor:
     @settings(max_examples=30, deadline=None)
     def test_positive_semidefinite(self, seed):
         rng = np.random.default_rng(seed)
-        f = make_frame(rng.integers(0, 256, (9, 9), dtype=np.uint8))
+        f = rng.integers(0, 256, (9, 9), dtype=np.uint8)
         ix, iy = spatial_gradients(f)
         z = structure_tensor_at(ix, iy, 4, 4, 2)
         scale = max(z.zxx, z.zyy, 1.0)
@@ -121,7 +119,7 @@ class TestMinEigenvalueMap:
     @settings(max_examples=40, deadline=None)
     def test_matches_per_pixel_oracle(self, seed, h, width, height):
         rng = np.random.default_rng(seed)
-        f = make_frame(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        f = rng.integers(0, 256, (height, width), dtype=np.uint8)
         ix, iy = spatial_gradients(f)
         lam = min_eigenvalue_map(f, h)
         for y in range(height):
@@ -135,13 +133,13 @@ class TestMinEigenvalueMap:
 
 class TestDetectGoodFeatures:
     def test_uniform_frame_empty(self):
-        f = make_frame(np.full((32, 32), 77, dtype=np.uint8))
+        f = np.full((32, 32), 77, dtype=np.uint8)
         assert detect_good_features(f, top(10)).shape == (0, 3)
 
     def test_white_square_corners(self):
         img = np.zeros((40, 40), dtype=np.uint8)
         img[10:30, 10:30] = 255
-        points = detect_good_features(make_frame(img), top(4))
+        points = detect_good_features(img, top(4))
         assert len(points) == 4
         corners = {(10, 10), (10, 29), (29, 10), (29, 29)}
         for x, y, _ in points:
@@ -150,7 +148,7 @@ class TestDetectGoodFeatures:
 
     def test_max_n_one_is_global_max(self):
         rng = np.random.default_rng(11)
-        f = make_frame(rng.integers(0, 256, (24, 24), dtype=np.uint8))
+        f = rng.integers(0, 256, (24, 24), dtype=np.uint8)
         cfg = top(1)
         points = detect_good_features(f, cfg)
         lam = min_eigenvalue_map(f, cfg.tensor_half_window)
@@ -161,7 +159,7 @@ class TestDetectGoodFeatures:
     @settings(max_examples=25, deadline=None)
     def test_sorted_and_spaced(self, seed):
         rng = np.random.default_rng(seed)
-        f = make_frame(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+        f = rng.integers(0, 256, (32, 32), dtype=np.uint8)
         cfg = top(10)
         points = detect_good_features(f, cfg)
         scores = points[:, 2].tolist()
@@ -180,6 +178,6 @@ class TestDetectGoodFeatures:
         img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
         cfg = top(max_n, quality_rel=quality_rel, min_distance=min_distance,
                   tensor_half_window=half_window)
-        points = detect_good_features(make_frame(img), cfg)
+        points = detect_good_features(img, cfg)
         expected = brute_force_good_features(img.tolist(), cfg)
         assert [tuple(p) for p in points.tolist()] == expected

@@ -12,7 +12,6 @@ from harpipe.lkflow import (
     track_points,
 )
 
-from conftest import make_frame
 from oracles import sample_window, smooth_separable_roll, smooth_texture, track_point
 
 CFG = PipelineConfig()
@@ -25,14 +24,14 @@ def shifted_pair(seed, sx, sy, width=160, height=120):
     tex = smooth_texture(rng, width + 2 * margin, height + 2 * margin, passes=1)
     i = tex[margin : margin + height, margin : margin + width]
     j = tex[margin - sy : margin - sy + height, margin - sx : margin - sx + width]
-    return make_frame(i), make_frame(j)
+    return i, j
 
 
 def interior_features(frame, n=20, border=20):
     points = detect_good_features(frame, PipelineConfig(feature_size=4 * n))
     x, y = points[:, 0], points[:, 1]
-    inside = ((border <= x) & (x < frame.width - border)
-              & (border <= y) & (y < frame.height - border))
+    inside = ((border <= x) & (x < frame.shape[1] - border)
+              & (border <= y) & (y < frame.shape[0] - border))
     return points[inside][:n]
 
 
@@ -42,30 +41,30 @@ def xy_of(points):
 
 class TestBuildPyramid:
     def test_three_level_dims(self):
-        f = make_frame(np.zeros((120, 160), dtype=np.uint8))
+        f = np.zeros((120, 160), dtype=np.uint8)
         pyr = build_pyramid(f, 3)
         assert [lev.shape for lev in pyr] == [(120, 160), (60, 80), (30, 40)]
 
     def test_constant_stays_constant(self):
-        f = make_frame(np.full((64, 64), 123, dtype=np.uint8))
+        f = np.full((64, 64), 123, dtype=np.uint8)
         pyr = build_pyramid(f, 3)
         for lev in pyr:
             assert np.allclose(lev, 123.0)
 
     def test_single_level(self):
-        f = make_frame(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        f = np.arange(64, dtype=np.uint8).reshape(8, 8)
         pyr = build_pyramid(f, 1)
         assert len(pyr) == 1
-        assert np.array_equal(pyr[0], f.as_float())
+        assert np.array_equal(pyr[0], f.astype(np.float64))
 
     def test_levels_clamped_on_small_frames(self):
-        f = make_frame(np.zeros((20, 20), dtype=np.uint8))
+        f = np.zeros((20, 20), dtype=np.uint8)
         pyr = build_pyramid(f, 5)
         # one halving would drop below the 16 px minimum side
         assert len(pyr) == 1
 
     def test_ceil_halving_on_odd_dims(self):
-        f = make_frame(np.zeros((45, 33), dtype=np.uint8))
+        f = np.zeros((45, 33), dtype=np.uint8)
         pyr = build_pyramid(f, 2)
         assert pyr[1].shape == (23, 17)
 
@@ -85,8 +84,8 @@ class TestBuildPyramid:
     def test_levels_c_contiguous(self):
         img = smooth_texture(np.random.default_rng(12), 200, 150)
         # a frame cut from a larger image has strided pixels
-        f = make_frame(img[10:130, 20:180])
-        assert not f.pixels.flags.c_contiguous
+        f = img[10:130, 20:180]
+        assert not f.flags.c_contiguous
         stack = np.stack([img[:120, :160], img[30:150, 40:200]])
         for pyr in (build_pyramid(f, 3), build_pyramid(stack, 3)):
             assert len(pyr) == 3
@@ -174,7 +173,7 @@ class TestTrackPoint:
         f_i, f_j = shifted_pair(3, 2, 2)
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
         hw = CFG.track_half_window
-        img_i, img_j = f_i.as_float(), f_j.as_float()
+        img_i, img_j = f_i.astype(np.float64), f_j.astype(np.float64)
         points = interior_features(f_i, 10)
         t = track_points(pi, pj, xy_of(points), CFG)
         for p, tracked, residual in zip(points, t.tracked, t.residual):
@@ -187,7 +186,7 @@ class TestTrackPoint:
             assert residual <= at_zero + 1e-9
 
     def test_flat_region_is_singular(self):
-        f = make_frame(np.full((64, 64), 90, dtype=np.uint8))
+        f = np.full((64, 64), 90, dtype=np.uint8)
         pyr = build_pyramid(f, 2)
         t = track_points(pyr, pyr, np.array([[32.0, 32.0]]), CFG)
         assert t.status[0] == TrackStatus.LOST_SINGULAR
@@ -204,8 +203,8 @@ class TestTrackPoint:
         hw = CFG.track_half_window
         t = track_points(pi, pj, xy_of(interior_features(f_i)), CFG)
         x, y = t.xy[t.tracked].T
-        assert ((hw <= x) & (x <= f_j.width - 1 - hw)).all()
-        assert ((hw <= y) & (y <= f_j.height - 1 - hw)).all()
+        assert ((hw <= x) & (x <= f_j.shape[1] - 1 - hw)).all()
+        assert ((hw <= y) & (y <= f_j.shape[0] - 1 - hw)).all()
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 500))
     @settings(max_examples=15, deadline=None)
@@ -227,7 +226,7 @@ class TestTrackPoints:
         assert t.residual.shape == t.status.shape == (0,)
 
     def test_all_flat_all_singular(self):
-        f = make_frame(np.full((48, 48), 10, dtype=np.uint8))
+        f = np.full((48, 48), 10, dtype=np.uint8)
         pyr = build_pyramid(f, 2)
         xy = np.array([(x, 24.0) for x in (16.0, 24.0, 32.0)])
         t = track_points(pyr, pyr, xy, CFG)
@@ -237,7 +236,7 @@ class TestTrackPoints:
         f_i, f_j = shifted_pair(7, 3, 0)
         # flatten a region in both frames so flat probes genuinely lose
         for f in (f_i, f_j):
-            f.pixels[40:80, 40:80] = 100
+            f[40:80, 40:80] = 100
         pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
         points = interior_features(f_i, 8)
         x, y = points[:, 0], points[:, 1]
@@ -266,9 +265,9 @@ class TestTrackPoints:
         pairs = [shifted_pair(400 + k, *(int(v) for v in rng.integers(-5, 6, 2)))
                  for k in range(3)]
         for f in pairs[1]:
-            f.pixels[30:70, 30:90] = 77  # flat patch: singular tensors
-        pi = build_pyramid(np.stack([fi.pixels for fi, _ in pairs]), 3)
-        pj = build_pyramid(np.stack([fj.pixels for _, fj in pairs]), 3)
+            f[30:70, 30:90] = 77  # flat patch: singular tensors
+        pi = build_pyramid(np.stack([fi for fi, _ in pairs]), 3)
+        pj = build_pyramid(np.stack([fj for _, fj in pairs]), 3)
         # the frame and beyond, so border and out-of-frame points occur
         xy = np.column_stack([rng.uniform(-5, 165, 120), rng.uniform(-5, 125, 120)])
         xy[:20] = np.round(xy[:20])
@@ -309,7 +308,7 @@ class TestScalarOracle:
             sx, sy = (int(v) for v in rng.integers(-6, 7, 2))
             f_i, f_j = shifted_pair(200 + trial, sx, sy)
             for f in (f_i, f_j):
-                f.pixels[30:70, 30:90] = 77  # flat patch: singular tensors
+                f[30:70, 30:90] = 77  # flat patch: singular tensors
             pi, pj = build_pyramid(f_i, levels), build_pyramid(f_j, levels)
             # the frame and beyond, so border and out-of-frame points occur
             xy = np.column_stack([rng.uniform(-5, 165, 60), rng.uniform(-5, 125, 60)])
