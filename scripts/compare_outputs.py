@@ -4,10 +4,14 @@
 On the default synthetic corpus (seed 0), synthesised once, each tree runs
 `train`, `evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
 and `dump --dump-masks --dump-features --dump-flow` on one test sequence.
-One line per artifact (a command's stdout, the model file, or one dump
-directory) says `identical`, gives the largest absolute difference between
-numeric tokens when all other text matches, or says `differs`. The exit
-status is 1 if any artifact differs.
+Then the first test sequence of three classes is written as one 225-frame
+raw stream, and each tree runs `classify --raw` and `dump --raw` with the
+three dump flags on it: its 9 windows make two full groups of
+`WINDOWS_PER_CALL` windows and a partial one. One line per artifact (a
+command's stdout, the model file, or one dump directory) says `identical`,
+gives the largest absolute difference between numeric tokens when all other
+text matches, or says `differs`. The exit status is 1 if any artifact
+differs.
 
 Usage: compare_outputs.py OLD_SRC NEW_SRC
 where each path is a directory holding the `harpipe` package, such as a
@@ -20,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 
+STREAM_SEQUENCES = 3  # test sequences written as the raw stream
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 DUMPS = ("masks", "features", "flow")
 
@@ -35,6 +40,24 @@ def run(src: str, cwd: str, name: str, args: list[str]) -> None:
         raise SystemExit(f"{src}: harpipe {' '.join(args)} exited {proc.returncode}")
     with open(os.path.join(cwd, name), "wb") as fh:
         fh.write(proc.stdout)
+
+
+def write_stream(seq_dirs: list[str], path: str) -> str:
+    """Concatenate the pixels of the sequences' P5 frames, as written by
+    `harpipe synth`, into one raw stream; return its WxH geometry."""
+    geometry = set()
+    with open(path, "wb") as out:
+        for seq in seq_dirs:
+            for name in sorted(os.listdir(seq)):
+                with open(os.path.join(seq, name), "rb") as fh:
+                    magic, size, maxval, pixels = fh.read().split(b"\n", 3)
+                if magic != b"P5" or maxval != b"255":
+                    raise SystemExit(f"{seq}/{name}: not an 8-bit P5 frame")
+                geometry.add(size.decode().replace(" ", "x"))
+                out.write(pixels)
+    if len(geometry) != 1:
+        raise SystemExit(f"frames of more than one size: {sorted(geometry)}")
+    return geometry.pop()
 
 
 def difference(a: bytes, b: bytes) -> float | None:
@@ -92,25 +115,32 @@ def main() -> int:
         os.makedirs(os.path.join(tmp, "new"))
         run(trees["new"], tmp, "synth.out", ["synth", corpus, "--seed", "0"])
         train, test = os.path.join(corpus, "train"), os.path.join(corpus, "test")
-        label = sorted(os.listdir(test))[0]
-        sequence = os.path.join(test, label, sorted(os.listdir(os.path.join(test, label)))[0])
+        firsts = [os.path.join(test, label, sorted(os.listdir(os.path.join(test, label)))[0])
+                  for label in sorted(os.listdir(test))]
+        sequence = firsts[0]
+        stream = os.path.join(tmp, "stream.raw")
+        raw = ["--raw", write_stream(firsts[:STREAM_SEQUENCES], stream)]
         steps = [
             ("train.out", ["train", train, "model.txt"]),
             ("evaluate.out", ["evaluate", test, "model.txt"]),
             ("classify.out", ["classify", sequence, "model.txt"]),
             ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
             ("dump.out", ["dump", sequence] + [a for d in DUMPS for a in (f"--dump-{d}", d)]),
+            ("classify_raw.out", ["classify", stream, "model.txt"] + raw),
+            ("dump_raw.out", ["dump", stream] + raw
+             + [a for d in DUMPS for a in (f"--dump-{d}", f"raw_{d}")]),
         ]
         for side, src in trees.items():
             for name, args in steps:
                 print(f"{side}: harpipe {args[0]}", file=sys.stderr, flush=True)
                 run(src, os.path.join(tmp, side), name, args)
         failed = False
-        names = ["train.out", "model.txt"] + [n for n, _ in steps[1:]] + list(DUMPS)
+        names = (["train.out", "model.txt"] + [n for n, _ in steps[1:]] + list(DUMPS)
+                 + [f"raw_{d}" for d in DUMPS])
         for name in names:
             verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))
             failed |= verdict == "differs"
-            print(f"{name:<14} {verdict}")
+            print(f"{name:<18} {verdict}")
     return 1 if failed else 0
 
 

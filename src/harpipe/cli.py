@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -65,25 +66,29 @@ def _class_sequence_dirs(root: str) -> dict[str, list[str]]:
     return out
 
 
-def _load_frames(seq_dir: str, cfg: PipelineConfig, raw: str | None = None):
+def _frames(seq_dir: str, cfg: PipelineConfig, raw: str | None = None
+            ) -> Iterator[Frame]:
+    """The sequence's frames, read one at a time. An error in reading or
+    decoding them becomes a DataError; errors of the code that consumes the
+    frames pass through unchanged."""
     try:
-        return list(load_sequence(
+        yield from load_sequence(
             seq_dir, working_resolution=cfg.working_resolution, raw=raw
-        ))
+        )
     except (OSError, EmptySequenceError, ValueError) as e:
         raise DataError(f"{seq_dir}: {e}") from None
 
 
 def _extract_dataset(dataset_dir: str, cfg: PipelineConfig):
     """Window values, label indices and sequence ids over the class layout,
-    plus the sequence directories the ids index. Frames are loaded one
-    sequence at a time."""
+    plus the sequence directories the ids index. Frames are streamed, so at
+    most one window group of them is held at a time."""
     values, labels, seq_ids, seq_dirs = [], [], [], []
     for label, class_seqs in _class_sequence_dirs(dataset_dir).items():
         count = 0
         for seq_dir in class_seqs:
-            frames = _load_frames(seq_dir, cfg)
-            for _, sample in pipeline.sequence_samples(frames, cfg):
+            samples = pipeline.sequence_samples(_frames(seq_dir, cfg), cfg)
+            for _, sample in samples:
                 values.append(sample.values)
                 seq_ids.append(len(seq_dirs))
                 count += 1
@@ -136,6 +141,8 @@ def cmd_train(args) -> int:
     out_dir = os.path.dirname(args.model_out) or "."
     if not os.path.isdir(out_dir):
         raise UsageError(f"no directory {out_dir!r} for {args.model_out!r}")
+    if os.path.isdir(args.model_out):
+        raise UsageError(f"model file {args.model_out!r} is a directory")
     values, labels, _, _ = _extract_dataset(args.dataset_dir, cfg)
     model, trace = _train_model(values, labels, cfg)
     mlp.save_model(model, args.model_out)
@@ -174,11 +181,22 @@ def _load_model(path: str, cfg: PipelineConfig) -> mlp.MlpModel:
 def cmd_classify(args) -> int:
     cfg = _load_cfg(args)
     model = _load_model(args.model, cfg)
-    frames = _load_frames(args.sequence, cfg, raw=args.raw)
-    if len(frames) < cfg.window_frames:
-        raise DataError(f"{args.sequence}: sequence has {len(frames)} frames, "
+    n_frames = 0
+
+    def counted(frames):
+        nonlocal n_frames
+        for n_frames, f in enumerate(frames, 1):
+            yield f
+
+    # every window is extracted before the first line is printed, so a data
+    # error anywhere in the stream leaves stdout empty
+    samples = pipeline.sequence_samples(
+        counted(_frames(args.sequence, cfg, raw=args.raw)), cfg
+    )
+    if not samples:
+        raise DataError(f"{args.sequence}: sequence has {n_frames} frames, "
                         f"needs >= {cfg.window_frames}")
-    for start, sample in pipeline.sequence_samples(frames, cfg):
+    for start, sample in samples:
         cls, scores = mlp.predict(model, sample.values)
         score_text = " ".join(f"{s:.6f}" for s in scores)
         print(f"{start} {ACTION_LABELS[cls]} {score_text}")
@@ -280,42 +298,47 @@ def cmd_sweep(args) -> int:
 
 def cmd_dump(args) -> int:
     """Diagnostic exports: foreground masks, features, flow, per the
-    --dump-* flags on the shared parser."""
+    --dump-* flags on the shared parser. One pass over the frames takes each
+    frame through every requested stage in that order; the flow stage holds
+    only the last flow-step frame and its pyramid."""
     cfg = _load_cfg(args)
-    frames = _load_frames(args.sequence, cfg, raw=args.raw)
-    if args.dump_masks:
-        os.makedirs(args.dump_masks, exist_ok=True)
-        model = bgmodel.BackgroundModel(cfg, frames[0].pixels.shape)
-        for f in frames:
-            mask = model.update_and_classify(f.pixels)
+    step = cfg.flow_step
+    gmm = prev = None
+    for f in _frames(args.sequence, cfg, raw=args.raw):
+        if f.index == 0:
+            # a sequence path that cannot be read leaves no directory behind
+            for out_dir in (args.dump_masks, args.dump_features, args.dump_flow):
+                if out_dir:
+                    os.makedirs(out_dir, exist_ok=True)
+        if args.dump_masks:
+            if gmm is None:
+                gmm = bgmodel.BackgroundModel(cfg, f.pixels.shape)
+            mask = gmm.update_and_classify(f.pixels)
             pixels = np.where(mask, 255, 0).astype(np.uint8)
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")
             with open(path, "wb") as fh:
                 fh.write(encode_pgm(Frame(f.width, f.height, f.index, pixels)))
-    if args.dump_features:
-        os.makedirs(args.dump_features, exist_ok=True)
-        for f in frames:
+        if args.dump_features:
             points = goodfeat.detect_good_features(f.pixels, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
             with open(path, "w") as fh:
                 for x, y, score in points.tolist():
                     fh.write(f"{f.index} {x} {y} {score}\n")
-    if args.dump_flow:
-        os.makedirs(args.dump_flow, exist_ok=True)
-        pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
-        for i in range(0, len(frames) - cfg.flow_step, cfg.flow_step):
-            pj = lkflow.build_pyramid(frames[i + cfg.flow_step].pixels,
-                                      cfg.pyramid_levels)
-            xy = goodfeat.detect_good_features(frames[i].pixels, cfg)[:, :2]
-            tracks = lkflow.track_points(pi, pj, xy, cfg)
-            rows = zip(xy.tolist(), (tracks.dxy / cfg.flow_step).tolist(),
-                       tracks.status, tracks.residual.tolist())
-            path = os.path.join(args.dump_flow, f"flow_{i:05d}.txt")
-            with open(path, "w") as fh:
-                for (x, y), (u, v), status, residual in rows:
-                    name = lkflow.TrackStatus(status).name
-                    fh.write(f"{i} {x} {y} {u} {v} {name} {residual}\n")
-            pi = pj
+        if args.dump_flow and f.index % step == 0:
+            pj = lkflow.build_pyramid(f.pixels, cfg.pyramid_levels)
+            if prev is not None:
+                pixels_i, pi = prev
+                i = f.index - step
+                xy = goodfeat.detect_good_features(pixels_i, cfg)[:, :2]
+                tracks = lkflow.track_points(pi, pj, xy, cfg)
+                rows = zip(xy.tolist(), (tracks.dxy / step).tolist(),
+                           tracks.status, tracks.residual.tolist())
+                path = os.path.join(args.dump_flow, f"flow_{i:05d}.txt")
+                with open(path, "w") as fh:
+                    for (x, y), (u, v), status, residual in rows:
+                        name = lkflow.TrackStatus(status).name
+                        fh.write(f"{i} {x} {y} {u} {v} {name} {residual}\n")
+            prev = f.pixels, pj
     print("dump complete")
     return 0
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections import deque
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,22 +24,45 @@ def window_starts(n_frames: int, cfg: PipelineConfig) -> list[int]:
 
 
 def sequence_samples(
-    frames: Sequence[Frame], cfg: PipelineConfig, label: Optional[str] = None
+    frames: Iterable[Frame], cfg: PipelineConfig, label: Optional[str] = None
 ) -> list[tuple[int, SampleVector]]:
     """(window start frame, sample) for each full window in the sequence,
-    extracted ``WINDOWS_PER_CALL`` consecutive windows at a time."""
-    pixels = [f.pixels for f in frames]
-    starts = window_starts(len(pixels), cfg)
-    out = []
-    for g in range(0, len(starts), WINDOWS_PER_CALL):
-        group = starts[g : g + WINDOWS_PER_CALL]
-        values = _window_samples(pixels, group, cfg)
-        out += [(s, SampleVector(v, label=label)) for s, v in zip(group, values)]
+    extracted ``WINDOWS_PER_CALL`` consecutive windows at a time.
+
+    ``frames`` may be any iterable, read once. Only the frames of the
+    current group are held: a group runs as soon as its last window is
+    complete, and the windows that the stream completes before it ends run
+    as the last group.
+    """
+    stride = cfg.stride
+    group_stride = WINDOWS_PER_CALL * stride
+    span = group_stride - stride + cfg.window_frames  # frames of a full group
+    held: deque[np.ndarray] = deque()  # pixels of frames first, first + 1, ...
+    first = 0  # the current group's first window start
+    out: list[tuple[int, SampleVector]] = []
+
+    def run() -> None:
+        starts = window_starts(len(held), cfg)
+        values = _window_samples(held, starts, cfg)
+        out.extend((first + s, SampleVector(v, label=label))
+                   for s, v in zip(starts, values))
+
+    for i, f in enumerate(frames):
+        if i < first:  # between windows when the stride exceeds a window
+            continue
+        held.append(f.pixels)
+        if len(held) == span:
+            run()
+            first += group_stride
+            for _ in range(min(group_stride, span)):
+                held.popleft()
+    if len(held) >= cfg.window_frames:
+        run()
     return out
 
 
 def _window_samples(
-    pixels: list[np.ndarray], starts: list[int], cfg: PipelineConfig
+    pixels: Sequence[np.ndarray], starts: list[int], cfg: PipelineConfig
 ) -> np.ndarray:
     """The (W, 12 * N) samples of the W windows that start at ``starts`` in
     the sequence of (h, w) frame images ``pixels``.

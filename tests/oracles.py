@@ -11,7 +11,9 @@ same taps in the same order as ``lkflow.build_pyramid``;
 ``mlp.rprop_step``; ``save_model_per_value``, the per-value form of
 ``mlp.save_model``; ``extract_window_sample``, which extracts one window
 per tracker call, the reference for the batched
-``pipeline.sequence_samples``; and ``window_sample_loop``, which builds a
+``pipeline.sequence_samples``; ``sequence_samples_list``, which holds every
+frame and groups the windows of the whole list, the reference for the
+streamed ``pipeline.sequence_samples``; and ``window_sample_loop``, which builds a
 window's sample from per-slot, per-step ``PointDescriptor`` records on the
 package's own detector, tracker and Jacobian. The package must reproduce all
 of them exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
@@ -592,6 +594,22 @@ def extract_window_sample(frames, cfg, label=None):
         pi = pj
 
     return SampleVector(flowdesc.pool_window(table, tracked), label=label)
+
+
+def sequence_samples_list(frames, cfg):
+    """(window start, values) for each full window, with every frame held in
+    one list and the windows of ``window_starts`` over the whole list taken
+    ``WINDOWS_PER_CALL`` at a time: the groups that the streamed
+    ``pipeline.sequence_samples`` must reproduce."""
+    from harpipe import pipeline
+
+    pixels = [f.pixels for f in frames]
+    starts = pipeline.window_starts(len(pixels), cfg)
+    out = []
+    for g in range(0, len(starts), pipeline.WINDOWS_PER_CALL):
+        group = starts[g : g + pipeline.WINDOWS_PER_CALL]
+        out += zip(group, pipeline._window_samples(pixels, group, cfg))
+    return out
 
 
 def window_sample_loop(frames, cfg):

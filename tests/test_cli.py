@@ -3,6 +3,8 @@ import dataclasses
 import io
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,7 +16,7 @@ from harpipe import cli, mlp, synth
 from harpipe.config import PipelineConfig, load_config
 from harpipe.mlp import ACTION_LABELS
 
-from test_pipeline import synth_frames, write_raw
+from test_pipeline import constant_model, synth_frames, write_raw
 
 FAST = ["--set", "epochs=5", "--set", "feature_size=4", "--set", "hidden_nodes=16"]
 
@@ -186,16 +188,21 @@ class TestExitCodes:
                          "0", "--test-per-class", "0"]) == 0
 
     @pytest.mark.parametrize("output", [
-        "train", "synth", "--dump-masks", "--dump-features", "--dump-flow"])
+        "train", "train-into-directory", "synth", "--dump-masks",
+        "--dump-features", "--dump-flow"])
     def test_usage_error_on_unwritable_output(self, output, tiny_corpus,
                                               tmp_path, capsys):
-        # a regular file where the output needs a directory, or a model file
-        # in a directory that does not exist
+        # a regular file where the output needs a directory, a model file in
+        # a directory that does not exist, or a directory as the model file
         blocker = tmp_path / "file"
         blocker.write_bytes(b"")
         seq = next((tiny_corpus / "test" / "boxing").iterdir())
-        if output == "train":
-            path = tmp_path / "missing" / "model.txt"
+        if output.startswith("train"):
+            if output == "train":
+                path = tmp_path / "missing" / "model.txt"
+            else:
+                path = tmp_path / "model_dir"
+                path.mkdir()
             argv = ["train", str(tiny_corpus / "train"), str(path)] + FAST
         elif output == "synth":
             path = blocker / "corpus"
@@ -316,6 +323,32 @@ class TestExitCodes:
         assert rc == 2
         assert str(short) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "dump", "evaluate"])
+    def test_data_error_on_corrupt_frame(self, command, tiny_corpus,
+                                         tiny_model, tmp_path, capsys):
+        # frame 40 is cut short, so the error comes after 40 frames have been
+        # read, and by dump written
+        test_dir = tmp_path / "test"
+        shutil.copytree(tiny_corpus / "test", test_dir)
+        seq = next((test_dir / "boxing").iterdir())
+        bad = sorted(seq.iterdir())[40]
+        bad.write_bytes(bad.read_bytes()[:100])
+        masks = tmp_path / "masks"
+        argv = {"classify": ["classify", str(seq), str(tiny_model)],
+                "dump": ["dump", str(seq), "--dump-masks", str(masks)],
+                "evaluate": ["evaluate", str(test_dir), str(tiny_model)]}
+        rc = cli.main(argv[command] + FAST)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert rc == 2
+        assert "Traceback" not in captured.err
+        assert [line for line in err if line.startswith("data error: ")] == err[-1:]
+        assert err[-1].startswith(f"data error: {seq}: ")
+        if command == "classify":
+            assert captured.out == ""
+        if command == "dump":
+            assert len(list(masks.iterdir())) == 40
 
     def test_sweep_rejects_feature_size_below_one(self, tiny_corpus):
         rc = cli.main(["sweep", str(tiny_corpus / "train"),
@@ -456,6 +489,78 @@ class TestDump:
         assert flow_files
         line = flow_files[0].read_text().splitlines()[0].split()
         assert len(line) == 7  # index x y u v status residual
+
+    def test_one_pass_matches_single_stage_runs(self, tiny_corpus, tmp_path):
+        seq = next((tiny_corpus / "test" / "running").iterdir())
+
+        def dump(out, stages):
+            argv = ["dump", str(seq), "--set", "flow_step=2"]
+            for stage in stages:
+                argv += [f"--dump-{stage}", str(out / stage)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            return {stage: {p.name: p.read_bytes() for p in (out / stage).iterdir()}
+                    for stage in stages}
+
+        together = dump(tmp_path / "together", DUMP_STAGES)
+        # flow_step=2 over 75 frames: frames 0, 2, ..., 72 start a flow step
+        assert len(together["flow"]) == 37
+        for stage in DUMP_STAGES:
+            assert dump(tmp_path / stage, [stage]) == {stage: together[stage]}
+
+
+# one harpipe command in a fresh process; prints its exit code and the
+# process's peak RSS in MB, read from VmHWM as perfbench/worker.py reads it
+PEAK_RSS = """\
+import contextlib, io, sys
+from harpipe import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(rc, int(peak) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+class TestBoundedMemory:
+    """classify and dump hold at most one window group of a raw stream's
+    frames, so their peak RSS does not grow with the stream's length."""
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory):
+        # the long stream repeats the short one, so that only the length
+        # differs between the two runs
+        out = tmp_path_factory.mktemp("streams")
+        short, long = out / "short.raw", out / "long.raw"
+        write_raw(short, synth_frames("boxing") + synth_frames("walking"))
+        long.write_bytes(short.read_bytes() * 8)
+        return short, long
+
+    @staticmethod
+    def peak_rss_mb(argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rc, peak = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        return float(peak)
+
+    @pytest.mark.parametrize("command", ["classify", "dump"])
+    def test_peak_rss_independent_of_length(self, command, streams, tmp_path):
+        model = tmp_path / "constant.txt"
+        constant_model(model)
+        peaks = []
+        for stream in streams:  # 150 frames, then 1,200
+            argv = (["classify", str(stream), str(model)] if command == "classify"
+                    else ["dump", str(stream), "--dump-masks",
+                          str(tmp_path / stream.stem)])
+            peaks.append(self.peak_rss_mb(
+                argv + ["--raw", f"{synth.WIDTH}x{synth.HEIGHT}"]))
+        assert peaks[1] - peaks[0] <= 2.0, peaks
 
 DUMP_STAGES = ("masks", "features", "flow")
 

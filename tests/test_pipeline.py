@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -15,7 +17,12 @@ from harpipe.pipeline import (
 )
 
 from conftest import make_frame
-from oracles import extract_window_sample, smooth_texture, window_sample_loop
+from oracles import (
+    extract_window_sample,
+    sequence_samples_list,
+    smooth_texture,
+    window_sample_loop,
+)
 
 
 def synth_frames(label, seed=0, count=None):
@@ -139,6 +146,62 @@ class TestSequenceSamples:
                     == expected.values.view(np.int64).tolist())
 
 
+class TestStreamedFrames:
+    """sequence_samples reads its frames once, as a stream, and holds only
+    one window group of them; every value is bit-identical to the path that
+    holds the whole list."""
+
+    @staticmethod
+    def stream(frames):
+        # fresh pixel arrays, so a frame that nothing holds is freed
+        for f in frames:
+            yield Frame(f.width, f.height, f.index, f.pixels.copy())
+
+    @pytest.fixture(scope="class")
+    def three_sequences(self):
+        labels = ["boxing", "running", "walking"]
+        pixels = [f.pixels for seed, label in enumerate(labels)
+                  for f in synth_frames(label, seed=seed)]
+        return [Frame(synth.WIDTH, synth.HEIGHT, i, p)
+                for i, p in enumerate(pixels)]
+
+    @pytest.mark.parametrize("window_stride,count,windows", [
+        (0, 225, 9),  # groups of 4, 4 and 1 windows
+        (10, 225, 21),  # overlapping windows
+        (30, 225, 7),  # frames between windows belong to none
+        (0, 24, 0),  # shorter than one window
+    ])
+    def test_bit_identical_to_list_path(self, three_sequences, window_stride,
+                                        count, windows):
+        cfg = PipelineConfig(window_stride=window_stride)
+        frames = three_sequences[:count]
+        expected = sequence_samples_list(frames, cfg)
+        assert len(expected) == windows
+        for source in (self.stream(frames), frames):
+            got = sequence_samples(source, cfg, label="boxing")
+            assert [s for s, _ in got] == [s for s, _ in expected]
+            for (_, sample), (_, values) in zip(got, expected):
+                assert sample.label == "boxing"
+                assert (sample.values.view(np.int64).tolist()
+                        == values.view(np.int64).tolist())
+
+    @pytest.mark.parametrize("window_stride", [0, 10])
+    def test_holds_one_group(self, three_sequences, window_stride):
+        cfg = PipelineConfig(window_stride=window_stride)
+        refs, most = [], 0
+
+        def watched():
+            nonlocal most
+            for f in self.stream(three_sequences):
+                refs.append(weakref.ref(f.pixels))
+                most = max(most, sum(ref() is not None for ref in refs))
+                yield f
+
+        sequence_samples(watched(), cfg)
+        group = (WINDOWS_PER_CALL - 1) * cfg.stride + cfg.window_frames
+        assert most <= group
+
+
 def write_raw(path, frames):
     path.write_bytes(b"".join(f.pixels.tobytes() for f in frames))
 
@@ -192,7 +255,10 @@ class TestClassify:
         rc = cli.main(["classify", str(raw), str(model),
                        "--raw", f"{synth.WIDTH}x{synth.HEIGHT}"])
         assert rc == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {raw}: sequence has 24 frames, "
+                                "needs >= 25\n")
 
     def test_tracker_calls_bounded_on_long_streams(self, tmp_path, monkeypatch,
                                                    capsys):
