@@ -7,7 +7,9 @@ and `dump --dump-masks --dump-features --dump-flow` on one test sequence.
 Then the first test sequence of three classes is written as one 225-frame
 raw stream, and each tree runs `classify --raw` and `dump --raw` with the
 three dump flags on it: its 9 windows make two full groups of
-`WINDOWS_PER_CALL` windows and a partial one. One line per artifact (a
+`WINDOWS_PER_CALL` windows and a partial one. `classify --raw` runs on it
+once more with `window_stride=10` and `flow_step=4`, whose overlapping
+windows read frames that the next group reads too. One line per artifact (a
 command's stdout, the model file, or one dump directory) says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
@@ -127,6 +129,8 @@ def main() -> int:
             ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
             ("dump.out", ["dump", sequence] + [a for d in DUMPS for a in (f"--dump-{d}", d)]),
             ("classify_raw.out", ["classify", stream, "model.txt"] + raw),
+            ("classify_overlap.out", ["classify", stream, "model.txt", "--set",
+                                      "window_stride=10", "--set", "flow_step=4"] + raw),
             ("dump_raw.out", ["dump", stream] + raw
              + [a for d in DUMPS for a in (f"--dump-{d}", f"raw_{d}")]),
         ]
@@ -140,7 +144,7 @@ def main() -> int:
         for name in names:
             verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))
             failed |= verdict == "differs"
-            print(f"{name:<18} {verdict}")
+            print(f"{name:<20} {verdict}")
     return 1 if failed else 0
 
 

@@ -300,7 +300,8 @@ def cmd_dump(args) -> int:
     """Diagnostic exports: foreground masks, features, flow, per the
     --dump-* flags on the shared parser. One pass over the frames takes each
     frame through every requested stage in that order; the flow stage holds
-    only the last flow-step frame and its pyramid."""
+    only the last flow-step frame, its pyramid and, when the features stage
+    detected them, its corners."""
     cfg = _load_cfg(args)
     step = cfg.flow_step
     gmm = prev = None
@@ -318,6 +319,7 @@ def cmd_dump(args) -> int:
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")
             with open(path, "wb") as fh:
                 fh.write(encode_pgm(Frame(f.width, f.height, f.index, pixels)))
+        points = None
         if args.dump_features:
             points = goodfeat.detect_good_features(f.pixels, cfg)
             path = os.path.join(args.dump_features, f"features_{f.index:05d}.txt")
@@ -327,9 +329,11 @@ def cmd_dump(args) -> int:
         if args.dump_flow and f.index % step == 0:
             pj = lkflow.build_pyramid(f.pixels, cfg.pyramid_levels)
             if prev is not None:
-                pixels_i, pi = prev
+                pixels_i, pi, points_i = prev
                 i = f.index - step
-                xy = goodfeat.detect_good_features(pixels_i, cfg)[:, :2]
+                if points_i is None:
+                    points_i = goodfeat.detect_good_features(pixels_i, cfg)
+                xy = points_i[:, :2]
                 tracks = lkflow.track_points(pi, pj, xy, cfg)
                 rows = zip(xy.tolist(), (tracks.dxy / step).tolist(),
                            tracks.status, tracks.residual.tolist())
@@ -338,7 +342,7 @@ def cmd_dump(args) -> int:
                     for (x, y), (u, v), status, residual in rows:
                         name = lkflow.TrackStatus(status).name
                         fh.write(f"{i} {x} {y} {u} {v} {name} {residual}\n")
-            prev = f.pixels, pj
+            prev = f.pixels, pj, points
     print("dump complete")
     return 0
 

@@ -289,5 +289,9 @@ def load_sequence(
         raise EmptySequenceError(f"no PNM files in {path_spec}")
     for i, name in enumerate(names):
         with open(os.path.join(path_spec, name), "rb") as fh:
-            frame = decode_pnm(fh.read(), index=i)
+            data = fh.read()
+        try:
+            frame = decode_pnm(data, index=i)
+        except PnmError as e:
+            raise type(e)(f"{name}: {e}") from None
         yield _normalize(frame, working_resolution)

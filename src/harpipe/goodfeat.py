@@ -33,16 +33,16 @@ def min_eigenvalue_map(pixels: np.ndarray, half_window: int) -> np.ndarray:
     vh, vw = ih - 2 * h, iw - 2 * h
     if vh <= 0 or vw <= 0:
         return np.zeros_like(ix)
+    gxx, gxy, gyy = ix * ix, ix * iy, iy * iy
     sxx = np.zeros((vh, vw))
     sxy = np.zeros((vh, vw))
     syy = np.zeros((vh, vw))
     for dy in range(2 * h + 1):
         for dx in range(2 * h + 1):
-            gx = ix[dy : dy + vh, dx : dx + vw]
-            gy = iy[dy : dy + vh, dx : dx + vw]
-            sxx += gx * gx
-            sxy += gx * gy
-            syy += gy * gy
+            win = np.s_[dy : dy + vh, dx : dx + vw]
+            sxx += gxx[win]
+            sxy += gxy[win]
+            syy += gyy[win]
     disc = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy**2)
     lam = np.zeros_like(ix)
     lam[h : h + vh, h : h + vw] = np.maximum(0.0, (sxx + syy - disc) / 2.0)

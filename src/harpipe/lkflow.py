@@ -112,10 +112,17 @@ def sample_windows(
     grid = np.arange(n + 1)[:, None]
     ix = np.clip(lo[:, 0].astype(np.intp) + grid, 0, w - 1)
     iy = np.clip(lo[:, 1].astype(np.intp) + grid, 0, h - 1) * w + offset
-    patch = img.reshape(-1).take(iy[:, None] + ix)
-    rows = patch[:, :-1] * (1 - fx) + patch[:, 1:] * fx
-    del patch  # before the second blend, which needs the most memory
-    return rows[:-1] * (1 - fy) + rows[1:] * fy
+    # each blend weighs its trailing slice in place, once its leading slice
+    # has been read, so neither blend allocates a temporary
+    patch = img.reshape(-1).take(iy[:, None] + ix).astype(np.float64, copy=False)
+    rows = patch[:, :-1] * (1 - fx)
+    patch[:, 1:] *= fx
+    rows += patch[:, 1:]
+    del patch
+    out = rows[:-1] * (1 - fy)
+    rows[1:] *= fy
+    out += rows[1:]
+    return out
 
 
 def _window_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,11 +153,17 @@ def _template_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (2hw+1)^2 template windows of the points ``p`` and, stacked, their
     x and y central-difference gradient windows, all cut from one
-    (2hw+3)^2 window per point."""
+    (2hw+3)^2 window per point. For a point inside ``[hw, side - 1 - hw]``
+    the template window equals ``sample_windows(img, p, hw, image)`` bit for
+    bit: both take the same patch pixels and fractional offsets. The
+    template windows are a copy, so the larger windows are freed here."""
     big = sample_windows(img, p, hw + 1, image)
-    grad = np.stack(((big[1:-1, 2:] - big[1:-1, :-2]) / 2.0,
-                     (big[2:, 1:-1] - big[:-2, 1:-1]) / 2.0))
-    return big[1:-1, 1:-1], grad
+    n = 2 * hw + 1
+    grad = np.empty((2, n, n, len(p)))
+    np.subtract(big[1:-1, 2:], big[1:-1, :-2], out=grad[0])
+    np.subtract(big[2:, 1:-1], big[:-2, 1:-1], out=grad[1])
+    grad /= 2.0
+    return np.ascontiguousarray(big[1:-1, 1:-1]), grad
 
 
 def _refine(
@@ -164,15 +177,15 @@ def _refine(
     """One pyramid level's iterations for the points ``p`` (L, 2), in that
     level's pixels, seeded with the displacements ``guess``. Returns each
     point's (L,) status, LOST_SINGULAR for a singular structure tensor and
-    LOST_BOUNDS for an estimate that leaves the level, and its (L, 2)
-    increment to ``guess``."""
+    LOST_BOUNDS for an estimate that leaves the level, its (L, 2) increment
+    to ``guess``, and the (n, n, L) template windows of ``p``."""
     hw = cfg.track_half_window
     eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
     eps_sq = cfg.track_convergence_eps**2
     lh, lw = imgi.shape[-2:]
     status = np.full(len(p), TrackStatus.TRACKED, dtype=np.int8)
 
-    iw, grad = _template_windows(imgi, p, hw, image)
+    windows, grad = _template_windows(imgi, p, hw, image)
     zxx, zxy, zyy = (_window_dots(grad[a], grad[b]) for a, b in ((0, 0), (0, 1), (1, 1)))
     det = zxx * zyy - zxy * zxy
     lam_min = (zxx + zyy - np.sqrt((zxx - zyy) ** 2 + 4 * zxy**2)) / 2.0
@@ -183,7 +196,7 @@ def _refine(
     active = np.flatnonzero(~singular)  # points still iterating
     # their template and gradient windows, tensor terms and image indices,
     # compacted only when the active set shrinks
-    state = _points(~singular, [iw, grad, zxx, zxy, zyy, det, image])
+    state = _points(~singular, [windows, grad, zxx, zxy, zyy, det, image])
     for _ in range(cfg.track_max_iterations):
         if active.size == 0:
             break
@@ -192,7 +205,8 @@ def _refine(
         status[active[~ok]] = TrackStatus.LOST_BOUNDS
         active, q, state = active[ok], q[ok], _points(ok, state)
         iw, grad, zxx, zxy, zyy, det, k = state
-        diff = iw - sample_windows(imgj, q, hw, k)
+        diff = sample_windows(imgj, q, hw, k)
+        np.subtract(iw, diff, out=diff)
         ex, ey = _window_dots(diff, grad)
         sx = (zyy * ex - zxy * ey) / det
         sy = (zxx * ey - zxy * ex) / det
@@ -200,7 +214,7 @@ def _refine(
         d[active, 1] += sy
         moving = ~(sx * sx + sy * sy < eps_sq)
         active, state = active[moving], _points(moving, state)
-    return status, d
+    return status, d, windows
 
 
 def track_points(
@@ -228,24 +242,28 @@ def track_points(
 
     # displacement after the latest level, in that level's pixels
     shift = np.zeros_like(xy)
-    n_levels = min(len(pi), len(pj))
-    for level in reversed(range(n_levels)):
-        live = np.flatnonzero(status == TrackStatus.TRACKED)
+    live = np.flatnonzero(status == TrackStatus.TRACKED)
+    # the latest level's template windows, and the live points' places in them
+    iw, at = np.empty((2 * hw + 1, 2 * hw + 1, 0)), np.empty(0, dtype=np.intp)
+    for level in reversed(range(min(len(pi), len(pj)))):
         if live.size == 0:
             break
         guess = 2.0 * shift[live]
-        status[live], d = _refine(pi[level], pj[level], xy[live] / (1 << level),
-                                  guess, image[live], cfg)
+        del iw  # the coarser level's, freed before this level samples its own
+        status[live], d, iw = _refine(pi[level], pj[level], xy[live] / (1 << level),
+                                      guess, image[live], cfg)
         shift[live] = guess + d
+        at = np.flatnonzero(status[live] == TrackStatus.TRACKED)
+        live = live[at]
 
-    live = np.flatnonzero(status == TrackStatus.TRACKED)
+    # a live point went through level 0, where it lies inside
+    # [hw, side - 1 - hw], so its template window there is its residual's
     moved = xy[live] + shift[live]
     ok = _inside(moved, hw, w0 - 1 - hw, h0 - 1 - hw)
     status[live[~ok]] = TrackStatus.LOST_BOUNDS
-    live, moved = live[ok], moved[ok]
-    iw = sample_windows(pi[0], xy[live], hw, image[live])
-    jw = sample_windows(pj[0], moved, hw, image[live])
-    diff = iw - jw
+    live, moved, at = live[ok], moved[ok], at[ok]
+    diff = sample_windows(pj[0], moved, hw, image[live])
+    np.subtract(iw[..., at], diff, out=diff)
     residual = np.sqrt(_window_dots(diff, diff) / (diff.shape[0] * diff.shape[1]))
     status[live[~(residual <= cfg.track_residual_max)]] = TrackStatus.LOST_RESIDUAL
 

@@ -30,14 +30,15 @@ def sequence_samples(
     extracted ``WINDOWS_PER_CALL`` consecutive windows at a time.
 
     ``frames`` may be any iterable, read once. Only the frames of the
-    current group are held: a group runs as soon as its last window is
-    complete, and the windows that the stream completes before it ends run
-    as the last group.
+    current group that some window reads are held: a group runs as soon as
+    its last window is complete, and the windows that the stream completes
+    before it ends run as the last group.
     """
     stride = cfg.stride
     group_stride = WINDOWS_PER_CALL * stride
     span = group_stride - stride + cfg.window_frames  # frames of a full group
-    held: deque[np.ndarray] = deque()  # pixels of frames first, first + 1, ...
+    # pixels of frames first, first + 1, ..., None where no window reads them
+    held: deque[Optional[np.ndarray]] = deque()
     first = 0  # the current group's first window start
     out: list[tuple[int, SampleVector]] = []
 
@@ -50,7 +51,7 @@ def sequence_samples(
     for i, f in enumerate(frames):
         if i < first:  # between windows when the stride exceeds a window
             continue
-        held.append(f.pixels)
+        held.append(f.pixels if _is_read(i, cfg) else None)
         if len(held) == span:
             run()
             first += group_stride
@@ -61,11 +62,21 @@ def sequence_samples(
     return out
 
 
+def _is_read(i: int, cfg: PipelineConfig) -> bool:
+    """Whether some window reads frame ``i``: as its first frame or as one
+    of its flow-step frames."""
+    last = (cfg.window_frames - 1) // cfg.flow_step * cfg.flow_step
+    latest = i - i % cfg.stride  # the latest window start at or before i
+    return any((i - s) % cfg.flow_step == 0
+               for s in range(latest, max(i - last, 0) - 1, -cfg.stride))
+
+
 def _window_samples(
-    pixels: Sequence[np.ndarray], starts: list[int], cfg: PipelineConfig
+    pixels: Sequence[Optional[np.ndarray]], starts: list[int], cfg: PipelineConfig
 ) -> np.ndarray:
     """The (W, 12 * N) samples of the W windows that start at ``starts`` in
-    the sequence of (h, w) frame images ``pixels``.
+    the sequence of (h, w) frame images ``pixels``, where a frame that no
+    window reads may be None.
 
     Features are detected on each window's first frame and tracked at every
     flow_step-th frame. Window w's frames are image w of the stacked
@@ -90,7 +101,7 @@ def _window_samples(
     prev_uv = np.zeros_like(xy)
     table = np.zeros((len(starts), n, steps, flowdesc.DESCRIPTOR_DIM))
     tracked = np.zeros((len(starts), n, steps), dtype=bool)
-    frame_size = pixels[0].shape[::-1]
+    frame_size = pixels[starts[0]].shape[::-1]
 
     pi = pyramid(0)
     intensity = lkflow.sample_windows(pi[0], xy, 0, win)[0, 0]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harpipe import cli, mlp, synth
+from harpipe import cli, goodfeat, mlp, synth
 from harpipe.config import PipelineConfig, load_config
 from harpipe.mlp import ACTION_LABELS
 
@@ -344,7 +344,8 @@ class TestExitCodes:
         assert rc == 2
         assert "Traceback" not in captured.err
         assert [line for line in err if line.startswith("data error: ")] == err[-1:]
-        assert err[-1].startswith(f"data error: {seq}: ")
+        # the bad file is named
+        assert err[-1].startswith(f"data error: {seq}: {bad.name}: ")
         if command == "classify":
             assert captured.out == ""
         if command == "dump":
@@ -507,6 +508,29 @@ class TestDump:
         assert len(together["flow"]) == 37
         for stage in DUMP_STAGES:
             assert dump(tmp_path / stage, [stage]) == {stage: together[stage]}
+
+    @pytest.mark.parametrize("stages,calls", [
+        (["features", "flow"], 75),  # the flow stage takes the features'
+        (["flow"], 24),  # frames 0, 3, ..., 69 start a flow step
+    ])
+    def test_detector_runs_once_per_frame(self, stages, calls, tiny_corpus,
+                                          tmp_path, monkeypatch):
+        seq = next((tiny_corpus / "test" / "walking").iterdir())
+        count = 0
+        detect = goodfeat.detect_good_features
+
+        def spy(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(goodfeat, "detect_good_features", spy)
+        argv = ["dump", str(seq)]
+        for stage in stages:
+            argv += [f"--dump-{stage}", str(tmp_path / stage)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert count == calls
 
 
 # one harpipe command in a fresh process; prints its exit code and the

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from harpipe import lkflow
 from harpipe.config import PipelineConfig
 from harpipe.goodfeat import detect_good_features
 from harpipe.lkflow import (
@@ -139,6 +140,32 @@ class TestSampleWindows:
             else:
                 np.testing.assert_allclose(got[..., p], want, rtol=0, atol=1e-9,
                                            err_msg=f"{(x, y)}")
+
+
+class TestTemplateWindows:
+    """The residual reuses level 0's template windows, so for points inside
+    ``[hw, side - 1 - hw]`` they must equal a fresh ``sample_windows``."""
+
+    @seed(15)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(3, 40),
+           st.integers(1, 3), st.booleans(), st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_inner_slice_is_sample_windows(self, rng_seed, h, w, stack,
+                                           as_uint8, hw):
+        hw = min(hw, (min(h, w) - 1) // 2)
+        rng = np.random.default_rng(rng_seed)
+        shape = (stack, h, w)
+        imgs = (rng.integers(0, 256, shape).astype(np.uint8) if as_uint8
+                else rng.uniform(0.0, 255.0, shape))
+        lo, hi = (hw, hw), (w - 1 - hw, h - 1 - hw)
+        # anywhere inside, and on the edges of, the interval
+        xy = rng.uniform(lo, hi, (12, 2))
+        xy[:4] = np.round(xy[:4])
+        xy[4:8] = np.where(rng.integers(0, 2, (4, 2)), lo, hi)
+        image = rng.integers(0, stack, len(xy))
+        template, _ = lkflow._template_windows(imgs, xy, hw, image)
+        want = sample_windows(imgs, xy, hw, image)
+        assert template.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestTrackPoint:

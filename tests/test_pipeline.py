@@ -132,9 +132,23 @@ class TestSequenceSamples:
     ])
     def test_matches_per_window_oracle(self, label, feature_size, flow_step,
                                        window_stride, count):
-        frames = synth_frames(label, seed=11, count=count)
         cfg = PipelineConfig(feature_size=feature_size, flow_step=flow_step,
                              window_stride=window_stride)
+        self.assert_matches_oracle(synth_frames(label, seed=11, count=count),
+                                   cfg, label)
+
+    @pytest.mark.parametrize("label", ["boxing", "running"])
+    @pytest.mark.parametrize("setting", [{"flow_step": 4},
+                                         {"pyramid_levels": 1}])
+    @pytest.mark.parametrize("window_stride,count", [(0, 50), (10, 65)])
+    def test_matches_per_window_oracle_other_settings(
+            self, label, setting, window_stride, count):
+        cfg = PipelineConfig(window_stride=window_stride, **setting)
+        self.assert_matches_oracle(synth_frames(label, seed=11, count=count),
+                                   cfg, label)
+
+    @staticmethod
+    def assert_matches_oracle(frames, cfg, label):
         samples = sequence_samples(frames, cfg, label=label)
         starts = window_starts(len(frames), cfg)
         assert [start for start, _ in samples] == starts
@@ -174,7 +188,17 @@ class TestStreamedFrames:
     def test_bit_identical_to_list_path(self, three_sequences, window_stride,
                                         count, windows):
         cfg = PipelineConfig(window_stride=window_stride)
-        frames = three_sequences[:count]
+        self.assert_bit_identical(three_sequences[:count], cfg, windows)
+
+    @pytest.mark.parametrize("setting", [{"flow_step": 4},
+                                         {"pyramid_levels": 1}])
+    @pytest.mark.parametrize("window_stride,windows", [(0, 9), (10, 21)])
+    def test_bit_identical_to_list_path_other_settings(
+            self, three_sequences, setting, window_stride, windows):
+        cfg = PipelineConfig(window_stride=window_stride, **setting)
+        self.assert_bit_identical(three_sequences, cfg, windows)
+
+    def assert_bit_identical(self, frames, cfg, windows):
         expected = sequence_samples_list(frames, cfg)
         assert len(expected) == windows
         for source in (self.stream(frames), frames):
@@ -200,6 +224,42 @@ class TestStreamedFrames:
         sequence_samples(watched(), cfg)
         group = (WINDOWS_PER_CALL - 1) * cfg.stride + cfg.window_frames
         assert most <= group
+
+    @pytest.mark.parametrize("setting,count,most_read", [
+        # 3 windows of 9 read frames each
+        ({}, 75, 27),
+        # overlapping windows read frames 0, 4, ..., 24 from each start 0,
+        # 10, ...: every even frame, 28 of the 55 that a group of 4 spans
+        ({"window_stride": 10, "flow_step": 4}, 225, 28),
+    ])
+    def test_holds_only_read_frames(self, three_sequences, setting, count,
+                                    most_read):
+        # a frame is read as a window's first frame or one of its flow-step
+        # frames; any other frame is dropped once the next one is taken. A
+        # stream's length is not known ahead, so a window that it ends before
+        # completing counts too
+        cfg = PipelineConfig(**setting)
+        steps = (cfg.window_frames - 1) // cfg.flow_step
+        read = {s + k * cfg.flow_step for s in range(0, count, cfg.stride)
+                for k in range(steps + 1)}
+        refs, most = [], 0
+
+        def check():
+            # the frame taken last may still be in the caller's hands
+            nonlocal most
+            alive = {i for i, ref in enumerate(refs) if ref() is not None}
+            assert alive - {len(refs) - 1} <= read
+            most = max(most, len(alive))
+
+        def watched():
+            for f in self.stream(three_sequences[:count]):
+                check()
+                refs.append(weakref.ref(f.pixels))
+                yield f
+            check()  # as the last group runs
+
+        sequence_samples(watched(), cfg)
+        assert most == most_read
 
 
 def write_raw(path, frames):
