@@ -9,7 +9,9 @@ raw stream, and each tree runs `classify --raw` and `dump --raw` with the
 three dump flags on it: its 9 windows make two full groups of
 `WINDOWS_PER_CALL` windows and a partial one. `classify --raw` runs on it
 once more with `window_stride=10` and `flow_step=4`, whose overlapping
-windows read frames that the next group reads too. One line per artifact (a
+windows read frames that the next group reads too, and once more on an RGB
+copy of the stream, whose three channels differ so that their average
+rounds (`--raw WxH:rgb`). One line per artifact (a
 command's stdout, the model file, or one dump directory) says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
@@ -25,6 +27,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 STREAM_SEQUENCES = 3  # test sequences written as the raw stream
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
@@ -60,6 +64,15 @@ def write_stream(seq_dirs: list[str], path: str) -> str:
     if len(geometry) != 1:
         raise SystemExit(f"frames of more than one size: {sorted(geometry)}")
     return geometry.pop()
+
+
+def write_rgb_stream(gray_path: str, path: str) -> None:
+    """Write an RGB copy of a gray raw stream, with channels g, g // 2 and
+    g // 3: over 0-255 their sum leaves each remainder mod 3 about equally
+    often, so the loader's channel average rounds both down and up."""
+    gray = np.fromfile(gray_path, dtype=np.uint8)
+    rgb = np.stack([gray, gray // 2, gray // 3], axis=1)
+    rgb.tofile(path)
 
 
 def difference(a: bytes, b: bytes) -> float | None:
@@ -122,6 +135,8 @@ def main() -> int:
         sequence = firsts[0]
         stream = os.path.join(tmp, "stream.raw")
         raw = ["--raw", write_stream(firsts[:STREAM_SEQUENCES], stream)]
+        rgb_stream = os.path.join(tmp, "stream_rgb.raw")
+        write_rgb_stream(stream, rgb_stream)
         steps = [
             ("train.out", ["train", train, "model.txt"]),
             ("evaluate.out", ["evaluate", test, "model.txt"]),
@@ -131,6 +146,8 @@ def main() -> int:
             ("classify_raw.out", ["classify", stream, "model.txt"] + raw),
             ("classify_overlap.out", ["classify", stream, "model.txt", "--set",
                                       "window_stride=10", "--set", "flow_step=4"] + raw),
+            ("classify_rgb.out", ["classify", rgb_stream, "model.txt",
+                                  "--raw", raw[1] + ":rgb"]),
             ("dump_raw.out", ["dump", stream] + raw
              + [a for d in DUMPS for a in (f"--dump-{d}", f"raw_{d}")]),
         ]

@@ -17,7 +17,7 @@ import numpy as np
 from . import bgmodel, goodfeat, lkflow, mlp, pipeline, synth
 from .config import PipelineConfig, load_config
 from .flowdesc import DESCRIPTOR_DIM
-from .frameio import EmptySequenceError, Frame, encode_pgm, load_sequence
+from .frameio import Frame, encode_pgm, load_sequence
 from .mlp import ACTION_LABELS
 
 
@@ -75,7 +75,7 @@ def _frames(seq_dir: str, cfg: PipelineConfig, raw: str | None = None
         yield from load_sequence(
             seq_dir, working_resolution=cfg.working_resolution, raw=raw
         )
-    except (OSError, EmptySequenceError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"{seq_dir}: {e}") from None
 
 

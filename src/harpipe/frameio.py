@@ -7,37 +7,15 @@ import itertools
 import os
 import stat
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
+from .config import PipelineConfig
+
 
 class PnmError(ValueError):
-    """Base class for PNM decode failures."""
-
-
-class MalformedHeaderError(PnmError):
-    pass
-
-
-class TruncatedDataError(PnmError):
-    pass
-
-
-class UnsupportedMaxvalError(PnmError):
-    pass
-
-
-class BadSampleError(PnmError):
-    """A pixel sample that is not a decimal number or is above maxval."""
-
-
-class NegativeSampleError(BadSampleError):
-    pass
-
-
-class EmptySequenceError(ValueError):
-    pass
+    """PNM bytes that do not decode."""
 
 
 @dataclass(frozen=True)
@@ -54,32 +32,14 @@ class Frame:
             raise ValueError("pixel buffer does not match declared dimensions")
 
 
-@dataclass(frozen=True)
-class RgbFrame:
-    """One color frame. ``pixels`` is a (height, width, 3) uint8 array."""
-
-    width: int
-    height: int
-    index: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise ValueError("pixel buffer does not match declared dimensions")
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
-def _decimal(tok: bytes, error: type[PnmError]) -> int:
+def _decimal(tok: bytes) -> int:
     """Exact value of a token of ASCII digits, leading zeros allowed. A token
     with more significant digits than ``int()`` converts (4,300 by default)
-    raises ``error``."""
+    raises PnmError."""
     try:
         return int(tok.lstrip(b"0") or b"0")
     except ValueError:
-        raise error(f"number of {len(tok)} digits is too long") from None
+        raise PnmError(f"number of {len(tok)} digits is too long") from None
 
 
 def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
@@ -100,67 +60,61 @@ def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
         while i < n and not data[i : i + 1].isspace():
             i += 1
         if start == i:
-            raise MalformedHeaderError("header ended before all fields were read")
+            raise PnmError("header ended before all fields were read")
         tok = data[start:i]
         if not tok.isdigit():
-            raise MalformedHeaderError(f"non-numeric header field {tok!r}")
-        tokens.append(_decimal(tok, MalformedHeaderError))
+            raise PnmError(f"non-numeric header field {tok!r}")
+        tokens.append(_decimal(tok))
     if i >= n:
-        raise TruncatedDataError("no pixel data after header")
+        raise PnmError("no pixel data after header")
     return tokens, i + 1  # single whitespace separates header from payload
 
 
-def decode_pnm(data: bytes, index: int = 0) -> Union[Frame, RgbFrame]:
-    """Decode P2/P5 (grayscale) or P3/P6 (RGB) PNM bytes, maxval <= 255;
-    samples are rescaled to 0-255."""
+def decode_pnm(data: bytes) -> np.ndarray:
+    """Decode P2/P5 (grayscale) or P3/P6 (RGB) PNM bytes, maxval <= 255, to
+    (height, width) or (height, width, 3) uint8 samples rescaled to 0-255."""
     if len(data) < 2:
-        raise MalformedHeaderError("input too short for a PNM magic")
+        raise PnmError("input too short for a PNM magic")
     magic = data[:2].decode("ascii", errors="replace")
     if magic not in ("P2", "P3", "P5", "P6"):
-        raise MalformedHeaderError(f"unsupported magic {magic!r}")
+        raise PnmError(f"unsupported magic {magic!r}")
     (width, height, maxval), offset = _tokenize_header(data, 3)
     if width < 1 or height < 1:
-        raise MalformedHeaderError("non-positive dimensions")
+        raise PnmError("non-positive dimensions")
     if maxval > 255 or maxval < 1:
-        raise UnsupportedMaxvalError(f"maxval {maxval} outside [1, 255]")
+        raise PnmError(f"maxval {maxval} outside [1, 255]")
 
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
 
     if magic in ("P5", "P6"):
-        payload = data[offset : offset + count]
-        if len(payload) < count:
-            raise TruncatedDataError(
-                f"expected {count} pixel bytes, got {len(payload)}"
-            )
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        got = len(data) - offset
+        if got < count:
+            raise PnmError(f"expected {count} pixel bytes, got {got}")
+        # a read-only view of data; uint8 until the rescale below
+        values = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
     else:
         fields = data[offset - 1 :].split()
         if len(fields) < count:
-            raise TruncatedDataError(
-                f"expected {count} ASCII samples, got {len(fields)}"
-            )
+            raise PnmError(f"expected {count} ASCII samples, got {len(fields)}")
         samples = fields[:count]
         for f in samples:
             if not f.isdigit():
                 if f[:1] == b"-" and f[1:].isdigit():
-                    raise NegativeSampleError(f"negative pixel sample {f!r}")
-                raise BadSampleError(f"non-decimal pixel sample {f!r}")
+                    raise PnmError(f"negative pixel sample {f!r}")
+                raise PnmError(f"non-decimal pixel sample {f!r}")
         # clamped to 256 so that a sample too large for int64 fails the
         # maxval check below
         values = np.array(
-            [min(_decimal(f, BadSampleError), 256) for f in samples], dtype=np.int64
+            [min(_decimal(f), 256) for f in samples], dtype=np.int64
         )
     if values.max(initial=0) > maxval:
-        raise BadSampleError("pixel sample exceeds declared maxval")
+        raise PnmError("pixel sample exceeds declared maxval")
     if maxval != 255:
         # netpbm: scale to 0-255, round half up, in exact integer arithmetic
-        values = (values * 510 + maxval) // (2 * maxval)
-
-    pixels = values.astype(np.uint8)
-    if channels == 1:
-        return Frame(width, height, index, pixels.reshape(height, width))
-    return RgbFrame(width, height, index, pixels.reshape(height, width, 3))
+        values = (values.astype(np.int64) * 510 + maxval) // (2 * maxval)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return values.astype(np.uint8).reshape(shape)
 
 
 def encode_pgm(frame: Frame) -> bytes:
@@ -168,10 +122,10 @@ def encode_pgm(frame: Frame) -> bytes:
     return header + frame.pixels.tobytes()
 
 
-def to_grayscale(f: RgbFrame) -> Frame:
-    """Unweighted channel average, rounded half-up."""
-    avg = _round_half_up(f.pixels.astype(np.float64).sum(axis=2) / 3.0)
-    return Frame(f.width, f.height, f.index, avg.astype(np.uint8))
+def to_grayscale(pixels: np.ndarray) -> np.ndarray:
+    """Unweighted average of the channels of (h, w, 3) samples, rounded
+    half-up."""
+    return np.floor(pixels.sum(axis=2, dtype=np.float64) / 3.0 + 0.5).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,39 +142,43 @@ def _resize_taps(n_in: int, n_out: int):
     return taps
 
 
-def resize_bilinear(f: Frame, out_w: int, out_h: int) -> Frame:
-    """Bilinear resize with pixel-center alignment; intensities rounded half-up."""
+def resize_bilinear(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resize of an (h, w) image to (out_h, out_w), with pixel-center
+    alignment; intensities rounded half-up. The result owns its pixels."""
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
-    if (out_w, out_h) == (f.width, f.height):
-        return Frame(out_w, out_h, f.index, f.pixels.copy())
+    height, width = pixels.shape
+    if (out_w, out_h) == (width, height):
+        return pixels.copy()
 
-    x0, x1, wx0, wx1 = _resize_taps(f.width, out_w)
-    y0, y1, wy0, wy1 = _resize_taps(f.height, out_h)
+    x0, x1, wx0, wx1 = _resize_taps(width, out_w)
+    y0, y1, wy0, wy1 = _resize_taps(height, out_h)
     # The float64 sums are written in place into one block. Separate
     # temporaries, freed after every frame of a stream, made glibc trim the
     # heap and fault it back in: about 120 page faults per frame.
     top, bot, tmp = np.empty((3, out_h, out_w))
     # gather the needed rows first, then the columns, on the uint8 frame
-    rows0 = f.pixels.take(y0, axis=0)
-    rows1 = f.pixels.take(y1, axis=0)
+    rows0 = pixels.take(y0, axis=0)
+    rows1 = pixels.take(y1, axis=0)
     np.multiply(rows0.take(x0, axis=1), wx0, out=top)
     top += np.multiply(rows0.take(x1, axis=1), wx1, out=tmp)
     np.multiply(rows1.take(x0, axis=1), wx0, out=bot)
     bot += np.multiply(rows1.take(x1, axis=1), wx1, out=tmp)
     top *= wy0[:, None]
     top += np.multiply(bot, wy1[:, None], out=tmp)
-    # round half up, as _round_half_up, then clip
+    # round half up, then clip
     top += 0.5
     np.floor(top, out=top)
     np.clip(top, 0, 255, out=top)
-    return Frame(out_w, out_h, f.index, top.astype(np.uint8))
+    return top.astype(np.uint8)
 
 
-def _normalize(frame: Union[Frame, RgbFrame], working_resolution) -> Frame:
-    if isinstance(frame, RgbFrame):
-        frame = to_grayscale(frame)
-    return resize_bilinear(frame, working_resolution[0], working_resolution[1])
+def _normalize(pixels: np.ndarray, index: int, working_resolution) -> Frame:
+    """The Frame of (h, w) or (h, w, 3) samples at the working resolution."""
+    if pixels.ndim == 3:
+        pixels = to_grayscale(pixels)
+    width, height = working_resolution
+    return Frame(width, height, index, resize_bilinear(pixels, width, height))
 
 
 PNM_EXTENSIONS = (".pgm", ".ppm", ".pnm")
@@ -246,7 +204,7 @@ def parse_raw_geometry(raw: str) -> tuple[int, int, int]:
 
 def load_sequence(
     path_spec: str,
-    working_resolution: tuple[int, int] = (160, 120),
+    working_resolution: tuple[int, int] = PipelineConfig.working_resolution,
     raw: str | None = None,
 ) -> Iterator[Frame]:
     """Yield grayscale frames resized to the (width, height)
@@ -258,40 +216,33 @@ def load_sequence(
     if raw is not None:
         w, h, channels = parse_raw_geometry(raw)
         frame_bytes = w * h * channels
+        shape = (h, w) if channels == 1 else (h, w, 3)
         with open(path_spec, "rb") as fh:
             st = os.fstat(fh.fileno())
             # a file shorter than one frame must not size the buffer
             if stat.S_ISREG(st.st_mode) and st.st_size < frame_bytes:
-                raise EmptySequenceError(f"{path_spec} holds no complete frame")
+                raise ValueError(f"{path_spec} holds no complete frame")
             # one frame at a time into one reused buffer (a fresh buffer per
             # frame was measurably slower); a partial tail frame is dropped
             buf = np.empty(frame_bytes, dtype=np.uint8)
             for i in itertools.count():
                 if fh.readinto(buf) < frame_bytes:
                     if i == 0:
-                        raise EmptySequenceError(
-                            f"{path_spec} holds no complete frame"
-                        )
+                        raise ValueError(f"{path_spec} holds no complete frame")
                     return
-                if channels == 3:
-                    fr: Union[Frame, RgbFrame] = RgbFrame(
-                        w, h, i, buf.reshape(h, w, 3)
-                    )
-                else:
-                    fr = Frame(w, h, i, buf.reshape(h, w))
-                yield _normalize(fr, working_resolution)
+                yield _normalize(buf.reshape(shape), i, working_resolution)
 
     names = sorted(
         n for n in os.listdir(path_spec)
         if n.lower().endswith(PNM_EXTENSIONS)
     )
     if not names:
-        raise EmptySequenceError(f"no PNM files in {path_spec}")
+        raise ValueError(f"no PNM files in {path_spec}")
     for i, name in enumerate(names):
         with open(os.path.join(path_spec, name), "rb") as fh:
             data = fh.read()
         try:
-            frame = decode_pnm(data, index=i)
+            pixels = decode_pnm(data)
         except PnmError as e:
-            raise type(e)(f"{name}: {e}") from None
-        yield _normalize(frame, working_resolution)
+            raise PnmError(f"{name}: {e}") from None
+        yield _normalize(pixels, i, working_resolution)

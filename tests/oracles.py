@@ -333,31 +333,31 @@ def track_point(pi, pj, x, y, cfg: PipelineConfig):
     return TrackResult(nx, ny, tx, ty, residual, status)
 
 
-def resize_bilinear_ix(f, out_w, out_h):
-    """Pixel-centre bilinear resize on the whole frame converted to float64,
-    four ``np.ix_`` gathers: the reference for ``frameio.resize_bilinear``."""
+def resize_bilinear_ix(pixels, out_w, out_h):
+    """Pixel-centre bilinear resize on the whole (h, w) image converted to
+    float64, four ``np.ix_`` gathers: the reference for
+    ``frameio.resize_bilinear``."""
     import numpy as np
 
-    from harpipe.frameio import Frame
-
-    if (out_w, out_h) == (f.width, f.height):
-        return Frame(out_w, out_h, f.index, f.pixels.copy())
-    src = f.pixels.astype(np.float64)
-    sx = f.width / out_w
-    sy = f.height / out_h
-    xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0.0, f.width - 1.0)
-    ys = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0.0, f.height - 1.0)
+    height, width = pixels.shape
+    if (out_w, out_h) == (width, height):
+        return pixels.copy()
+    src = pixels.astype(np.float64)
+    sx = width / out_w
+    sy = height / out_h
+    xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0.0, width - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0.0, height - 1.0)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, f.width - 1)
-    y1 = np.minimum(y0 + 1, f.height - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
     fx = xs - x0
     fy = ys - y0
     top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
     bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     out = np.clip(np.floor(out + 0.5), 0, 255)
-    return Frame(out_w, out_h, f.index, out.astype(np.uint8))
+    return out.astype(np.uint8)
 
 
 @dataclass

@@ -56,8 +56,8 @@ class TestWriteCorpus:
         synth.write_corpus(str(tmp_path), seed=0, train_per_class=1,
                            test_per_class=0)
         seq = tmp_path / "train" / "boxing" / "seq_000"
-        frame = decode_pnm((seq / "frame_000.pgm").read_bytes())
-        assert (frame.width, frame.height) == (synth.WIDTH, synth.HEIGHT)
+        pixels = decode_pnm((seq / "frame_000.pgm").read_bytes())
+        assert pixels.shape == (synth.HEIGHT, synth.WIDTH)
 
     def test_same_seed_identical_corpora(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
