@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .lkflow import Tracks
-
 DESCRIPTOR_DIM = 12
 
 
@@ -25,14 +23,6 @@ class SampleVector:
     label: Optional[str] = None
 
 
-def flow_velocity(tracks: Tracks, frame_step: int) -> np.ndarray:
-    """(P, 2) flow velocities in pixels per frame; NaN where the point was
-    not TRACKED."""
-    if frame_step < 1:
-        raise ValueError("frame_step must be >= 1")
-    return np.where(tracks.tracked[:, None], tracks.dxy / frame_step, np.nan)
-
-
 def jacobian_probes(xy: np.ndarray, h: float) -> np.ndarray:
     """(P, 5, 2) points whose flow ``flow_jacobian`` reads: each point of
     ``xy`` itself, then its probes at +x, -x, +y and -y, h away."""
@@ -40,9 +30,12 @@ def jacobian_probes(xy: np.ndarray, h: float) -> np.ndarray:
     return xy[:, None, :] + h * steps
 
 
-def flow_jacobian(uv: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def flow_jacobian(
+    uv: np.ndarray, tracked: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Spatial flow partials of P points from the (P, 5, 2) velocities at
-    their ``jacobian_probes`` (NaN where a probe was not tracked).
+    their ``jacobian_probes`` and the (P, 5) mask of the probes that were
+    tracked; the velocities of the others are ignored.
 
     Each axis takes the central difference of its probes at p +- h, or the
     one-sided difference against the point itself when one of them failed.
@@ -50,7 +43,6 @@ def flow_jacobian(uv: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     mask of points whose neighbourhood was trackable; the partials of the
     other points are zero.
     """
-    tracked = ~np.isnan(uv).any(axis=2)
     centre = uv[:, 0]
 
     def axis_diff(k: int) -> tuple[np.ndarray, np.ndarray]:

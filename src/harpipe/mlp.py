@@ -9,6 +9,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
+
 ACTION_LABELS = ("boxing", "clapping", "running", "walking")
 
 
@@ -19,7 +21,11 @@ def label_index(label: str) -> int:
         raise ValueError(f"unknown action label {label!r}") from None
 
 
-def activation(x: np.ndarray | float, a: float = 1.0, beta: float = 1.0):
+def activation(
+    x: np.ndarray | float,
+    a: float = PipelineConfig.activation_a,
+    beta: float = PipelineConfig.activation_beta,
+):
     """beta * (1 - e^{-ax}) / (1 + e^{-ax}), i.e. beta * tanh(ax/2)."""
     return beta * np.tanh(np.asarray(x, dtype=np.float64) * (a / 2.0))
 
@@ -34,8 +40,8 @@ class MlpModel:
     layer_sizes: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (out, in)
     biases: list[np.ndarray]
-    a: float = 1.0
-    beta: float = 1.0
+    a: float = PipelineConfig.activation_a
+    beta: float = PipelineConfig.activation_beta
     input_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
     input_std: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -50,7 +56,10 @@ class MlpModel:
 
 
 def init_model(
-    layer_sizes: Sequence[int], seed: int = 0, a: float = 1.0, beta: float = 1.0
+    layer_sizes: Sequence[int],
+    seed: int = PipelineConfig.seed,
+    a: float = PipelineConfig.activation_a,
+    beta: float = PipelineConfig.activation_beta,
 ) -> MlpModel:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -111,11 +120,11 @@ class RpropState:
 
     step: np.ndarray
     prev_grad: np.ndarray
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    step_init: float = 0.1
-    step_min: float = 1e-6
-    step_max: float = 50.0
+    eta_plus: float = PipelineConfig.rprop_eta_plus
+    eta_minus: float = PipelineConfig.rprop_eta_minus
+    step_init: float = PipelineConfig.rprop_step_init
+    step_min: float = PipelineConfig.rprop_step_min
+    step_max: float = PipelineConfig.rprop_step_max
 
 
 def init_rprop(m: MlpModel, **hyper) -> RpropState:
@@ -182,12 +191,6 @@ def train(
     labels = np.asarray(labels, dtype=np.int64)
     if inputs.size == 0:
         raise ValueError("empty training set")
-    n_classes = m.layer_sizes[-1]
-    counts = np.bincount(labels, minlength=n_classes)
-    if (counts == 0).any():
-        missing = [ACTION_LABELS[i] if n_classes == len(ACTION_LABELS) else str(i)
-                   for i in np.nonzero(counts == 0)[0]]
-        raise ValueError(f"classes with zero samples: {', '.join(missing)}")
 
     m.input_mean = inputs.mean(axis=0)
     std = inputs.std(axis=0)
@@ -196,7 +199,7 @@ def train(
     floor = 0.01 * std.max()
     m.input_std = np.maximum(std, floor) if floor > 0 else np.ones_like(std)
     x = m.standardize(inputs)
-    targets = np.full((len(labels), n_classes), -0.9 * m.beta)
+    targets = np.full((len(labels), m.layer_sizes[-1]), -0.9 * m.beta)
     targets[np.arange(len(labels)), labels] = 0.9 * m.beta
 
     if rprop is None:

@@ -15,7 +15,7 @@ per tracker call, the reference for the batched
 frame and groups the windows of the whole list, the reference for the
 streamed ``pipeline.sequence_samples``; and ``window_sample_loop``, which builds a
 window's sample from per-slot, per-step ``PointDescriptor`` records on the
-package's own detector, tracker and Jacobian. The package must reproduce all
+package's own detector and flow step. The package must reproduce all
 of them exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
 ``goodfeat.min_eigenvalue_map``, which must match them within 1e-9.
 """
@@ -534,13 +534,13 @@ def extract_window_sample(frames, cfg, label=None):
     exactly this sample.
 
     Features are detected on the first frame and tracked at every
-    flow_step-th frame; each step fills and marks its tracked slots' rows
-    of the (slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
-    averages.
+    flow_step-th frame by ``pipeline._track_step``; each step fills and
+    marks its tracked slots' rows of the (slots, steps, 12) descriptor table,
+    which ``flowdesc.pool_window`` averages.
     """
     import numpy as np
 
-    from harpipe import flowdesc, goodfeat, lkflow
+    from harpipe import flowdesc, goodfeat, lkflow, pipeline
     from harpipe.flowdesc import SampleVector
 
     if not frames:
@@ -559,7 +559,6 @@ def extract_window_sample(frames, cfg, label=None):
 
     pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
     intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
-    h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
         live = np.flatnonzero(alive)
         if live.size == 0:
@@ -567,25 +566,15 @@ def extract_window_sample(frames, cfg, label=None):
         pj = lkflow.build_pyramid(
             frames[(step + 1) * cfg.flow_step].pixels, cfg.pyramid_levels
         )
-
-        # one call tracks every live slot together with its Jacobian probes
-        probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg)
-        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
-        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
-        alive[live[~centre_ok]] = False
-        live, uv = live[centre_ok], uv[centre_ok]
-        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
-        # an untrackable neighbourhood leaves a zero Jacobian, so zero invariants
-        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
-        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[0, 0]
-        uv = uv[:, 0]
+        kept, new_xy, uv, invariants, cur_intensity = pipeline._track_step(
+            pi, pj, xy[live], np.zeros(live.size, dtype=np.intp), cfg)
+        alive[live[~kept]] = False
+        live = live[kept]
         # the first step has no velocity history, so u_t = v_t = 0 there
         uv_t = (uv - prev_uv[live]) / cfg.flow_step if step else np.zeros_like(uv)
         i_t = (cur_intensity - intensity[live]) / cfg.flow_step
         table[live, step] = flowdesc.point_descriptors(
-            xy[live], frame_size, step, steps, i_t, uv, uv_t,
-            flowdesc.flow_invariants(jac),
+            xy[live], frame_size, step, steps, i_t, uv, uv_t, invariants,
         )
         tracked[live, step] = True
         xy[live] = new_xy
@@ -596,6 +585,11 @@ def extract_window_sample(frames, cfg, label=None):
     return SampleVector(flowdesc.pool_window(table, tracked), label=label)
 
 
+def window_starts(n_frames, cfg):
+    """The start frames of the full windows of an ``n_frames`` sequence."""
+    return list(range(0, n_frames - cfg.window_frames + 1, cfg.stride))
+
+
 def sequence_samples_list(frames, cfg):
     """(window start, values) for each full window, with every frame held in
     one list and the windows of ``window_starts`` over the whole list taken
@@ -604,7 +598,7 @@ def sequence_samples_list(frames, cfg):
     from harpipe import pipeline
 
     pixels = [f.pixels for f in frames]
-    starts = pipeline.window_starts(len(pixels), cfg)
+    starts = window_starts(len(pixels), cfg)
     out = []
     for g in range(0, len(starts), pipeline.WINDOWS_PER_CALL):
         group = starts[g : g + pipeline.WINDOWS_PER_CALL]
@@ -615,12 +609,12 @@ def sequence_samples_list(frames, cfg):
 def window_sample_loop(frames, cfg):
     """``extract_window_sample``'s values, built one slot and one
     step at a time from ``PointDescriptor`` records and pooled by
-    ``aggregate_sample``. Detection, tracking and the Jacobian are the
-    package's own, so this is the reference for the descriptor table and its
-    masked mean only."""
+    ``aggregate_sample``. Detection and each flow step
+    (``pipeline._track_step``) are the package's own, so this is the
+    reference for the descriptor table and its masked mean only."""
     import numpy as np
 
-    from harpipe import flowdesc, goodfeat, lkflow
+    from harpipe import flowdesc, goodfeat, lkflow, pipeline
 
     steps = (len(frames) - 1) // cfg.flow_step
     n = cfg.feature_size
@@ -634,7 +628,6 @@ def window_sample_loop(frames, cfg):
 
     pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
     intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
-    h_probe = cfg.jacobian_probe_offset
     for step in range(steps):
         live = np.flatnonzero(alive)
         if live.size == 0:
@@ -642,19 +635,14 @@ def window_sample_loop(frames, cfg):
         pj = lkflow.build_pyramid(
             frames[(step + 1) * cfg.flow_step].pixels, cfg.pyramid_levels
         )
-        probes = flowdesc.jacobian_probes(xy[live], h_probe)
-        tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg)
-        uv = flowdesc.flow_velocity(tracks, cfg.flow_step).reshape(probes.shape)
-        centre_ok = tracks.tracked.reshape(probes.shape[:2])[:, 0]
-        alive[live[~centre_ok]] = False
-        live, uv = live[centre_ok], uv[centre_ok]
-        new_xy = tracks.xy.reshape(probes.shape)[centre_ok, 0]
-        jac, _ = flowdesc.flow_jacobian(uv, h_probe)
-        invariants = np.column_stack(flowdesc.flow_invariants(jac))
-        cur_intensity = lkflow.sample_windows(pj[0], new_xy, 0)[0, 0]
+        kept, new_xy, uv, invariants, cur_intensity = pipeline._track_step(
+            pi, pj, xy[live], np.zeros(live.size, dtype=np.intp), cfg)
+        alive[live[~kept]] = False
+        live = live[kept]
+        invariants = np.column_stack(invariants)
 
         for k, slot in enumerate(live):
-            slot_uv = (uv[k, 0, 0], uv[k, 0, 1])
+            slot_uv = (uv[k, 0], uv[k, 1])
             i_t, u_t, v_t = temporal_derivatives(
                 (prev_uv[slot, 0], prev_uv[slot, 1]) if step else None,
                 slot_uv, intensity[slot], cur_intensity[k], cfg.flow_step,
@@ -664,7 +652,7 @@ def window_sample_loop(frames, cfg):
                 step, steps, i_t, slot_uv, (u_t, v_t), tuple(invariants[k]),
             ))
         xy[live] = new_xy
-        prev_uv[live] = uv[:, 0]
+        prev_uv[live] = uv
         intensity[live] = cur_intensity
         pi = pj
 

@@ -306,6 +306,39 @@ class TestExitCodes:
         assert err.startswith("data error: ") and "walking" in err
         assert not (tmp_path / "m.txt").exists()
 
+    @staticmethod
+    def cut_sequences(seqs, keep=10):
+        # fewer frames than one 25-frame window
+        for seq in seqs:
+            for frame in sorted(seq.iterdir())[keep:]:
+                frame.unlink()
+
+    def test_data_error_on_class_with_only_short_sequences(
+            self, tiny_corpus, tmp_path, capsys):
+        # boxing's only sequence yields no window, the other classes do
+        train_dir = tmp_path / "train"
+        shutil.copytree(tiny_corpus / "train", train_dir)
+        only, *others = sorted((train_dir / "boxing").iterdir())
+        for seq in others:
+            shutil.rmtree(seq)
+        self.cut_sequences([only])
+        rc = cli.main(["train", str(train_dir), str(tmp_path / "m.txt")] + FAST)
+        assert rc == 2
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == "data error: no training samples for boxing")
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_data_error_when_no_sequence_fills_a_window(self, tiny_corpus,
+                                                        tmp_path, capsys):
+        train_dir = tmp_path / "train"
+        shutil.copytree(tiny_corpus / "train", train_dir)
+        self.cut_sequences(train_dir.glob("*/*"))
+        rc = cli.main(["train", str(train_dir), str(tmp_path / "m.txt")] + FAST)
+        assert rc == 2
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == f"data error: no samples extracted from {str(train_dir)!r}")
+        assert not (tmp_path / "m.txt").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_data_error_on_short_test_sequence(self, command, tiny_corpus,
                                                tiny_model, tmp_path, capsys):
@@ -321,7 +354,8 @@ class TestExitCodes:
         rc = cli.main(argv + FAST)
         err = capsys.readouterr().err
         assert rc == 2
-        assert str(short) in err
+        assert err.splitlines()[-1] == (f"data error: {short}: "
+                                        "sequence shorter than one window")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["classify", "dump", "evaluate"])

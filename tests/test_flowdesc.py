@@ -7,33 +7,34 @@ from harpipe.flowdesc import (
     DESCRIPTOR_DIM,
     flow_invariants,
     flow_jacobian,
-    flow_velocity,
     jacobian_probes,
     point_descriptors,
     pool_window,
 )
-from harpipe.lkflow import Tracks, TrackStatus
-
 from oracles import PointDescriptor, aggregate_sample, temporal_derivatives
-
-
-def tracked(dx, dy, status=TrackStatus.TRACKED):
-    return Tracks(np.array([[50.0 + dx, 50.0 + dy]]), np.array([[dx, dy]]),
-                  np.zeros(1), np.array([status], dtype=np.int8))
 
 
 def jacobian(ux, uy, vx, vy):
     return np.array([[ux, uy], [vx, vy]])
 
 
+def probe_flow(probe, p, h=2.0):
+    """The (5, 2) velocities and (5,) tracked mask of one point's
+    ``jacobian_probes``, reading the flow from ``probe(x, y)`` (None where
+    the track is lost); a lost probe's velocity is NaN, which
+    ``flow_jacobian`` must ignore."""
+    points = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
+    uv = [probe(x, y) for x, y in points.tolist()]
+    tracked = np.array([v is not None for v in uv])
+    return np.array([(np.nan, np.nan) if v is None else v for v in uv]), tracked
+
+
 def jacobian_of(probe, p, h=2.0):
     """flow_jacobian of one point, its (2, 2) Jacobian, reading the flow
     from ``probe(x, y)`` (None where the track is lost); ValueError for an
     untrackable neighbourhood."""
-    points = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
-    uv = [probe(x, y) for x, y in points.tolist()]
-    uv = np.array([(np.nan, np.nan) if v is None else v for v in uv])
-    jac, ok = flow_jacobian(uv[None], h)
+    uv, tracked = probe_flow(probe, p, h)
+    jac, ok = flow_jacobian(uv[None], tracked[None], h)
     if not ok[0]:
         raise ValueError("flow jacobian: untrackable neighborhood")
     return jac[0]
@@ -57,25 +58,6 @@ def pool(slots, steps=8, fill=np.nan):
 
 
 finite = st.floats(-10.0, 10.0)
-
-
-class TestFlowVelocity:
-    def test_divides_by_frame_step(self):
-        assert flow_velocity(tracked(3.0, 0.0), 3).tolist() == [[1.0, 0.0]]
-
-    def test_zero(self):
-        assert flow_velocity(tracked(0.0, 0.0), 3).tolist() == [[0.0, 0.0]]
-
-    def test_fractional(self):
-        assert flow_velocity(tracked(-1.5, 4.5), 3).tolist() == [[-0.5, 1.5]]
-
-    def test_untracked_rejected(self):
-        for status in (TrackStatus.LOST_BOUNDS, TrackStatus.LOST_RESIDUAL):
-            assert np.isnan(flow_velocity(tracked(1.0, 2.0, status), 3)).all()
-
-    def test_bad_frame_step(self):
-        with pytest.raises(ValueError):
-            flow_velocity(tracked(1.0, 1.0), 0)
 
 
 class TestTemporalDerivatives:
@@ -184,13 +166,9 @@ class TestFlowJacobian:
             lambda x, y: None if y < 30.0 else affine(x, y),
             lambda x, y: None if x != 40.0 else (0.0, 0.0),
         ]
-        xy = np.array([[40.0, 30.0]])
-        uv = np.array([
-            [(np.nan, np.nan) if v is None else v
-             for v in (f(x, y) for x, y in jacobian_probes(xy, 2.0)[0].tolist())]
-            for f in fields
-        ])
-        jac, ok = flow_jacobian(uv, 2.0)
+        uv, tracked = (np.stack(a) for a in
+                       zip(*(probe_flow(f, (40.0, 30.0)) for f in fields)))
+        jac, ok = flow_jacobian(uv, tracked, 2.0)
         assert ok.tolist() == [True, True, True, False]
         for k, f in enumerate(fields[:3]):
             assert jac[k].tolist() == jacobian_of(f, (40.0, 30.0)).tolist()

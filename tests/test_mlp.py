@@ -329,11 +329,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(m, np.zeros((0, 2)), [], epochs=5)
 
-    def test_missing_class_rejected(self):
-        m = init_model([2, 3, 4], seed=0)
-        with pytest.raises(ValueError, match="running"):
-            train(m, np.zeros((3, 2)), [0, 1, 3], epochs=5)
-
     def test_determinism(self):
         rng = np.random.default_rng(5)
         xs = rng.normal(size=(12, 3))

@@ -13,7 +13,6 @@ from harpipe.pipeline import (
     WINDOWS_PER_CALL,
     majority_label,
     sequence_samples,
-    window_starts,
 )
 
 from conftest import make_frame
@@ -22,6 +21,7 @@ from oracles import (
     sequence_samples_list,
     smooth_texture,
     window_sample_loop,
+    window_starts,
 )
 
 
@@ -34,15 +34,21 @@ def synth_frames(label, seed=0, count=None):
 
 
 class TestWindowStarts:
+    @staticmethod
+    def starts(n_frames, cfg):
+        blank = np.zeros((120, 160), dtype=np.uint8)
+        frames = [make_frame(blank, index=i) for i in range(n_frames)]
+        return [start for start, _ in sequence_samples(frames, cfg)]
+
     def test_non_overlapping_default(self):
-        assert window_starts(75, PipelineConfig()) == [0, 25, 50]
+        assert self.starts(75, PipelineConfig()) == [0, 25, 50]
 
     def test_short_sequence(self):
-        assert window_starts(24, PipelineConfig()) == []
+        assert self.starts(24, PipelineConfig()) == []
 
     def test_overlapping_stride(self):
         cfg = PipelineConfig(window_stride=10)
-        assert window_starts(50, cfg) == [0, 10, 20]
+        assert self.starts(50, cfg) == [0, 10, 20]
 
 
 class TestExtractWindowSample:
