@@ -3,7 +3,10 @@
 
 On the default synthetic corpus (seed 0), synthesised once, each tree runs
 `train`, `evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
-and `dump --dump-masks --dump-features --dump-flow` on one test sequence.
+and `dump --dump-masks --dump-features --dump-flow` on one test sequence,
+then `dump --dump-features` on it once more with a 7x7 structure-tensor
+window (`tensor_half_window=3`), `min_distance=0` and 30 features, so that
+a second box size and adjacent corners are compared too.
 Then the first test sequence of three classes is written as one 225-frame
 raw stream, and each tree runs `classify --raw` and `dump --raw` with the
 three dump flags on it: its 9 windows make two full groups of
@@ -143,6 +146,9 @@ def main() -> int:
             ("classify.out", ["classify", sequence, "model.txt"]),
             ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
             ("dump.out", ["dump", sequence] + [a for d in DUMPS for a in (f"--dump-{d}", d)]),
+            ("dump_box3.out", ["dump", sequence, "--dump-features", "box3_features",
+                               "--set", "tensor_half_window=3", "--set", "min_distance=0",
+                               "--set", "feature_size=30"]),
             ("classify_raw.out", ["classify", stream, "model.txt"] + raw),
             ("classify_overlap.out", ["classify", stream, "model.txt", "--set",
                                       "window_stride=10", "--set", "flow_step=4"] + raw),
@@ -157,7 +163,7 @@ def main() -> int:
                 run(src, os.path.join(tmp, side), name, args)
         failed = False
         names = (["train.out", "model.txt"] + [n for n, _ in steps[1:]] + list(DUMPS)
-                 + [f"raw_{d}" for d in DUMPS])
+                 + ["box3_features"] + [f"raw_{d}" for d in DUMPS])
         for name in names:
             verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))
             failed |= verdict == "differs"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 
@@ -94,16 +95,22 @@ class PipelineConfig:
         return self.window_stride if self.window_stride > 0 else self.window_frames
 
 
+def parse_wxh(spec: str) -> tuple[int, int]:
+    """(width, height) from a ``WxH`` spec: two sides of ASCII digits joined
+    by ``x`` or ``X``; ValueError otherwise."""
+    m = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", spec)
+    if m is None:
+        raise ValueError(f"expected WxH, got {spec!r}")
+    return int(m[1]), int(m[2])
+
+
 _EXPECTED = {tuple: "WxH", int: "an integer", float: "a number"}
 
 
 def _parse_value(name: str, raw: str, ftype):
     raw = raw.strip()
     try:
-        if ftype is tuple:
-            w, h = (int(p) for p in raw.lower().split("x"))
-            return (w, h)
-        return ftype(raw)
+        return parse_wxh(raw) if ftype is tuple else ftype(raw)
     except ValueError:
         raise ValueError(f"{name}: expected {_EXPECTED[ftype]}, got {raw!r}") from None
 

@@ -1,10 +1,9 @@
 """Per-point flow descriptors and fixed-length window samples.
 
 Each tracked point contributes 12 components per flow step:
-[x, y, t, I_t, u, v, u_t, v_t, Div, Vor, G_ten, S_ten]. A window's
-descriptors form one (slots, steps, 12) array, a row per point slot and flow
-step; its sample of length 12*N is each slot's mean over the steps where the
-point stayed tracked.
+[x, y, t, I_t, u, v, u_t, v_t, Div, Vor, G_ten, S_ten]. A window's sample
+of length 12*N is each point slot's mean descriptor over the flow steps where
+the point stayed tracked.
 """
 
 from __future__ import annotations
@@ -59,9 +58,7 @@ def flow_jacobian(
     dx, x_ok = axis_diff(1)
     dy, y_ok = axis_diff(3)
     ok = x_ok & y_ok
-    dx = np.where(ok[:, None], dx, 0.0)
-    dy = np.where(ok[:, None], dy, 0.0)
-    return np.stack((dx, dy), axis=2), ok
+    return np.where(ok[:, None, None], np.stack((dx, dy), axis=2), 0.0), ok
 
 
 def flow_invariants(j: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -99,16 +96,12 @@ def point_descriptors(
     )
 
 
-def pool_window(table: np.ndarray, tracked: np.ndarray) -> np.ndarray:
-    """Samples from (..., slots, steps, 12) descriptor tables and the
-    (..., slots, steps) masks of the steps each slot was tracked for: each
-    slot's mean over its tracked steps, zero for a slot tracked for half the
-    steps or fewer, flattened to (..., 12 * slots)."""
-    counts = tracked.sum(axis=-1)
-    keep = 2 * counts > tracked.shape[-1]
-    # adding -0.0 changes no sum, so the untracked rows drop out and the
-    # tracked ones are added in step order
-    sums = np.where(tracked[..., None], table, -0.0).sum(axis=-2)
+def pool_window(sums: np.ndarray, counts: np.ndarray, steps: int) -> np.ndarray:
+    """Samples from the (..., slots, 12) sums of each slot's descriptors
+    over the steps it was tracked for and the (..., slots) counts of those
+    steps, out of ``steps``: each slot's mean, zero for a slot tracked for
+    half the steps or fewer, flattened to (..., 12 * slots)."""
+    keep = 2 * counts > steps
     values = np.zeros_like(sums)
     values[keep] = sums[keep] / counts[keep, None]
-    return values.reshape(*table.shape[:-3], -1)
+    return values.reshape(*sums.shape[:-2], -1)

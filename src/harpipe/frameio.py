@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_wxh
 
 
 class PnmError(ValueError):
@@ -188,18 +188,14 @@ def parse_raw_geometry(raw: str) -> tuple[int, int, int]:
     """Width, height and channel count of a raw stream from its ``WxH`` or
     ``WxH:rgb`` spec, case-insensitive; each side is a positive number of
     ASCII digits."""
-    spec = raw.lower()
-    channels = 3 if spec.endswith(":rgb") else 1
-    sides = spec.removesuffix(":rgb").split("x")
+    rgb = raw[-4:].lower() == ":rgb"
     try:
-        if len(sides) != 2 or not all(s.isascii() and s.isdigit() for s in sides):
-            raise ValueError
-        w, h = (int(s) for s in sides)
+        w, h = parse_wxh(raw[:-4] if rgb else raw)
         if w < 1 or h < 1:
             raise ValueError
     except ValueError:
         raise ValueError(f"bad raw geometry {raw!r}, expected WxH[:rgb]") from None
-    return w, h, channels
+    return w, h, 3 if rgb else 1
 
 
 def load_sequence(
@@ -224,7 +220,10 @@ def load_sequence(
                 raise ValueError(f"{path_spec} holds no complete frame")
             # one frame at a time into one reused buffer (a fresh buffer per
             # frame was measurably slower); a partial tail frame is dropped
-            buf = np.empty(frame_bytes, dtype=np.uint8)
+            try:
+                buf = np.empty(frame_bytes, dtype=np.uint8)
+            except MemoryError:
+                raise ValueError(f"no memory for a {frame_bytes}-byte frame") from None
             for i in itertools.count():
                 if fh.readinto(buf) < frame_bytes:
                     if i == 0:

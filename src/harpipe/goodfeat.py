@@ -17,49 +17,40 @@ def spatial_gradients(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if min(pixels.shape) < 3:
         raise ValueError("frame must be at least 3x3")
     img = pixels.astype(np.float64)
-    ix = np.zeros_like(img)
-    iy = np.zeros_like(img)
+    ix, iy = np.zeros((2, *img.shape))
     ix[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
     iy[1:-1, :] = (img[2:, :] - img[:-2, :]) / 2.0
     return ix, iy
 
 
+def _box_sums(a: np.ndarray, h: int) -> np.ndarray:
+    """Sums of ``a`` over each (2h+1)-square window that fits: shifted
+    slices added along the rows, then along the columns."""
+    vh, vw = a.shape[0] - 2 * h, a.shape[1] - 2 * h
+    rows = sum(a[d : d + vh] for d in range(2 * h + 1))
+    return sum(rows[:, d : d + vw] for d in range(2 * h + 1))
+
+
 def min_eigenvalue_map(pixels: np.ndarray, half_window: int) -> np.ndarray:
     """Per-pixel smaller structure-tensor eigenvalue; zero where the window
-    does not fit."""
+    does not fit. On 8-bit frames the gradient products are multiples of 1/4
+    and their window sums far below 2**53, so the sums are exact in any order."""
     ix, iy = spatial_gradients(pixels)
     h = half_window
-    ih, iw = ix.shape
-    vh, vw = ih - 2 * h, iw - 2 * h
-    if vh <= 0 or vw <= 0:
+    if min(ix.shape) <= 2 * h:
         return np.zeros_like(ix)
-    gxx, gxy, gyy = ix * ix, ix * iy, iy * iy
-    sxx = np.zeros((vh, vw))
-    sxy = np.zeros((vh, vw))
-    syy = np.zeros((vh, vw))
-    for dy in range(2 * h + 1):
-        for dx in range(2 * h + 1):
-            win = np.s_[dy : dy + vh, dx : dx + vw]
-            sxx += gxx[win]
-            sxy += gxy[win]
-            syy += gyy[win]
+    # one gradient product at a time, which keeps the working set small
+    sxx, sxy, syy = (_box_sums(a * b, h) for a, b in ((ix, ix), (ix, iy), (iy, iy)))
     disc = np.sqrt((sxx - syy) ** 2 + 4.0 * sxy**2)
-    lam = np.zeros_like(ix)
-    lam[h : h + vh, h : h + vw] = np.maximum(0.0, (sxx + syy - disc) / 2.0)
-    return lam
+    return np.pad(np.maximum(0.0, (sxx + syy - disc) / 2.0), h)
 
 
 def _nms_3x3(lam: np.ndarray) -> np.ndarray:
-    """True where lam is >= all 8 neighbors (outside treated as -inf)."""
-    padded = np.pad(lam, 1, mode="constant", constant_values=-np.inf)
-    keep = np.ones_like(lam, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            keep &= lam >= padded[1 + dy : 1 + dy + lam.shape[0],
-                                  1 + dx : 1 + dx + lam.shape[1]]
-    return keep
+    """True where lam is >= all 8 neighbors (outside treated as -inf): where
+    it equals its 3x3 maximum, taken along the rows, then the columns."""
+    p = np.pad(lam, 1, mode="constant", constant_values=-np.inf)
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return lam >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
 def detect_good_features(pixels: np.ndarray, cfg: PipelineConfig) -> np.ndarray:

@@ -89,9 +89,8 @@ def _window_samples(
     Features are detected on each window's first frame and tracked at every
     flow_step-th frame. Window w's frames are image w of the stacked
     pyramids, so one ``_track_step`` per step takes every window's live
-    slots. Each step fills and marks its tracked slots' rows of the
-    (W, slots, steps, 12) descriptor table, which ``flowdesc.pool_window``
-    averages.
+    slots. Each step adds its tracked slots' descriptors to their running
+    sums and counts, which ``flowdesc.pool_window`` averages.
     """
     steps = (cfg.window_frames - 1) // cfg.flow_step
 
@@ -106,9 +105,8 @@ def _window_samples(
     win = np.repeat(np.arange(len(starts)), [len(f) for f in found])
     rank = np.concatenate([np.arange(len(f)) for f in found])
     uv = np.zeros_like(xy)
-    shape = (len(starts), cfg.feature_size, steps)  # windows, slots, steps
-    table = np.zeros((*shape, flowdesc.DESCRIPTOR_DIM))
-    tracked = np.zeros(shape, dtype=bool)
+    sums = np.zeros((len(starts), cfg.feature_size, flowdesc.DESCRIPTOR_DIM))
+    counts = np.zeros((len(starts), cfg.feature_size), dtype=np.intp)
     frame_size = pixels[starts[0]].shape[::-1]
 
     pi = pyramid(0)
@@ -123,12 +121,12 @@ def _window_samples(
         # the first step has no velocity history, so u_t = v_t = 0 there
         uv_t = (new_uv - uv[kept]) / cfg.flow_step if step else np.zeros_like(new_uv)
         i_t = (new_intensity - intensity[kept]) / cfg.flow_step
-        table[win, rank, step] = flowdesc.point_descriptors(
+        sums[win, rank] += flowdesc.point_descriptors(
             xy[kept], frame_size, step, steps, i_t, new_uv, uv_t, invariants)
-        tracked[win, rank, step] = True
+        counts[win, rank] += 1
         xy, uv, intensity, pi = new_xy, new_uv, new_intensity, pj
 
-    return flowdesc.pool_window(table, tracked)
+    return flowdesc.pool_window(sums, counts, steps)
 
 
 def majority_label(window_classes: Sequence[int]) -> int:

@@ -535,8 +535,10 @@ def extract_window_sample(frames, cfg, label=None):
 
     Features are detected on the first frame and tracked at every
     flow_step-th frame by ``pipeline._track_step``; each step fills and
-    marks its tracked slots' rows of the (slots, steps, 12) descriptor table,
-    which ``flowdesc.pool_window`` averages.
+    marks its tracked slots' rows of the (slots, steps, 12) descriptor table.
+    The table is summed over the steps by one numpy reduction, an independent
+    reference for the pipeline's running sums, and ``flowdesc.pool_window``
+    averages the sums.
     """
     import numpy as np
 
@@ -582,7 +584,11 @@ def extract_window_sample(frames, cfg, label=None):
         intensity[live] = cur_intensity
         pi = pj
 
-    return SampleVector(flowdesc.pool_window(table, tracked), label=label)
+    # the untracked rows hold +0.0, which changes no sum that starts at +0.0
+    # as numpy's does
+    return SampleVector(
+        flowdesc.pool_window(table.sum(axis=1), tracked.sum(axis=1), steps),
+        label=label)
 
 
 def window_starts(n_frames, cfg):
@@ -611,7 +617,7 @@ def window_sample_loop(frames, cfg):
     step at a time from ``PointDescriptor`` records and pooled by
     ``aggregate_sample``. Detection and each flow step
     (``pipeline._track_step``) are the package's own, so this is the
-    reference for the descriptor table and its masked mean only."""
+    reference for the descriptors' per-slot sums and their mean only."""
     import numpy as np
 
     from harpipe import flowdesc, goodfeat, lkflow, pipeline

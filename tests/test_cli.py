@@ -447,6 +447,21 @@ class TestClassify:
         assert [parts[0] for parts in lines] == ["0", "25", "50"]
         assert all(parts[1] == "running" for parts in lines)
 
+    @pytest.mark.parametrize("command", ["classify", "dump"])
+    def test_data_error_on_raw_frame_beyond_memory(self, command, tmp_path,
+                                                   capsys):
+        # 999999999 x 999999999 x 3 bytes is beyond any address space, so
+        # the frame buffer's allocation fails at once; /dev/null is not a
+        # regular file, so no size check stops the loader before it
+        model = tmp_path / "model.txt"
+        constant_model(model)
+        argv = [command, os.devnull] + ([str(model)] if command == "classify" else [])
+        rc = cli.main(argv + ["--raw", "999999999x999999999:rgb"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"data error: {os.devnull}: no memory for a "
+                       f"{999999999 ** 2 * 3}-byte frame\n")
+
     def test_too_short_sequence(self, tiny_corpus, tiny_model, tmp_path):
         src = next((tiny_corpus / "test" / "walking").iterdir())
         short = tmp_path / "short"

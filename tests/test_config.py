@@ -54,8 +54,10 @@ class TestApplySettings:
                 apply_settings(PipelineConfig(), {key: "0.1"})
 
     def test_bad_resolution(self):
-        with pytest.raises(ValueError):
-            apply_settings(PipelineConfig(), {"working_resolution": "wide"})
+        # the sides are ASCII digits only, as in a raw stream's geometry
+        for raw in ("wide", "1_60x120", "+160x120", "160 x 120", "\u0661\u0666\u0660x120"):
+            with pytest.raises(ValueError, match="working_resolution: expected WxH"):
+                apply_settings(PipelineConfig(), {"working_resolution": raw})
 
 
 class TestLoadConfig:

@@ -41,7 +41,7 @@ def jacobian_of(probe, p, h=2.0):
 
 
 def window_table(slots, steps=8, fill=np.nan):
-    """(table, tracked mask) for pool_window from per-slot lists of 12-value
+    """(table, tracked mask) for pool_table from per-slot lists of 12-value
     rows, each slot tracked for the first len(rows) steps; the untracked
     rows hold ``fill``."""
     table = np.full((len(slots), steps, DESCRIPTOR_DIM), fill)
@@ -53,8 +53,19 @@ def window_table(slots, steps=8, fill=np.nan):
     return table, tracked
 
 
+def pool_table(table, tracked):
+    """pool_window of (..., slots, steps, 12) tables and their
+    (..., slots, steps) tracked masks, with each slot's tracked rows added
+    step by step to sums that start at +0.0, as the pipeline adds them."""
+    sums = np.zeros((*table.shape[:-2], DESCRIPTOR_DIM))
+    for step in range(tracked.shape[-1]):
+        rows = tracked[..., step]
+        sums[rows] += table[..., step, :][rows]
+    return pool_window(sums, tracked.sum(axis=-1), tracked.shape[-1])
+
+
 def pool(slots, steps=8, fill=np.nan):
-    return pool_window(*window_table(slots, steps, fill))
+    return pool_table(*window_table(slots, steps, fill))
 
 
 finite = st.floats(-10.0, 10.0)
@@ -290,7 +301,7 @@ class TestAggregateSample:
             windows.append(slots)
         for fill in (np.nan, 0.0, -0.0, 1e300):
             tables = [window_table(slots, steps, fill) for slots in windows]
-            stacked = pool_window(*(np.stack(parts) for parts in zip(*tables)))
+            stacked = pool_table(*(np.stack(parts) for parts in zip(*tables)))
             assert stacked.shape == (n_windows, n_slots * DESCRIPTOR_DIM)
             for row, slots, table in zip(stacked, windows, tables):
                 expected = aggregate_sample(
@@ -298,4 +309,4 @@ class TestAggregateSample:
                     n_slots, steps,
                 ).view(np.int64).tolist()
                 assert row.view(np.int64).tolist() == expected
-                assert pool_window(*table).view(np.int64).tolist() == expected
+                assert pool_table(*table).view(np.int64).tolist() == expected

@@ -170,12 +170,21 @@ class TestDetectGoodFeatures:
 
     @given(st.integers(0, 10_000), st.integers(1, 12),
            st.sampled_from([0.01, 0.05, 0.3, 1.0]),
-           st.sampled_from([0.0, 3.5, 7.0, 12.0]), st.integers(1, 3))
-    @settings(max_examples=25, deadline=None)
+           st.sampled_from([0.0, 3.5, 7.0, 12.0]), st.integers(1, 3),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_exactly(self, seed, max_n, quality_rel,
-                                         min_distance, half_window):
+                                         min_distance, half_window, blocky):
         rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
+        if blocky:
+            # square blocks of a few grey levels: neighbours of equal lambda
+            # test the suppression's ties
+            block = int(rng.integers(2, 6))
+            levels = rng.integers(0, 256, 3, dtype=np.uint8)
+            grid = levels[rng.integers(0, 3, (32 // block,) * 2)]
+            img = np.kron(grid, np.ones((block, block), dtype=np.uint8))
+        else:
+            img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
         cfg = top(max_n, quality_rel=quality_rel, min_distance=min_distance,
                   tensor_half_window=half_window)
         points = detect_good_features(img, cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from harpipe import cli, lkflow, mlp, synth
+from harpipe import cli, flowdesc, lkflow, mlp, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame
@@ -152,6 +152,16 @@ class TestSequenceSamples:
         cfg = PipelineConfig(window_stride=window_stride, **setting)
         self.assert_matches_oracle(synth_frames(label, seed=11, count=count),
                                    cfg, label)
+
+    def test_negative_zero_descriptors(self, monkeypatch):
+        # every descriptor -0.0: the running sums start at +0.0, as the
+        # oracle's numpy sum does, so a kept slot pools to +0.0 there too
+        def negative_zeros(xy, *args):
+            return np.full((len(xy), DESCRIPTOR_DIM), -0.0)
+
+        monkeypatch.setattr(flowdesc, "point_descriptors", negative_zeros)
+        frames = synth_frames("walking", seed=11, count=50)
+        self.assert_matches_oracle(frames, PipelineConfig(), "walking")
 
     @staticmethod
     def assert_matches_oracle(frames, cfg, label):
