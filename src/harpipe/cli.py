@@ -166,13 +166,13 @@ def _load_model(path: str, cfg: PipelineConfig) -> mlp.MlpModel:
     n_values = cfg.feature_size * DESCRIPTOR_DIM
     if n_values != model.layer_sizes[0]:
         raise DataError(
-            f"feature_size gives {n_values} sample values "
+            f"{path}: feature_size gives {n_values} sample values "
             f"({cfg.feature_size} x {DESCRIPTOR_DIM}), but the model's "
             f"input layer takes {model.layer_sizes[0]}"
         )
     if model.layer_sizes[-1] != len(ACTION_LABELS):
         raise DataError(
-            f"the model's output layer has {model.layer_sizes[-1]} nodes, "
+            f"{path}: the model's output layer has {model.layer_sizes[-1]} nodes, "
             f"but there are {len(ACTION_LABELS)} action classes"
         )
     return model
@@ -266,21 +266,20 @@ def cmd_sweep(args) -> int:
     values = sorted(set(args.values))
     if len(values) < 2:
         raise UsageError("sweep needs at least two distinct feature sizes")
-    if values[0] < 1:
-        raise UsageError("sweep feature sizes must be >= 1")
+    try:
+        cfgs = [dataclasses.replace(cfg, feature_size=n) for n in values]
+    except ValueError as e:
+        raise UsageError(f"--values: {e}") from None
 
     # extraction is shared at the largest N: greedy feature selection is a
     # prefix, so a smaller-N sample is the leading 12*N entries
-    cfg_max = dataclasses.replace(cfg, feature_size=values[-1])
-    train_x, train_y, _, _ = _extract_dataset(args.dataset_dir, cfg_max)
-    test_x, *test_rest = _extract_dataset(args.test_dir, cfg_max)
+    train_x, train_y, _, _ = _extract_dataset(args.dataset_dir, cfgs[-1])
+    test_x, *test_rest = _extract_dataset(args.test_dir, cfgs[-1])
 
     rates = []  # (per-class, overall) per feature size
-    for n in values:
+    for n, cfg_n in zip(values, cfgs):
         cols = n * DESCRIPTOR_DIM
-        model, _ = _train_model(
-            train_x[:, :cols], train_y, dataclasses.replace(cfg, feature_size=n)
-        )
+        model, _ = _train_model(train_x[:, :cols], train_y, cfg_n)
         rates.append(class_rates(score_dataset(model, test_x[:, :cols], *test_rest)))
         _log(f"feature size {n}: done")
 
@@ -407,10 +406,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, OSError) as e:
+    except (UsageError, OSError, MemoryError) as e:
         # input read errors are already Data- or UsageErrors, so an OSError
-        # here is an output path that cannot be written
-        print(f"usage error: {e}", file=sys.stderr)
+        # here is an output path that cannot be written, and a MemoryError
+        # comes from a setting too large to allocate
+        print(f"usage error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

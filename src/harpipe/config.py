@@ -58,12 +58,16 @@ class PipelineConfig:
             raise ValueError("flow_step must be >= 1")
         if self.window_frames < self.flow_step + 1:
             raise ValueError("window_frames must be >= flow_step + 1")
-        if self.feature_size < 1:
-            raise ValueError("feature_size must be >= 1")
-        if min(self.working_resolution) < 3:
-            raise ValueError("working_resolution sides must be >= 3")
-        for key in ("tensor_half_window", "pyramid_levels", "track_half_window",
-                    "track_max_iterations", "gmm_components", "hidden_nodes"):
+        # Below these bounds no array built from the sizes reaches numpy's
+        # 2**63-byte limit; the largest hold gmm_components values per pixel,
+        # or (2 * track_half_window + 2)**2 per tracked point.
+        if not all(3 <= side < 2**20 for side in self.working_resolution):
+            raise ValueError(f"working_resolution sides must be >= 3 and < {2**20}")
+        for key, bound in (("feature_size", 2**20), ("hidden_nodes", 2**20),
+                           ("gmm_components", 2**20), ("track_half_window", 2**12)):
+            if not 1 <= getattr(self, key) < bound:
+                raise ValueError(f"{key} must be >= 1 and < {bound}")
+        for key in ("tensor_half_window", "pyramid_levels", "track_max_iterations"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         # written so that NaN fails too

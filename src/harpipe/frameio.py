@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import re
 import stat
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,30 +43,26 @@ def _decimal(tok: bytes) -> int:
         raise PnmError(f"number of {len(tok)} digits is too long") from None
 
 
+# one header field: whitespace and '#' comments, which end at a line break,
+# then the field; in a bytes pattern \s is exactly the bytes isspace() accepts
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _tokenize_header(data: bytes, n_tokens: int) -> tuple[list[int], int]:
     """Read n_tokens whitespace-separated integers after the magic, skipping
     '#' comments. Returns the values and the offset one whitespace byte past
     the last token (start of binary payload for P5/P6)."""
     tokens: list[int] = []
     i = 2  # past the 2-byte magic
-    n = len(data)
-    while len(tokens) < n_tokens:
-        while i < n and (data[i : i + 1].isspace() or data[i] == ord("#")):
-            if data[i] == ord("#"):
-                while i < n and data[i] not in (10, 13):
-                    i += 1
-            else:
-                i += 1
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
+    for _ in range(n_tokens):
+        m = _HEADER_FIELD.match(data, i)
+        tok, i = m[1], m.end()
+        if not tok:
             raise PnmError("header ended before all fields were read")
-        tok = data[start:i]
         if not tok.isdigit():
             raise PnmError(f"non-numeric header field {tok!r}")
         tokens.append(_decimal(tok))
-    if i >= n:
+    if i >= len(data):
         raise PnmError("no pixel data after header")
     return tokens, i + 1  # single whitespace separates header from payload
 

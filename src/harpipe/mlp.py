@@ -239,52 +239,43 @@ def save_model(m: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].split() != ["harmlp", "1"]:
-        raise ValueError(f"bad model file header in {path}")
+    """The model that ``save_model`` wrote to ``path``. Content that is not
+    such a model raises ValueError("malformed model file <path>: <reason>")."""
     try:
+        with open(path) as fh:
+            lines = fh.readlines()
+        if not lines or lines[0].split() != ["harmlp", "1"]:
+            raise ValueError("no 'harmlp 1' header")
         layer_sizes = [int(s) for s in lines[1].split()]
-        a, beta = (float(s) for s in lines[2].split())
-        mean = np.array(list(map(float, lines[3].split())))
-        std = np.array(list(map(float, lines[4].split())))
+        a, beta = map(float, lines[2].split())
+        mean, std = (np.array(ln.split(), dtype=np.float64) for ln in lines[3:5])
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+            raise ValueError("need two or more layer sizes, each >= 1")
+        if mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
+            raise ValueError("standardization vectors do not match the input layer")
+        # written so that NaN fails too
+        if not (0 < a < np.inf and 0 < beta < np.inf):
+            raise ValueError("activation a and beta must be finite and > 0")
+        if not (std > 0).all():
+            raise ValueError("standardization std must be > 0")
+        weights, biases = [], []
+        cursor = 5
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            rows = lines[cursor : cursor + fan_out + 1]
+            if len(rows) != fan_out + 1:
+                raise ValueError("too few lines for the layer sizes")
+            # row by row, so that only one row's tokens are held at a time
+            mat = np.array([np.array(r.split(), dtype=np.float64) for r in rows[:-1]])
+            bias = np.array(rows[-1].split(), dtype=np.float64)
+            if mat.shape != (fan_out, fan_in) or bias.size != fan_out:
+                raise ValueError(f"layer {fan_out}x{fan_in} of the header has "
+                                 f"{mat.shape} weights and {bias.size} biases")
+            weights.append(mat)
+            biases.append(bias)
+            cursor += fan_out + 1
+        if not all(np.isfinite(p).all() for p in (*weights, *biases, mean, std)):
+            raise ValueError("non-finite parameter")
     except (IndexError, ValueError) as e:
         raise ValueError(f"malformed model file {path}: {e}") from None
-    if len(layer_sizes) < 2 or min(layer_sizes) < 1:
-        raise ValueError(f"malformed model file {path}: "
-                         "need two or more layer sizes, each >= 1")
-    if mean.size != layer_sizes[0] or std.size != layer_sizes[0]:
-        raise ValueError("standardization vectors do not match the input layer")
-    # written so that NaN fails too
-    if not (0 < a < np.inf and 0 < beta < np.inf):
-        raise ValueError(f"malformed model file {path}: "
-                         "activation a and beta must be finite and > 0")
-    if not (std > 0).all():
-        raise ValueError(f"malformed model file {path}: "
-                         "standardization std must be > 0")
-    weights = []
-    biases = []
-    cursor = 5
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        rows = lines[cursor : cursor + fan_out + 1]
-        if len(rows) != fan_out + 1:
-            raise ValueError("model file truncated")
-        try:
-            mat = np.array([list(map(float, r.split())) for r in rows[:-1]])
-            bias = np.array(list(map(float, rows[-1].split())))
-        except ValueError as e:
-            raise ValueError(f"malformed model file {path}: {e}") from None
-        if mat.shape != (fan_out, fan_in) or bias.size != fan_out:
-            raise ValueError(
-                f"layer shape mismatch: header says {fan_out}x{fan_in}, "
-                f"file has {mat.shape}"
-            )
-        weights.append(mat)
-        biases.append(bias)
-        cursor += fan_out + 1
-    model = MlpModel(layer_sizes, weights, biases, a=a, beta=beta,
-                     input_mean=mean, input_std=std)
-    for arr in (*model.weights, *model.biases, model.input_mean, model.input_std):
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite parameter in model file")
-    return model
+    return MlpModel(layer_sizes, weights, biases, a=a, beta=beta,
+                    input_mean=mean, input_std=std)

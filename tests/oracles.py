@@ -7,9 +7,12 @@ point at a time with the same numpy window arithmetic as
 ``lkflow.track_points``; ``smooth_separable_roll``, which smooths with the
 same taps in the same order as ``lkflow.build_pyramid``;
 ``resize_bilinear_ix``, the float64 fancy-index form of
-``frameio.resize_bilinear``; ``rprop_step``, the per-layer masked form of
-``mlp.rprop_step``; ``save_model_per_value``, the per-value form of
-``mlp.save_model``; ``extract_window_sample``, which extracts one window
+``frameio.resize_bilinear``; ``tokenize_header_bytewise``, the byte loop
+that ``frameio._tokenize_header`` replaced with one pattern per field,
+which converts each field with the package's own ``_decimal``;
+``rprop_step``, the per-layer masked form of ``mlp.rprop_step``;
+``save_model_per_value``, the per-value form of ``mlp.save_model``;
+``extract_window_sample``, which extracts one window
 per tracker call, the reference for the batched
 ``pipeline.sequence_samples``; ``sequence_samples_list``, which holds every
 frame and groups the windows of the whole list, the reference for the
@@ -358,6 +361,36 @@ def resize_bilinear_ix(pixels, out_w, out_h):
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     out = np.clip(np.floor(out + 0.5), 0, 255)
     return out.astype(np.uint8)
+
+
+def tokenize_header_bytewise(data, n_tokens):
+    """Header fields read one byte at a time, as ``frameio._tokenize_header``
+    reads them with one pattern per field: the same values and payload
+    offset, or the same PnmError message."""
+    from harpipe.frameio import PnmError, _decimal
+
+    tokens = []
+    i = 2  # past the 2-byte magic
+    n = len(data)
+    while len(tokens) < n_tokens:
+        while i < n and (data[i : i + 1].isspace() or data[i] == ord("#")):
+            if data[i] == ord("#"):
+                while i < n and data[i] not in (10, 13):
+                    i += 1
+            else:
+                i += 1
+        start = i
+        while i < n and not data[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise PnmError("header ended before all fields were read")
+        tok = data[start:i]
+        if not tok.isdigit():
+            raise PnmError(f"non-numeric header field {tok!r}")
+        tokens.append(_decimal(tok))
+    if i >= n:
+        raise PnmError("no pixel data after header")
+    return tokens, i + 1
 
 
 @dataclass

@@ -169,6 +169,43 @@ class TestExitCodes:
     def test_usage_error_on_bad_extraction_setting(self, setting, capsys):
         self.assert_usage_error(setting, capsys)
 
+    @pytest.mark.parametrize("command,settings,named", [
+        # sizes past the config's bounds, below which numpy can shape every
+        # array built from them, are rejected before anything runs
+        ("train", ["feature_size=1099511627776"], "feature_size"),
+        ("train", ["hidden_nodes=1099511627776"], "hidden_nodes"),
+        ("dump", ["gmm_components=1099511627776"], "gmm_components"),
+        ("train", ["track_half_window=1099511627776"], "track_half_window"),
+        ("train", ["feature_size=100000000000000000000"], "feature_size"),
+        ("sweep", ["--values", "1", "1099511627776"], "feature_size"),
+        # sizes whose first large allocation, of 2**40 bytes or more, fails
+        # at once: the resized frame, and the background model at 1024x1024
+        ("dump", ["working_resolution=999999x999999"], "Unable to allocate"),
+        ("dump", ["gmm_components=1048575", "working_resolution=1024x1024"],
+         "Unable to allocate"),
+    ], ids=["feature_size", "hidden_nodes", "gmm_components", "track_half_window",
+            "feature_size-1e20", "sweep", "working_resolution", "gmm-at-1024x1024"])
+    def test_usage_error_on_size_beyond_memory(self, command, settings, named,
+                                               tiny_corpus, tmp_path, capsys):
+        seq = next((tiny_corpus / "test" / "boxing").iterdir())
+        if command == "sweep":
+            argv = ["sweep", str(tiny_corpus / "train"), str(tiny_corpus / "test"),
+                    *settings]
+        else:
+            argv = {"train": ["train", str(tiny_corpus / "train"),
+                              str(tmp_path / "model.txt")],
+                    "dump": ["dump", str(seq), "--dump-masks",
+                             str(tmp_path / "masks")]}[command]
+            argv += [a for setting in settings for a in ("--set", setting)]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: ") and named in line
+        # nothing is written
+        assert not (tmp_path / "model.txt").exists()
+        assert not any((tmp_path / "masks").glob("*"))
+
     def test_usage_error_on_negative_synth_seed(self, tmp_path, capsys):
         rc = cli.main(["synth", str(tmp_path / "corpus"), "--seed", "-1"])
         err = capsys.readouterr().err
@@ -228,7 +265,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert err[-1].startswith("data error: ")
-        assert "120" in err[-1] and "48" in err[-1]
+        assert "120" in err[-1] and "48" in err[-1] and str(tiny_model) in err[-1]
         # the mismatch is reported before any sequence is extracted
         assert not any("extracted" in line for line in err)
 
@@ -245,6 +282,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("data error: ")
         assert "5 nodes" in captured.err and "Traceback" not in captured.err
+        assert str(model) in captured.err
 
     @pytest.mark.parametrize("command", ["classify", "evaluate"])
     def test_data_error_on_layer_size_below_one(self, command, tmp_path, capsys):
@@ -789,12 +827,15 @@ class TestFuzz:
         with temp_file(data, "model.txt") as path:
             try:
                 mlp.load_model(path)
-            except (ValueError, OSError):
-                pass
+                malformed = False
+            except ValueError:
+                malformed = True
             rc, err = classify_stderr(path)
         # a model that loads fails next on the input size or the sequence
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("data error: ")
+        if malformed:
+            assert err[0].startswith(f"data error: malformed model file {path}: ")
 
     @given(config_bytes())
     @settings(max_examples=300, deadline=None)

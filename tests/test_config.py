@@ -35,6 +35,19 @@ class TestDefaults:
         with pytest.raises(ValueError):
             PipelineConfig(feature_size=0)
 
+    @pytest.mark.parametrize("key,largest,smallest_rejected", [
+        ("working_resolution", (2**20 - 1, 3), (3, 2**20)),
+        ("feature_size", 2**20 - 1, 2**20),
+        ("hidden_nodes", 2**20 - 1, 2**20),
+        ("gmm_components", 2**20 - 1, 2**20),
+        ("track_half_window", 2**12 - 1, 2**12),
+    ])
+    def test_size_bounds(self, key, largest, smallest_rejected):
+        # the bounds below which numpy can shape every array built from them
+        assert getattr(PipelineConfig(**{key: largest}), key) == largest
+        with pytest.raises(ValueError, match=f"^{key} .*must be >= . and < "):
+            PipelineConfig(**{key: smallest_rejected})
+
 
 class TestApplySettings:
     def test_typed_parsing(self):

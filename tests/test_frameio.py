@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from harpipe import cli
@@ -16,6 +16,7 @@ from harpipe.frameio import (
     PnmError,
     decode_pnm,
     encode_pgm,
+    _tokenize_header,
     load_sequence,
     parse_raw_geometry,
     resize_bilinear,
@@ -23,7 +24,7 @@ from harpipe.frameio import (
 )
 
 from conftest import make_frame
-from oracles import resize_bilinear_ix
+from oracles import resize_bilinear_ix, tokenize_header_bytewise
 
 
 class TestDecodePnm:
@@ -322,6 +323,29 @@ def pnm_like(draw):
     return out + draw(seps) + draw(st.binary(max_size=40))
 
 
+# a PNM header's separators, each whitespace byte or a comment that ends in
+# a line break or at the end of the data, and its fields: digits with '#'
+# inside, NUL and 0xFF bytes, and numbers too long for int()
+SEPARATORS = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b""]),
+    st.builds(b"#%b%b".__mod__, st.tuples(st.binary(max_size=6),
+                                          st.sampled_from([b"\r", b"\n", b""]))),
+)
+FIELDS = st.one_of(
+    st.text(alphabet="0123456789#", min_size=1, max_size=6).map(str.encode),
+    st.sampled_from([b"\x00", b"\xff", b"0" * 5000 + b"7", b"9" * 5000]),
+)
+
+
+@st.composite
+def header_like(draw):
+    """A magic, separated fields and a payload, possibly cut short."""
+    pairs = draw(st.lists(st.tuples(SEPARATORS, FIELDS), min_size=1, max_size=4))
+    data = (b"P5" + b"".join(sep + field for sep, field in pairs)
+            + draw(SEPARATORS) + draw(st.binary(max_size=2)))
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
 def dump_exit_code(path: str, *extra: str) -> int:
     """``harpipe dump`` on path, asserting that a failure is reported as a
     one-line error, not a traceback."""
@@ -344,6 +368,18 @@ class TestFuzz:
             decode_pnm(data)
         except PnmError:
             pass
+
+    @seed(19)
+    @given(header_like(), st.integers(1, 3))
+    @settings(max_examples=2000, deadline=None)
+    def test_tokenizer_matches_byte_loop(self, data, n_tokens):
+        def read(tokenize):
+            try:
+                return tokenize(data, n_tokens)
+            except PnmError as e:
+                return str(e)
+
+        assert read(_tokenize_header) == read(tokenize_header_bytewise)
 
     @given(pnm_like())
     @settings(max_examples=100, deadline=None)

@@ -389,6 +389,12 @@ class TestPredict:
             assert cls == int(np.argmax(np.exp(out)))
 
 
+def replace_line(data: bytes, i: int, line: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[i] = line
+    return b"\n".join(lines)
+
+
 class TestModelFiles:
     def test_round_trip_identical_outputs(self, tmp_path):
         path = str(tmp_path / "model.txt")
@@ -422,6 +428,28 @@ class TestModelFiles:
         oracles.save_model_per_value(m, str(old))
         assert new.read_bytes() == old.read_bytes()
         assert "-0.0 5e-324 1e+300" in new.read_text()
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: b"",
+        lambda data: data.replace(b"harmlp 1", b"harmlp 2", 1),
+        lambda data: replace_line(data, 1, b"120 0 4"),
+        lambda data: replace_line(data, 1, b"120 199 4"),
+        lambda data: data[:3000],  # within the std line
+        lambda data: data[:-2000],  # within the last layer
+        lambda data: data + b"\xff\n",
+        lambda data: replace_line(data, 5, b" ".join([b"nan"] * 120)),
+    ], ids=["empty", "version", "layer-size-0", "layer-shape", "cut-in-std",
+            "cut-in-last-layer", "not-utf8", "nan-weight"])
+    def test_error_names_the_file(self, edit, tmp_path):
+        path = tmp_path / "model.txt"
+        m = init_model([120, 200, 4], seed=0)
+        m.input_mean = np.random.default_rng(1).normal(size=120)
+        m.input_std = np.abs(np.random.default_rng(2).normal(size=120)) + 0.1
+        save_model(m, str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError) as e:
+            load_model(str(path))
+        assert str(e.value).startswith(f"malformed model file {path}: ")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
