@@ -2,7 +2,10 @@
 """Run the CLI's commands with two source trees and compare what they write.
 
 On the default synthetic corpus (seed 0), synthesised once, each tree runs
-`train`, `evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
+`train`, then `train` once more with `jacobian_probe_offset=40`, whose
+probes so far from each point often leave an axis with one tracked probe or
+none (its model file is compared), then
+`evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
 and `dump --dump-masks --dump-features --dump-flow` on one test sequence,
 then `dump --dump-features` on it once more with a 7x7 structure-tensor
 window (`tensor_half_window=3`), `min_distance=0` and 30 features, so that
@@ -15,7 +18,7 @@ once more with `window_stride=10` and `flow_step=4`, whose overlapping
 windows read frames that the next group reads too, and once more on an RGB
 copy of the stream, whose three channels differ so that their average
 rounds (`--raw WxH:rgb`). One line per artifact (a
-command's stdout, the model file, or one dump directory) says `identical`,
+command's stdout, a model file, or one dump directory) says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
 differs.
@@ -142,6 +145,8 @@ def main() -> int:
         write_rgb_stream(stream, rgb_stream)
         steps = [
             ("train.out", ["train", train, "model.txt"]),
+            ("train_probe40.out", ["train", train, "model_probe40.txt",
+                                   "--set", "jacobian_probe_offset=40"]),
             ("evaluate.out", ["evaluate", test, "model.txt"]),
             ("classify.out", ["classify", sequence, "model.txt"]),
             ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
@@ -162,7 +167,8 @@ def main() -> int:
                 print(f"{side}: harpipe {args[0]}", file=sys.stderr, flush=True)
                 run(src, os.path.join(tmp, side), name, args)
         failed = False
-        names = (["train.out", "model.txt"] + [n for n, _ in steps[1:]] + list(DUMPS)
+        names = (["train.out", "model.txt", "model_probe40.txt"]
+                 + [n for n, _ in steps[2:]] + list(DUMPS)
                  + ["box3_features"] + [f"raw_{d}" for d in DUMPS])
         for name in names:
             verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))

@@ -93,6 +93,12 @@ class PipelineConfig:
         if not 0 < self.rprop_step_min <= self.rprop_step_init <= self.rprop_step_max:
             raise ValueError("rprop_step_min, rprop_step_init and rprop_step_max "
                              "must satisfy 0 < min <= init <= max")
+        # a window wider than the frame finds no corner or loses every track
+        side = min(self.working_resolution)
+        for key in ("tensor_half_window", "track_half_window"):
+            if not 2 * getattr(self, key) < side:
+                raise ValueError(f"{key} must be < {(side + 1) // 2}, so that its "
+                                 "window fits the working resolution")
 
     @property
     def stride(self) -> int:

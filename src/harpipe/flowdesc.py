@@ -32,33 +32,22 @@ def jacobian_probes(xy: np.ndarray, h: float) -> np.ndarray:
 def flow_jacobian(
     uv: np.ndarray, tracked: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial flow partials of P points from the (P, 5, 2) velocities at
-    their ``jacobian_probes`` and the (P, 5) mask of the probes that were
-    tracked; the velocities of the others are ignored.
+    """Spatial flow partials of P tracked points from the (P, 5, 2) velocities
+    at their ``jacobian_probes`` and the (P, 5) mask of the probes that were
+    tracked, the point itself always; the others' velocities are ignored.
 
     Each axis takes the central difference of its probes at p +- h, or the
     one-sided difference against the point itself when one of them failed.
     Returns the (P, 2, 2) Jacobians [[u_x, u_y], [v_x, v_y]] and the (P,)
-    mask of points whose neighbourhood was trackable; the partials of the
+    mask of points with a probe tracked on each axis; the partials of the
     other points are zero.
     """
-    centre = uv[:, 0]
-
-    def axis_diff(k: int) -> tuple[np.ndarray, np.ndarray]:
-        fwd, bwd = uv[:, k], uv[:, k + 1]
-        has_fwd, has_bwd = tracked[:, k], tracked[:, k + 1]
-        both = (has_fwd & has_bwd)[:, None]
-        one_sided = np.where(
-            has_fwd[:, None], (fwd - centre) / h, -(bwd - centre) / h
-        )
-        diff = np.where(both, (fwd - bwd) / (2 * h), one_sided)
-        usable = (has_fwd & has_bwd) | ((has_fwd | has_bwd) & tracked[:, 0])
-        return diff, usable
-
-    dx, x_ok = axis_diff(1)
-    dy, y_ok = axis_diff(3)
-    ok = x_ok & y_ok
-    return np.where(ok[:, None, None], np.stack((dx, dy), axis=2), 0.0), ok
+    centre, fwd, bwd = uv[:, :1], uv[:, 1::2], uv[:, 2::2]  # (P, axis, component)
+    has_fwd, has_bwd = tracked[:, 1::2], tracked[:, 2::2]
+    one_sided = np.where(has_fwd[..., None], (fwd - centre) / h, -(bwd - centre) / h)
+    diff = np.where((has_fwd & has_bwd)[..., None], (fwd - bwd) / (2 * h), one_sided)
+    ok = (has_fwd | has_bwd).all(axis=1)
+    return np.where(ok[:, None, None], diff.swapaxes(1, 2), 0.0), ok
 
 
 def flow_invariants(j: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -83,7 +83,7 @@ def build_pyramid(img: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
     every level is C-contiguous. The level count is silently clamped so the
     coarsest level keeps both sides >= 16 px."""
     out = [np.ascontiguousarray(img)]
-    for _ in range(max(1, levels) - 1):
+    for _ in range(levels - 1):
         h, w = out[-1].shape[-2:]
         if (h + 1) // 2 < MIN_COARSEST_SIDE or (w + 1) // 2 < MIN_COARSEST_SIDE:
             break
@@ -92,16 +92,16 @@ def build_pyramid(img: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
 
 
 def sample_windows(
-    img: np.ndarray, xy: np.ndarray, hw: int, image: np.ndarray | None = None
+    img: np.ndarray, xy: np.ndarray, hw: int, image: np.ndarray
 ) -> np.ndarray:
     """Bilinear (2hw+1)^2 windows around each point of ``xy`` (P, 2), over
     the image extended by its edge pixels; returns them windows last,
     (2hw+1, 2hw+1, P). ``img`` is an (h, w) image or a (K, h, w) stack and
-    ``image`` the (P,) stack index of each point (all 0 when omitted).
+    ``image`` the (P,) stack index of each point, 0 for an (h, w) image.
     ``hw=0`` samples the points themselves."""
     h, w = img.shape[-2:]
     n = 2 * hw + 1
-    offset = 0 if image is None else np.asarray(image, dtype=np.intp) * (h * w)
+    offset = np.asarray(image, dtype=np.intp) * (h * w)
     shifted = xy - hw
     lo = np.floor(shifted)  # each window's top-left sample, (x0, y0)
     fx, fy = (shifted - lo).T
@@ -177,8 +177,8 @@ def _refine(
     """One pyramid level's iterations for the points ``p`` (L, 2), in that
     level's pixels, seeded with the displacements ``guess``. Returns each
     point's (L,) status, LOST_SINGULAR for a singular structure tensor and
-    LOST_BOUNDS for an estimate that leaves the level, its (L, 2) increment
-    to ``guess``, and the (n, n, L) template windows of ``p``."""
+    LOST_BOUNDS for an estimate that leaves the level, its refined (L, 2)
+    displacement, and the (n, n, L) template windows of ``p``."""
     hw = cfg.track_half_window
     eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
     eps_sq = cfg.track_convergence_eps**2
@@ -214,7 +214,7 @@ def _refine(
         d[active, 1] += sy
         moving = ~(sx * sx + sy * sy < eps_sq)
         active, state = active[moving], _points(moving, state)
-    return status, d, windows
+    return status, guess + d, windows
 
 
 def track_points(
@@ -227,10 +227,10 @@ def track_points(
     """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj`` with
     the ``track_*`` settings of ``cfg``.
 
-    Pyramid levels are (h, w) images or (K, h, w) stacks of K images of one
-    size; ``image`` gives each point's (P,) index into the stacks, and a
-    point is tracked from image k of ``pi`` to image k of ``pj`` exactly as
-    it would be on its own pair (all points use image 0 when omitted).
+    Both pyramids are of images of one size, (h, w) or (K, h, w) stacks;
+    ``image`` gives each point's (P,) index into the stacks, and a point is
+    tracked from image k of ``pi`` to image k of ``pj`` exactly as it would
+    be on its own pair (all points use image 0 when omitted).
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     image = (np.zeros(len(xy), dtype=np.intp) if image is None
@@ -245,14 +245,13 @@ def track_points(
     live = np.flatnonzero(status == TrackStatus.TRACKED)
     # the latest level's template windows, and the live points' places in them
     iw, at = np.empty((2 * hw + 1, 2 * hw + 1, 0)), np.empty(0, dtype=np.intp)
-    for level in reversed(range(min(len(pi), len(pj)))):
+    for level in reversed(range(len(pi))):
         if live.size == 0:
             break
-        guess = 2.0 * shift[live]
         del iw  # the coarser level's, freed before this level samples its own
-        status[live], d, iw = _refine(pi[level], pj[level], xy[live] / (1 << level),
-                                      guess, image[live], cfg)
-        shift[live] = guess + d
+        status[live], shift[live], iw = _refine(
+            pi[level], pj[level], xy[live] / (1 << level), 2.0 * shift[live],
+            image[live], cfg)
         at = np.flatnonzero(status[live] == TrackStatus.TRACKED)
         live = live[at]
 
@@ -267,10 +266,8 @@ def track_points(
     residual = np.sqrt(_window_dots(diff, diff) / (diff.shape[0] * diff.shape[1]))
     status[live[~(residual <= cfg.track_residual_max)]] = TrackStatus.LOST_RESIDUAL
 
-    new_xy = xy.copy()
     dxy = np.zeros_like(xy)
     residuals = np.full(len(xy), np.inf)
-    new_xy[live] = moved
     dxy[live] = shift[live]
     residuals[live] = residual
-    return Tracks(new_xy, dxy, residuals, status)
+    return Tracks(xy + dxy, dxy, residuals, status)

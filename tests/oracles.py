@@ -12,6 +12,9 @@ that ``frameio._tokenize_header`` replaced with one pattern per field,
 which converts each field with the package's own ``_decimal``;
 ``rprop_step``, the per-layer masked form of ``mlp.rprop_step``;
 ``save_model_per_value``, the per-value form of ``mlp.save_model``;
+``flow_jacobian_per_axis``, the per-axis form of ``flowdesc.flow_jacobian``
+with the same numpy arithmetic, which also checks a one-sided difference's
+centre;
 ``extract_window_sample``, which extracts one window
 per tracker call, the reference for the batched
 ``pipeline.sequence_samples``; ``sequence_samples_list``, which holds every
@@ -494,6 +497,38 @@ def min_eigenvalue(z):
     return max(0.0, (z.zxx + z.zyy - disc) / 2.0)
 
 
+def flow_jacobian_per_axis(uv, tracked, h):
+    """Spatial flow partials of P points from the (P, 5, 2) velocities at
+    their ``jacobian_probes`` and the (P, 5) mask of the probes that were
+    tracked; the velocities of the others are ignored.
+
+    Each axis takes the central difference of its probes at p +- h, or the
+    one-sided difference against the point itself when one of them failed.
+    Returns the (P, 2, 2) Jacobians [[u_x, u_y], [v_x, v_y]] and the (P,)
+    mask of points whose neighbourhood was trackable; the partials of the
+    other points are zero.
+    """
+    import numpy as np
+
+    centre = uv[:, 0]
+
+    def axis_diff(k: int) -> tuple[np.ndarray, np.ndarray]:
+        fwd, bwd = uv[:, k], uv[:, k + 1]
+        has_fwd, has_bwd = tracked[:, k], tracked[:, k + 1]
+        both = (has_fwd & has_bwd)[:, None]
+        one_sided = np.where(
+            has_fwd[:, None], (fwd - centre) / h, -(bwd - centre) / h
+        )
+        diff = np.where(both, (fwd - bwd) / (2 * h), one_sided)
+        usable = (has_fwd & has_bwd) | ((has_fwd | has_bwd) & tracked[:, 0])
+        return diff, usable
+
+    dx, x_ok = axis_diff(1)
+    dy, y_ok = axis_diff(3)
+    ok = x_ok & y_ok
+    return np.where(ok[:, None, None], np.stack((dx, dy), axis=2), 0.0), ok
+
+
 @dataclass(frozen=True)
 class PointDescriptor:
     x: float
@@ -593,7 +628,7 @@ def extract_window_sample(frames, cfg, label=None):
     frame_size = (frames[0].width, frames[0].height)
 
     pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
+    intensity = lkflow.sample_windows(pi[0], xy, 0, np.zeros(len(xy), np.intp))[0, 0]
     for step in range(steps):
         live = np.flatnonzero(alive)
         if live.size == 0:
@@ -666,7 +701,7 @@ def window_sample_loop(frames, cfg):
     prev_uv = np.zeros_like(xy)
 
     pi = lkflow.build_pyramid(frames[0].pixels, cfg.pyramid_levels)
-    intensity = lkflow.sample_windows(pi[0], xy, 0)[0, 0]
+    intensity = lkflow.sample_windows(pi[0], xy, 0, np.zeros(len(xy), np.intp))[0, 0]
     for step in range(steps):
         live = np.flatnonzero(alive)
         if live.size == 0:

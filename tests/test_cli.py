@@ -206,6 +206,25 @@ class TestExitCodes:
         assert not (tmp_path / "model.txt").exists()
         assert not any((tmp_path / "masks").glob("*"))
 
+    @pytest.mark.parametrize("command,setting", [
+        ("dump", "tensor_half_window=60"), ("train", "track_half_window=60")])
+    def test_usage_error_on_window_beyond_frame(self, command, setting, tiny_corpus,
+                                                tmp_path, capsys):
+        # at 160x120 a 121-pixel window would find no corner, or lose every
+        # track, and so zero every sample
+        seq = next((tiny_corpus / "test" / "boxing").iterdir())
+        out = tmp_path / "out"
+        argv = {"dump": ["dump", str(seq), "--dump-features", str(out)],
+                "train": ["train", str(tiny_corpus / "train"), str(out)]}[command]
+        rc = cli.main(argv + ["--set", setting])
+        captured = capsys.readouterr()
+        assert rc == 1
+        [line] = captured.err.splitlines()
+        key = setting.split("=")[0]
+        assert line == (f"usage error: {key} must be < 60, so that its window "
+                        "fits the working resolution")
+        assert not out.exists()
+
     def test_usage_error_on_negative_synth_seed(self, tmp_path, capsys):
         rc = cli.main(["synth", str(tmp_path / "corpus"), "--seed", "-1"])
         err = capsys.readouterr().err

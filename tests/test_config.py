@@ -43,10 +43,22 @@ class TestDefaults:
         ("track_half_window", 2**12 - 1, 2**12),
     ])
     def test_size_bounds(self, key, largest, smallest_rejected):
-        # the bounds below which numpy can shape every array built from them
-        assert getattr(PipelineConfig(**{key: largest}), key) == largest
+        # the bounds below which numpy can shape every array built from them;
+        # the co-settings keep each window within the working resolution
+        others = {"working_resolution": {"tensor_half_window": 1, "track_half_window": 1},
+                  "track_half_window": {"working_resolution": (8191, 8191)}}.get(key, {})
+        assert getattr(PipelineConfig(**{key: largest}, **others), key) == largest
         with pytest.raises(ValueError, match=f"^{key} .*must be >= . and < "):
-            PipelineConfig(**{key: smallest_rejected})
+            PipelineConfig(**{key: smallest_rejected}, **others)
+
+    @pytest.mark.parametrize("key", ["tensor_half_window", "track_half_window"])
+    @pytest.mark.parametrize("resolution,largest", [((160, 120), 59), ((40, 30), 14)])
+    def test_window_fits_working_resolution(self, key, resolution, largest):
+        cfg = PipelineConfig(**{key: largest, "working_resolution": resolution})
+        assert getattr(cfg, key) == largest
+        with pytest.raises(ValueError, match=f"^{key} must be < {largest + 1}, so that "
+                                             "its window fits the working resolution$"):
+            PipelineConfig(**{key: largest + 1, "working_resolution": resolution})
 
 
 class TestApplySettings:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from harpipe.flowdesc import (
@@ -11,7 +11,12 @@ from harpipe.flowdesc import (
     point_descriptors,
     pool_window,
 )
-from oracles import PointDescriptor, aggregate_sample, temporal_derivatives
+from oracles import (
+    PointDescriptor,
+    aggregate_sample,
+    flow_jacobian_per_axis,
+    temporal_derivatives,
+)
 
 
 def jacobian(ux, uy, vx, vy):
@@ -157,13 +162,21 @@ class TestFlowJacobian:
         with pytest.raises(ValueError):
             jacobian_of(probe, (40.0, 30.0))
 
-
-    def test_one_sided_needs_centre(self):
-        def probe(x, y):
-            return None if x >= 40.0 and y == 30.0 else (x, y)
-
-        with pytest.raises(ValueError):
-            jacobian_of(probe, (40.0, 30.0))
+    @seed(20)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.floats(1e-3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_axis_oracle(self, rng_seed, points, h):
+        # every centre tracked, as the pipeline passes only kept points;
+        # velocities from 1e-6 to 1e3 px, NaN at the lost probes
+        rng = np.random.default_rng(rng_seed)
+        uv = rng.standard_normal((points, 5, 2)) * 10.0 ** rng.integers(-6, 4, (points, 1, 1))
+        tracked = rng.random((points, 5)) < rng.uniform(0.0, 1.0, (points, 1))
+        tracked[:, 0] = True
+        uv[~tracked] = np.nan
+        jac, ok = flow_jacobian(uv, tracked, h)
+        want_jac, want_ok = flow_jacobian_per_axis(uv, tracked, h)
+        assert jac.shape == want_jac.shape and jac.tobytes() == want_jac.tobytes()
+        assert ok.tolist() == want_ok.tolist()
 
     def test_rows_are_independent(self):
         # central, one-sided, untrackable and affine rows in one call equal

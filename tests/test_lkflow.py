@@ -114,8 +114,7 @@ class TestSampleWindows:
            st.integers(0, 3), st.booleans(), st.integers(0, 8))
     @settings(max_examples=80, deadline=None)
     def test_matches_per_tap_oracle(self, rng_seed, h, w, stack, as_uint8, hw):
-        # stack 0 is one (h, w) image, sampled without image indices, which
-        # then are all 0
+        # stack 0 is one (h, w) image, sampled with image indices all 0
         rng = np.random.default_rng(rng_seed)
         shape = (max(stack, 1), h, w)
         imgs = (rng.integers(0, 256, shape).astype(np.uint8) if as_uint8
@@ -129,7 +128,7 @@ class TestSampleWindows:
         xy = np.concatenate(xy).astype(np.float64)
         image = rng.integers(0, shape[0], len(xy))
         got = (sample_windows(imgs, xy, hw, image) if stack
-               else sample_windows(imgs[0], xy, hw))
+               else sample_windows(imgs[0], xy, hw, np.zeros(len(xy), np.intp)))
         n = 2 * hw + 1
         assert got.shape == (n, n, len(xy))
         for p, ((x, y), k) in enumerate(zip(xy.tolist(), image)):

@@ -176,6 +176,32 @@ class TestSequenceSamples:
                     == expected.values.view(np.int64).tolist())
 
 
+class TestJacobianPrecondition:
+    def test_every_centre_tracked(self, monkeypatch):
+        # flow_jacobian reads its one-sided differences against a centre it
+        # assumes tracked; at offset 40 most tracked centres lose a probe
+        calls, one_sided = [], {}
+        real = flowdesc.flow_jacobian
+
+        def checked(uv, tracked, h):
+            calls.append(bool(tracked[:, 0].all()))
+            lone = tracked[:, 1::2] != tracked[:, 2::2]
+            one_sided[h] = one_sided.get(h, 0) + int(lone.any(axis=1).sum())
+            return real(uv, tracked, h)
+
+        monkeypatch.setattr(flowdesc, "flow_jacobian", checked)
+        rng = np.random.default_rng(7)
+        blank = [make_frame(np.full((120, 160), 90, dtype=np.uint8), index=i)
+                 for i in range(25)]
+        vanishing = [make_frame(smooth_texture(rng, 160, 120))] + blank[1:]
+        cases = [synth_frames(label) for label in mlp.ACTION_LABELS] + [blank, vanishing]
+        for offset in (2.0, 40.0):
+            for frames in cases:
+                sequence_samples(frames, PipelineConfig(jacobian_probe_offset=offset))
+        assert calls and all(calls)
+        assert one_sided[40.0] > 0
+
+
 class TestStreamedFrames:
     """sequence_samples reads its frames once, as a stream, and holds only
     one window group of them; every value is bit-identical to the path that
