@@ -119,25 +119,29 @@ def _train_model(inputs, labels, cfg: PipelineConfig):
     empty = [label for label, n in zip(ACTION_LABELS, counts) if not n]
     if empty:
         raise DataError(f"no training samples for {', '.join(empty)}")
-    layer_sizes = [
-        cfg.feature_size * DESCRIPTOR_DIM, cfg.hidden_nodes, len(ACTION_LABELS)
-    ]
-    model = mlp.init_model(
-        layer_sizes, seed=cfg.seed, a=cfg.activation_a, beta=cfg.activation_beta
-    )
-    state = mlp.init_rprop(
-        model,
-        eta_plus=cfg.rprop_eta_plus, eta_minus=cfg.rprop_eta_minus,
-        step_init=cfg.rprop_step_init, step_min=cfg.rprop_step_min,
-        step_max=cfg.rprop_step_max,
-    )
-    trace = mlp.train(model, inputs, labels, epochs=cfg.epochs, rprop=state)
+    sizes = [cfg.feature_size * DESCRIPTOR_DIM, cfg.hidden_nodes, len(ACTION_LABELS)]
+    model = mlp.init_model(sizes, cfg.seed, cfg.activation_a, cfg.activation_beta)
+    # settings each within its bounds can still carry the net out of the
+    # float range; such a model is reported, not written
+    diverged = UsageError("training diverged: the activation and RPROP "
+                          "settings carry a parameter out of the float range")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = mlp.train(model, inputs, labels, cfg.epochs,
+                              mlp.init_rprop(model, cfg))
+    except OverflowError:
+        raise diverged from None
+    params = (*model.weights, *model.biases, model.input_mean, model.input_std)
+    if not all(np.isfinite(p).all() for p in params):
+        raise diverged
     return model, trace
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     # checked before the corpus is extracted, as the model is in _load_model
+    if not args.model_out:
+        raise UsageError("model file path is empty")
     out_dir = os.path.dirname(args.model_out) or "."
     if not os.path.isdir(out_dir):
         raise UsageError(f"no directory {out_dir!r} for {args.model_out!r}")

@@ -4,8 +4,8 @@ no weight backtracking)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +21,7 @@ def label_index(label: str) -> int:
         raise ValueError(f"unknown action label {label!r}") from None
 
 
-def activation(
-    x: np.ndarray | float,
-    a: float = PipelineConfig.activation_a,
-    beta: float = PipelineConfig.activation_beta,
-):
+def activation(x: np.ndarray | float, a: float, beta: float):
     """beta * (1 - e^{-ax}) / (1 + e^{-ax}), i.e. beta * tanh(ax/2)."""
     return beta * np.tanh(np.asarray(x, dtype=np.float64) * (a / 2.0))
 
@@ -40,16 +36,10 @@ class MlpModel:
     layer_sizes: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (out, in)
     biases: list[np.ndarray]
-    a: float = PipelineConfig.activation_a
-    beta: float = PipelineConfig.activation_beta
-    input_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    input_std: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.input_mean is None:
-            self.input_mean = np.zeros(self.layer_sizes[0])
-        if self.input_std is None:
-            self.input_std = np.ones(self.layer_sizes[0])
+    a: float
+    beta: float
+    input_mean: np.ndarray
+    input_std: np.ndarray
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.input_mean) / self.input_std
@@ -57,7 +47,7 @@ class MlpModel:
 
 def init_model(
     layer_sizes: Sequence[int],
-    seed: int = PipelineConfig.seed,
+    seed: int,
     a: float = PipelineConfig.activation_a,
     beta: float = PipelineConfig.activation_beta,
 ) -> MlpModel:
@@ -69,7 +59,8 @@ def init_model(
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(list(layer_sizes), weights, biases, a=a, beta=beta)
+    return MlpModel(list(layer_sizes), weights, biases, a, beta,
+                    np.zeros(layer_sizes[0]), np.ones(layer_sizes[0]))
 
 
 def forward(m: MlpModel, x: np.ndarray) -> list[np.ndarray]:
@@ -116,22 +107,19 @@ def backprop(
 @dataclass
 class RpropState:
     """Per-parameter RPROP state: step sizes and previous gradients, each one
-    flat array over every layer's weights and then every layer's biases."""
+    flat array over every layer's weights and then every layer's biases, and
+    the config whose ``rprop_*`` settings drive the update."""
 
     step: np.ndarray
     prev_grad: np.ndarray
-    eta_plus: float = PipelineConfig.rprop_eta_plus
-    eta_minus: float = PipelineConfig.rprop_eta_minus
-    step_init: float = PipelineConfig.rprop_step_init
-    step_min: float = PipelineConfig.rprop_step_min
-    step_max: float = PipelineConfig.rprop_step_max
+    cfg: PipelineConfig
 
 
-def init_rprop(m: MlpModel, **hyper) -> RpropState:
+def init_rprop(m: MlpModel, cfg: PipelineConfig = PipelineConfig()) -> RpropState:
+    """Fresh state at cfg's initial step size. The default config is for
+    callers that hold none, such as perfbench's worker."""
     n = sum(p.size for p in (*m.weights, *m.biases))
-    state = RpropState(np.empty(n), np.zeros(n), **hyper)
-    state.step.fill(state.step_init)
-    return state
+    return RpropState(np.full(n, cfg.rprop_step_init), np.zeros(n), cfg)
 
 
 def _choose(mask: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
@@ -154,14 +142,14 @@ def rprop_step(
     g = np.concatenate((*grads_w, *grads_b), axis=None, dtype=np.float64)
     # prev_grad is read only here, so it is the scratch array until the
     # last line stores this step's gradient in it
-    step, work = s.step, s.prev_grad
+    step, work, cfg = s.step, s.prev_grad, s.cfg
     np.multiply(g, work, out=work)
     grew, flipped = work > 0.0, work < 0.0
-    np.multiply(step, s.eta_plus, out=work)
-    np.minimum(work, s.step_max, out=work)
+    np.multiply(step, cfg.rprop_eta_plus, out=work)
+    np.minimum(work, cfg.rprop_step_max, out=work)
     _choose(grew, work, step)
-    np.multiply(step, s.eta_minus, out=work)
-    np.maximum(work, s.step_min, out=work)
+    np.multiply(step, cfg.rprop_eta_minus, out=work)
+    np.maximum(work, cfg.rprop_step_min, out=work)
     _choose(flipped, work, step)
     np.sign(g, out=work)
     work *= step
@@ -175,13 +163,8 @@ def rprop_step(
     np.multiply(g.view(np.uint64), flipped, out=s.prev_grad.view(np.uint64))
 
 
-def train(
-    m: MlpModel,
-    inputs: np.ndarray,
-    labels: Sequence[int],
-    epochs: int,
-    rprop: Optional[RpropState] = None,
-) -> list[float]:
+def train(m: MlpModel, inputs: np.ndarray, labels: Sequence[int], epochs: int,
+          rprop: RpropState) -> list[float]:
     """Full-batch RPROP training; returns the per-epoch loss trace.
 
     Targets are one-hot at +-0.9*beta. The per-component training mean/std
@@ -202,8 +185,6 @@ def train(
     targets = np.full((len(labels), m.layer_sizes[-1]), -0.9 * m.beta)
     targets[np.arange(len(labels)), labels] = 0.9 * m.beta
 
-    if rprop is None:
-        rprop = init_rprop(m)
     trace = []
     for _ in range(epochs):
         gw, gb, loss = backprop(m, x, targets)

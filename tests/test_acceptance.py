@@ -166,17 +166,16 @@ def test_criterion_6_rprop_behavior():
             exponents = rng.uniform(-3, 3, 4)  # condition number up to 1e6
             c = 10.0 ** exponents
             target = rng.uniform(-3, 3, 4)
-            m = mlp.MlpModel(
-                [4, 1], [rng.uniform(-5, 5, (1, 4))], [np.zeros(1)]
-            )
+            m = mlp.MlpModel([4, 1], [rng.uniform(-5, 5, (1, 4))], [np.zeros(1)],
+                             1.0, 1.0, np.zeros(4), np.ones(4))
             s = mlp.init_rprop(m)
             for _ in range(500):
                 w = m.weights[0][0]
                 grad = (2 * c * (w - target))[None, :]
                 mlp.rprop_step(m, [grad], [np.zeros(1)], s)
-                assert (s.step >= s.step_min).all()
-                assert (s.step <= s.step_max).all()
-            assert np.abs(m.weights[0][0] - target).max() < 10 * s.step_min
+                assert (s.step >= s.cfg.rprop_step_min).all()
+                assert (s.step <= s.cfg.rprop_step_max).all()
+            assert np.abs(m.weights[0][0] - target).max() < 10 * s.cfg.rprop_step_min
 
     report(6, "RPROP converges on ill-conditioned diagonal quadratics for "
               "20 seeds with step bounds intact", check)

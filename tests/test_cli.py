@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from harpipe import cli, goodfeat, mlp, synth
 from harpipe.config import PipelineConfig, load_config
+from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.mlp import ACTION_LABELS
 
 from test_pipeline import constant_model, synth_frames, write_raw
@@ -292,7 +293,7 @@ class TestExitCodes:
     def test_data_error_on_wrong_output_layer(self, command, tiny_corpus,
                                               tmp_path, capsys):
         model = tmp_path / "five_classes.txt"
-        mlp.save_model(mlp.init_model([48, 8, 5]), str(model))
+        mlp.save_model(mlp.init_model([48, 8, 5], seed=0), str(model))
         target = (next((tiny_corpus / "test" / "walking").iterdir())
                   if command == "classify" else tiny_corpus / "test")
         rc = cli.main([command, str(target), str(model)] + FAST)
@@ -323,7 +324,7 @@ class TestExitCodes:
             self, command, line, value, message, tiny_corpus, tmp_path, capsys):
         # the model takes FAST's 48 inputs, so only the edited line is wrong
         model = tmp_path / "model.txt"
-        mlp.save_model(mlp.init_model([48, 8, 4]), str(model))
+        mlp.save_model(mlp.init_model([48, 8, 4], seed=0), str(model))
         lines = model.read_text().splitlines()
         lines[line] = value
         model.write_text("\n".join(lines) + "\n")
@@ -442,6 +443,40 @@ class TestExitCodes:
         if command == "dump":
             assert len(list(masks.iterdir())) == 40
 
+    def test_usage_error_on_empty_model_path(self, tiny_corpus, capsys):
+        rc = cli.main(["train", str(tiny_corpus / "train"), ""] + FAST)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err and "extracted" not in err
+        [line] = err.splitlines()
+        assert line.startswith("usage error: ")
+
+    @pytest.mark.parametrize("command,settings", [
+        ("train", ["rprop_eta_plus=1e300", "rprop_step_max=1e308"]),
+        ("train", ["activation_a=1e308", "activation_beta=1e-300"]),
+        ("train", ["activation_beta=1e300"]),
+        ("sweep", ["activation_beta=1e300"]),
+    ], ids=["rprop-steps", "activation-slope", "beta-squared", "sweep"])
+    def test_usage_error_on_diverged_training(self, command, settings,
+                                              tiny_corpus, tmp_path, capsys):
+        # each setting is within its bounds, yet at the default sizes the
+        # trained parameters leave the float range or beta**2 overflows
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ([command, str(tiny_corpus / "train"), str(out / "model.txt")]
+                if command == "train" else
+                [command, str(tiny_corpus / "train"), str(tiny_corpus / "test"),
+                 "--values", "1", "4"])
+        for setting in settings:
+            argv += ["--set", setting]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "" and "Traceback" not in captured.err
+        [line] = [l for l in captured.err.splitlines() if "extracted" not in l]
+        assert line.startswith("usage error: training diverged")
+        assert not any(out.iterdir())
+
     def test_sweep_rejects_feature_size_below_one(self, tiny_corpus):
         rc = cli.main(["sweep", str(tiny_corpus / "train"),
                        str(tiny_corpus / "test"), "--values", "0", "4"])
@@ -476,6 +511,27 @@ class TestTrain:
         assert "samples total: 24" in out
         assert "final loss:" in out
 
+    def test_default_path_matches_config_path(self, tmp_path):
+        # perfbench's worker trains through mlp's defaults, the CLI through
+        # the config; at the default config both write the same model file
+        cfg = PipelineConfig()
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(40, cfg.feature_size * DESCRIPTOR_DIM))
+        labels = np.arange(40) % len(ACTION_LABELS)
+        model, _ = cli._train_model(inputs, labels, cfg)
+        sizes = [inputs.shape[1], cfg.hidden_nodes, len(ACTION_LABELS)]
+        bench = mlp.init_model(sizes, seed=cfg.seed)
+        mlp.train(bench, inputs, labels, epochs=cfg.epochs,
+                  rprop=mlp.init_rprop(bench))
+        mlp.save_model(model, str(tmp_path / "cli.txt"))
+        mlp.save_model(bench, str(tmp_path / "bench.txt"))
+        assert ((tmp_path / "cli.txt").read_bytes()
+                == (tmp_path / "bench.txt").read_bytes())
+        default, configured = mlp.init_rprop(bench), mlp.init_rprop(bench, cfg)
+        assert default.cfg == configured.cfg
+        assert default.step.tobytes() == configured.step.tobytes()
+        assert default.prev_grad.tobytes() == configured.prev_grad.tobytes()
+
 
 class TestClassify:
     def test_one_line_per_window(self, tiny_corpus, tiny_model, capsys):
@@ -495,8 +551,8 @@ class TestClassify:
         biases = np.full(4, -1.0)
         biases[2] = 1.0
         model = tmp_path / "constant.txt"
-        mlp.save_model(mlp.MlpModel([48, 4], [np.zeros((4, 48))], [biases]),
-                       str(model))
+        mlp.save_model(mlp.MlpModel([48, 4], [np.zeros((4, 48))], [biases], 1.0,
+                                    1.0, np.zeros(48), np.ones(48)), str(model))
         seq = next((tiny_corpus / "test" / "boxing").iterdir())
         rc = cli.main(["classify", str(seq), str(model)] + FAST)
         assert rc == 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harpipe import mlp
+from harpipe.config import PipelineConfig
 from harpipe.mlp import (
     ACTION_LABELS,
     MlpModel,
@@ -22,6 +23,12 @@ from harpipe.mlp import (
 )
 
 import oracles
+
+
+def unit_model(layer_sizes, weights, biases):
+    """An MlpModel with a = beta = 1 and inputs taken as they come."""
+    return MlpModel(layer_sizes, weights, biases, 1.0, 1.0,
+                    np.zeros(layer_sizes[0]), np.ones(layer_sizes[0]))
 
 
 def gradient_check(model, x, target, eps=1e-5):
@@ -52,7 +59,7 @@ def gradient_check(model, x, target, eps=1e-5):
 
 class TestActivation:
     def test_zero(self):
-        assert activation(0.0) == 0.0
+        assert activation(0.0, 1.0, 1.0) == 0.0
 
     def test_tanh_equivalence(self):
         assert activation(20.0, a=2.0, beta=1.0) == pytest.approx(1.0, abs=1e-12)
@@ -92,12 +99,12 @@ class TestLabels:
 
 class TestForward:
     def test_zero_weights_zero_output(self):
-        m = MlpModel([3, 4, 2], [np.zeros((4, 3)), np.zeros((2, 4))],
-                     [np.zeros(4), np.zeros(2)])
+        m = unit_model([3, 4, 2], [np.zeros((4, 3)), np.zeros((2, 4))],
+                       [np.zeros(4), np.zeros(2)])
         assert not forward(m, np.ones(3))[-1].any()
 
     def test_single_neuron_zero_input(self):
-        m = MlpModel([1, 1], [np.array([[1.0]])], [np.zeros(1)])
+        m = unit_model([1, 1], [np.array([[1.0]])], [np.zeros(1)])
         assert forward(m, np.zeros(1))[-1] == 0.0
 
     def test_hand_evaluated_2_2_1(self):
@@ -106,7 +113,8 @@ class TestForward:
         b1 = np.array([0.05, -0.1])
         w2 = np.array([[0.7, -0.6]])
         b2 = np.array([0.2])
-        m = MlpModel([2, 2, 1], [w1, w2], [b1, b2], a=a, beta=beta)
+        m = MlpModel([2, 2, 1], [w1, w2], [b1, b2], a, beta,
+                     np.zeros(2), np.ones(2))
         x = np.array([0.4, -0.9])
 
         def f(u):
@@ -139,8 +147,8 @@ class TestBackprop:
         assert all(not g.any() for g in gw + gb)
 
     def test_zero_net_gradients_only_at_output_bias(self):
-        m = MlpModel([2, 2, 2], [np.zeros((2, 2)), np.zeros((2, 2))],
-                     [np.zeros(2), np.zeros(2)])
+        m = unit_model([2, 2, 2], [np.zeros((2, 2)), np.zeros((2, 2))],
+                       [np.zeros(2), np.zeros(2)])
         gw, gb, _ = backprop(m, np.zeros(2), np.array([0.5, -0.5]))
         assert not gw[0].any() and not gw[1].any() and not gb[0].any()
         assert gb[1].any()
@@ -179,33 +187,35 @@ class TestBackprop:
 
 class TestRprop:
     def _scalar_model(self, w0=0.0):
-        m = MlpModel([1, 1], [np.array([[w0]])], [np.zeros(1)])
+        m = unit_model([1, 1], [np.array([[w0]])], [np.zeros(1)])
         return m, init_rprop(m)
 
     def test_first_step_uses_initial_delta(self):
         m, s = self._scalar_model()
         rprop_step(m, [np.array([[2.0]])], [np.zeros(1)], s)
-        assert m.weights[0][0, 0] == -s.step_init
-        assert s.step[0] == s.step_init
+        assert m.weights[0][0, 0] == -s.cfg.rprop_step_init
+        assert s.step[0] == s.cfg.rprop_step_init
 
     def test_same_sign_grows_step(self):
         m, s = self._scalar_model()
         for _ in range(2):
             rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
-        assert s.step[0] == pytest.approx(s.step_init * s.eta_plus)
+        cfg = s.cfg
+        assert s.step[0] == pytest.approx(cfg.rprop_step_init * cfg.rprop_eta_plus)
         assert m.weights[0][0, 0] == pytest.approx(
-            -s.step_init * (1 + s.eta_plus)
+            -cfg.rprop_step_init * (1 + cfg.rprop_eta_plus)
         )
 
     def test_sign_flip_shrinks_and_suppresses_next_test(self):
         m, s = self._scalar_model()
         rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
         rprop_step(m, [np.array([[-1.0]])], [np.zeros(1)], s)
-        assert s.step[0] == pytest.approx(s.step_init * s.eta_minus)
+        shrunk = s.cfg.rprop_step_init * s.cfg.rprop_eta_minus
+        assert s.step[0] == pytest.approx(shrunk)
         assert s.prev_grad[0] == 0.0
         # next step sees sign product 0: step size unchanged
         rprop_step(m, [np.array([[1.0]])], [np.zeros(1)], s)
-        assert s.step[0] == pytest.approx(s.step_init * s.eta_minus)
+        assert s.step[0] == pytest.approx(shrunk)
 
     def test_zero_gradient_no_move(self):
         m, s = self._scalar_model(w0=0.7)
@@ -223,21 +233,21 @@ class TestRprop:
                   for w in m.weights]
             gb = [rng.normal(size=b.shape) for b in m.biases]
             rprop_step(m, gw, gb, s)
-            assert (s.step >= s.step_min).all()
-            assert (s.step <= s.step_max).all()
+            assert (s.step >= s.cfg.rprop_step_min).all()
+            assert (s.step <= s.cfg.rprop_step_max).all()
 
     def test_diagonal_quadratic_scale_robustness(self):
         # E = sum c_i (w_i - w*_i)^2, conditioning 1e6: every coordinate
         # converges regardless of its curvature scale
         c = np.array([1e-3, 1.0, 1e3])
         target = np.array([0.4, -1.7, 2.5])
-        m = MlpModel([3, 1], [np.zeros((1, 3))], [np.zeros(1)])
+        m = unit_model([3, 1], [np.zeros((1, 3))], [np.zeros(1)])
         s = init_rprop(m)
         for _ in range(500):
             w = m.weights[0][0]
             grad = (2 * c * (w - target))[None, :]
             rprop_step(m, [grad], [np.zeros(1)], s)
-        assert np.abs(m.weights[0][0] - target).max() < 10 * s.step_min
+        assert np.abs(m.weights[0][0] - target).max() < 10 * s.cfg.rprop_step_min
 
 
 def assert_same_bits(a, b):
@@ -260,7 +270,8 @@ class TestRpropOracle:
                      step_init=step_init, step_min=step_min,
                      step_max=step_init * float(rng.uniform(1.0, 3.0)))
         m, ref = init_model(sizes, seed=seed), init_model(sizes, seed=seed)
-        s, s_ref = init_rprop(m, **hyper), oracles.init_rprop(ref, **hyper)
+        cfg = PipelineConfig(**{f"rprop_{k}": v for k, v in hyper.items()})
+        s, s_ref = init_rprop(m, cfg), oracles.init_rprop(ref, **hyper)
         shapes = [w.shape for w in m.weights] + [b.shape for b in m.biases]
         # per parameter: a fixed sign (its step grows to step_max), an
         # alternating sign (shrinks to step_min) or a random sign, each
@@ -301,7 +312,7 @@ class TestTrain:
         xs = np.vstack([x0, x1])
         ys = [0] * 10 + [1] * 10
         m = init_model([2, 8, 2], seed=0)
-        train(m, xs, ys, epochs=200)
+        train(m, xs, ys, epochs=200, rprop=init_rprop(m))
         preds = [predict(m, x)[0] for x in xs]
         assert preds == ys
 
@@ -309,7 +320,7 @@ class TestTrain:
         xs = 0.9 * (2 * np.eye(4) - 1)
         ys = [0, 1, 2, 3]
         m = init_model([4, 16, 4], seed=1)
-        trace = train(m, xs, ys, epochs=400)
+        trace = train(m, xs, ys, epochs=400, rprop=init_rprop(m))
         assert trace[-1] < 1e-3
         # RPROP steps are sign-based, so the loss has small local bumps;
         # the trend over coarse milestones is strictly downward
@@ -320,14 +331,14 @@ class TestTrain:
         m = init_model([3, 4, 4], seed=2)
         before = [w.copy() for w in m.weights]
         train(m, np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 2, 3],
-              epochs=0)
+              epochs=0, rprop=init_rprop(m))
         for w, old in zip(m.weights, before):
             assert np.array_equal(w, old)
 
     def test_empty_dataset_rejected(self):
         m = init_model([2, 3, 4], seed=0)
         with pytest.raises(ValueError):
-            train(m, np.zeros((0, 2)), [], epochs=5)
+            train(m, np.zeros((0, 2)), [], epochs=5, rprop=init_rprop(m))
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -336,7 +347,7 @@ class TestTrain:
         models = []
         for _ in range(2):
             m = init_model([3, 6, 4], seed=7)
-            train(m, xs, ys, epochs=30)
+            train(m, xs, ys, epochs=30, rprop=init_rprop(m))
             models.append(m)
         for w1, w2 in zip(models[0].weights, models[1].weights):
             assert np.array_equal(w1, w2)
@@ -345,7 +356,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         xs = rng.normal(size=(8, 2)) * np.array([100.0, 5.0])
         m = init_model([2, 4, 4], seed=0)
-        train(m, xs, [0, 1, 2, 3] * 2, epochs=1)
+        train(m, xs, [0, 1, 2, 3] * 2, epochs=1, rprop=init_rprop(m))
         assert np.allclose(m.input_mean, xs.mean(axis=0))
         assert np.allclose(m.input_std, xs.std(axis=0))
 
@@ -355,7 +366,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         xs = rng.normal(size=(8, 2)) * np.array([100.0, 1e-6])
         m = init_model([2, 4, 4], seed=0)
-        train(m, xs, [0, 1, 2, 3] * 2, epochs=1)
+        train(m, xs, [0, 1, 2, 3] * 2, epochs=1, rprop=init_rprop(m))
         std = xs.std(axis=0)
         assert np.isclose(m.input_std[0], std[0])
         assert np.isclose(m.input_std[1], 0.01 * std.max())
@@ -367,7 +378,7 @@ class TestPredict:
         outputs = np.asarray(outputs, dtype=np.float64)
         n = outputs.size
         pre = 2.0 * np.arctanh(np.clip(outputs, -0.999, 0.999))
-        m = MlpModel([1, n], [pre[:, None]], [np.zeros(n)])
+        m = unit_model([1, n], [pre[:, None]], [np.zeros(n)])
         return m
 
     def test_argmax(self):

@@ -314,7 +314,8 @@ def constant_model(path):
     biases[0] = 1.0
     n_inputs = PipelineConfig().feature_size * DESCRIPTOR_DIM
     mlp.save_model(
-        mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases]),
+        mlp.MlpModel([n_inputs, 4], [np.zeros((4, n_inputs))], [biases], 1.0, 1.0,
+                     np.zeros(n_inputs), np.ones(n_inputs)),
         str(path),
     )
 
