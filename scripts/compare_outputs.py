@@ -134,7 +134,7 @@ def main() -> int:
         corpus = os.path.join(tmp, "corpus")
         os.makedirs(os.path.join(tmp, "old"))
         os.makedirs(os.path.join(tmp, "new"))
-        run(trees["new"], tmp, "synth.out", ["synth", corpus, "--seed", "0"])
+        run(trees["new"], tmp, "synth.out", ["synth", corpus, "--set", "seed=0"])
         train, test = os.path.join(corpus, "train"), os.path.join(corpus, "test")
         firsts = [os.path.join(test, label, sorted(os.listdir(os.path.join(test, label)))[0])
                   for label in sorted(os.listdir(test))]

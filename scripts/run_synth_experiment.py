@@ -4,6 +4,7 @@ held-out evaluation report — the desk-scale analogue of the published
 experiment. Everything is seeded, so two runs produce identical output.
 
 Usage: run_synth_experiment.py [workdir] [--seed N] [--sweep]
+where every command takes N as `--set seed=N`.
 """
 
 import argparse
@@ -30,7 +31,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     for step in (
-        ["synth", corpus, "--seed", str(args.seed)],
+        ["synth", corpus] + seed,
         ["train", os.path.join(corpus, "train"), model] + seed,
         ["evaluate", os.path.join(corpus, "test"), model] + seed,
     ):

@@ -119,26 +119,21 @@ def _train_model(inputs, labels, cfg: PipelineConfig):
     empty = [label for label, n in zip(ACTION_LABELS, counts) if not n]
     if empty:
         raise DataError(f"no training samples for {', '.join(empty)}")
-    sizes = [cfg.feature_size * DESCRIPTOR_DIM, cfg.hidden_nodes, len(ACTION_LABELS)]
+    sizes = [inputs.shape[1], cfg.hidden_nodes, len(ACTION_LABELS)]
     model = mlp.init_model(sizes, cfg.seed, cfg.activation_a, cfg.activation_beta)
     # settings each within its bounds can still carry the net out of the
     # float range; such a model is reported, not written
-    diverged = UsageError("training diverged: the activation and RPROP "
-                          "settings carry a parameter out of the float range")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = mlp.train(model, inputs, labels, cfg.epochs,
-                              mlp.init_rprop(model, cfg))
-    except OverflowError:
-        raise diverged from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = mlp.train(model, inputs, labels, cfg.epochs,
+                          mlp.init_rprop(model, cfg))
     params = (*model.weights, *model.biases, model.input_mean, model.input_std)
     if not all(np.isfinite(p).all() for p in params):
-        raise diverged
+        raise UsageError("training diverged: the activation and RPROP "
+                         "settings carry a parameter out of the float range")
     return model, trace
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_train(args, cfg: PipelineConfig) -> int:
     # checked before the corpus is extracted, as the model is in _load_model
     if not args.model_out:
         raise UsageError("model file path is empty")
@@ -182,8 +177,7 @@ def _load_model(path: str, cfg: PipelineConfig) -> mlp.MlpModel:
     return model
 
 
-def cmd_classify(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_classify(args, cfg: PipelineConfig) -> int:
     model = _load_model(args.model, cfg)
     n_frames = 0
 
@@ -241,21 +235,16 @@ def format_report(matrix: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model = _load_model(args.model, cfg)
     matrix = score_dataset(model, *_extract_dataset(args.test_dir, cfg))
     print(format_report(matrix))
     return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg: PipelineConfig) -> int:
     if min(args.train_per_class, args.test_per_class) < 0:
         raise UsageError("--train-per-class and --test-per-class must be >= 0")
-    if args.seed is not None:
-        # validated like any other seed setting
-        args.set = (args.set or []) + [f"seed={args.seed}"]
-    cfg = _load_cfg(args)
     counts = synth.write_corpus(
         args.out_dir, seed=cfg.seed,
         train_per_class=args.train_per_class, test_per_class=args.test_per_class,
@@ -265,8 +254,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_sweep(args, cfg: PipelineConfig) -> int:
     values = sorted(set(args.values))
     if len(values) < 2:
         raise UsageError("sweep needs at least two distinct feature sizes")
@@ -281,9 +269,9 @@ def cmd_sweep(args) -> int:
     test_x, *test_rest = _extract_dataset(args.test_dir, cfgs[-1])
 
     rates = []  # (per-class, overall) per feature size
-    for n, cfg_n in zip(values, cfgs):
+    for n in values:
         cols = n * DESCRIPTOR_DIM
-        model, _ = _train_model(train_x[:, :cols], train_y, cfg_n)
+        model, _ = _train_model(train_x[:, :cols], train_y, cfg)
         rates.append(class_rates(score_dataset(model, test_x[:, :cols], *test_rest)))
         _log(f"feature size {n}: done")
 
@@ -299,13 +287,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_dump(args) -> int:
+def cmd_dump(args, cfg: PipelineConfig) -> int:
     """Diagnostic exports: foreground masks, features, flow, per the
     --dump-* flags on the shared parser. One pass over the frames takes each
     frame through every requested stage in that order; the flow stage holds
     only the last flow-step frame, its pyramid and, when the features stage
     detected them, its corners."""
-    cfg = _load_cfg(args)
     step = cfg.flow_step
     gmm = prev = None
     for f in _frames(args.sequence, cfg, raw=args.raw):
@@ -382,7 +369,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate the synthetic 4-class corpus")
     common(p)
     p.add_argument("out_dir")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--train-per-class", type=int, default=synth.TRAIN_PER_CLASS)
     p.add_argument("--test-per-class", type=int, default=synth.TEST_PER_CLASS)
     p.set_defaults(fn=cmd_synth)
@@ -409,7 +395,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(args, _load_cfg(args))
     except (UsageError, OSError, MemoryError) as e:
         # input read errors are already Data- or UsageErrors, so an OSError
         # here is an output path that cannot be written, and a MemoryError

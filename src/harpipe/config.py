@@ -140,14 +140,18 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None
     settings: dict[str, str] = {}
     if path is not None:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (p.strip() for p in line.split("=", 1))
-                settings[key] = value
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: {e}") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (p.strip() for p in line.split("=", 1))
+            settings[key] = value
     if overrides:
         settings.update(overrides)
     return apply_settings(PipelineConfig(), settings)

@@ -28,7 +28,8 @@ def activation(x: np.ndarray | float, a: float, beta: float):
 
 def activation_derivative(fx: np.ndarray, a: float, beta: float) -> np.ndarray:
     """f'(u) expressed through f(u): (a/(2*beta)) * (beta^2 - f(u)^2)."""
-    return (a / (2.0 * beta)) * (beta**2 - fx**2)
+    # beta * beta overflows to inf, where a Python float's beta**2 raises
+    return (a / (2.0 * beta)) * (beta * beta - fx**2)
 
 
 @dataclass

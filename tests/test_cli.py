@@ -227,11 +227,37 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_usage_error_on_negative_synth_seed(self, tmp_path, capsys):
-        rc = cli.main(["synth", str(tmp_path / "corpus"), "--seed", "-1"])
+        rc = cli.main(["synth", str(tmp_path / "corpus"), "--set", "seed=-1"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("usage error: ") and "seed" in err
         assert not (tmp_path / "corpus").exists()
+        # the seed is a config setting like any other, with no flag of its own
+        assert cli.main(["synth", str(tmp_path / "corpus"), "--seed", "1"]) == 1
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("command", [
+        "train", "classify", "evaluate", "synth", "sweep", "dump"])
+    @pytest.mark.parametrize("setting", ["seed=one", "seed"])
+    def test_usage_error_on_malformed_seed(self, command, setting, tiny_corpus,
+                                           tiny_model, tmp_path, capsys):
+        # every command reads the one config main validates, before any work
+        seq = next((tiny_corpus / "test" / "boxing").iterdir())
+        out = tmp_path / "out"
+        argv = {"train": ["train", str(tiny_corpus / "train"), str(out)],
+                "classify": ["classify", str(seq), str(tiny_model)],
+                "evaluate": ["evaluate", str(tiny_corpus / "test"), str(tiny_model)],
+                "synth": ["synth", str(out)],
+                "sweep": ["sweep", str(tiny_corpus / "train"),
+                          str(tiny_corpus / "test"), "--values", "1", "4"],
+                "dump": ["dump", str(seq), "--dump-masks", str(out)]}[command]
+        rc = cli.main(argv + ["--set", setting])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: ") and "seed" in line
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
     def test_usage_error_on_negative_synth_count(self, flag, tmp_path, capsys):
@@ -460,7 +486,7 @@ class TestExitCodes:
     def test_usage_error_on_diverged_training(self, command, settings,
                                               tiny_corpus, tmp_path, capsys):
         # each setting is within its bounds, yet at the default sizes the
-        # trained parameters leave the float range or beta**2 overflows
+        # trained parameters leave the float range
         out = tmp_path / "out"
         out.mkdir()
         argv = ([command, str(tiny_corpus / "train"), str(out / "model.txt")]

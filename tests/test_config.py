@@ -108,3 +108,11 @@ class TestLoadConfig:
         path.write_text("feature_size 8\n")
         with pytest.raises(ValueError, match="key = value"):
             load_config(str(path))
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"seed = 3  # caf\xe9\n")
+        with pytest.raises(ValueError) as e:
+            load_config(str(path))
+        assert str(e.value).startswith(f"{path}: ")
+        assert "decode" in str(e.value)

@@ -335,6 +335,15 @@ class TestTrain:
         for w, old in zip(m.weights, before):
             assert np.array_equal(w, old)
 
+    def test_overflowing_beta_gives_non_finite_weights(self):
+        # beta * beta overflows to inf instead of raising, so a diverged
+        # training shows only in the parameters it leaves
+        m = init_model([3, 4, 4], seed=0, beta=1e300)
+        xs = np.random.default_rng(0).normal(size=(4, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(m, xs, [0, 1, 2, 3], epochs=2, rprop=init_rprop(m))
+        assert not all(np.isfinite(p).all() for p in (*m.weights, *m.biases))
+
     def test_empty_dataset_rejected(self):
         m = init_model([2, 3, 4], seed=0)
         with pytest.raises(ValueError):
