@@ -38,19 +38,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_cfg(args) -> PipelineConfig:
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    try:
-        return load_config(args.config, overrides)
-    except (OSError, ValueError) as e:
-        raise UsageError(str(e)) from None
-
-
 def _class_sequence_dirs(root: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for label in ACTION_LABELS:
@@ -340,48 +327,47 @@ def cmd_dump(args, cfg: PipelineConfig) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="harpipe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value config file")
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key")
 
-    def common(p):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key")
-
-    p = sub.add_parser("train", help="train a classifier on a class-layout dataset")
-    common(p)
+    p = sub.add_parser("train", parents=[common],
+                       help="train a classifier on a class-layout dataset")
     p.add_argument("dataset_dir")
     p.add_argument("model_out")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("classify", help="per-window predictions for one sequence")
-    common(p)
+    p = sub.add_parser("classify", parents=[common],
+                       help="per-window predictions for one sequence")
     p.add_argument("sequence")
     p.add_argument("model")
     p.add_argument("--raw", metavar="WxH[:rgb]",
                    help="treat the sequence path as a raw 8-bit stream")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("evaluate", help="confusion matrix over a test dataset")
-    common(p)
+    p = sub.add_parser("evaluate", parents=[common],
+                       help="confusion matrix over a test dataset")
     p.add_argument("test_dir")
     p.add_argument("model")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate the synthetic 4-class corpus")
-    common(p)
+    p = sub.add_parser("synth", parents=[common],
+                       help="generate the synthetic 4-class corpus")
     p.add_argument("out_dir")
     p.add_argument("--train-per-class", type=int, default=synth.TRAIN_PER_CLASS)
     p.add_argument("--test-per-class", type=int, default=synth.TEST_PER_CLASS)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("sweep", help="accuracy table over feature sizes")
-    common(p)
+    p = sub.add_parser("sweep", parents=[common],
+                       help="accuracy table over feature sizes")
     p.add_argument("dataset_dir")
     p.add_argument("test_dir")
     p.add_argument("--values", type=int, nargs="+", required=True)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("dump", help="diagnostic exports for one sequence")
-    common(p)
+    p = sub.add_parser("dump", parents=[common],
+                       help="diagnostic exports for one sequence")
     p.add_argument("sequence")
     p.add_argument("--raw", metavar="WxH[:rgb]")
     p.add_argument("--dump-masks", metavar="DIR")
@@ -395,11 +381,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, _load_cfg(args))
+        try:
+            cfg = load_config(args.config, args.set)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+        return args.fn(args, cfg)
     except (UsageError, OSError, MemoryError) as e:
-        # input read errors are already Data- or UsageErrors, so an OSError
-        # here is an output path that cannot be written, and a MemoryError
-        # comes from a setting too large to allocate
+        # sequence and model read errors are already Data- or UsageErrors, so
+        # an OSError here is a config file that cannot be read or an output
+        # path that cannot be written, and a MemoryError comes from a setting
+        # too large to allocate
         print(f"usage error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except DataError as e:

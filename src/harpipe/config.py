@@ -135,23 +135,28 @@ def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineCon
     return dataclasses.replace(cfg, **updates)
 
 
-def load_config(path: str | None, overrides: dict[str, str] | None = None
-                ) -> PipelineConfig:
-    settings: dict[str, str] = {}
+def _key_value(text: str, error: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise ValueError(error)
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
+
+
+def load_config(path: str | None, sets: list[str] | None = None) -> PipelineConfig:
+    """The config of the file's ``key = value`` lines, then the ``--set``
+    items ``key=value``, which are checked first; a later setting wins."""
+    overrides = [_key_value(item, f"--set expects key=value, got {item!r}")
+                 for item in sets or ()]
+    settings = []
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 lines = fh.readlines()
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}: {e}") from None
         for lineno, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            settings[key] = value
-    if overrides:
-        settings.update(overrides)
-    return apply_settings(PipelineConfig(), settings)
+            if line:
+                settings.append(
+                    _key_value(line, f"{path}:{lineno}: expected 'key = value'"))
+    return apply_settings(PipelineConfig(), dict(settings + overrides))

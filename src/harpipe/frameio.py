@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import re
@@ -125,18 +124,13 @@ def to_grayscale(pixels: np.ndarray) -> np.ndarray:
     return np.floor(pixels.sum(axis=2, dtype=np.float64) / 3.0 + 0.5).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=8)
 def _resize_taps(n_in: int, n_out: int):
     """Pixel-centre bilinear taps along one axis: (lower index, upper index,
-    weight of the lower, weight of the upper), read-only."""
+    weight of the lower, weight of the upper)."""
     pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
     i0 = np.floor(pos).astype(np.int64)
-    i1 = np.minimum(i0 + 1, n_in - 1)
     frac = pos - i0
-    taps = (i0, i1, 1 - frac, frac)
-    for arr in taps:
-        arr.setflags(write=False)
-    return taps
+    return i0, np.minimum(i0 + 1, n_in - 1), 1 - frac, frac
 
 
 def resize_bilinear(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

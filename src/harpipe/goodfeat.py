@@ -63,7 +63,7 @@ def detect_good_features(pixels: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     lam_max = lam.max()
     if lam_max <= 0.0:
         return np.empty((0, 3))
-    max_n, min_distance = cfg.feature_size, cfg.min_distance
+    max_n, min_dist_sq = cfg.feature_size, cfg.min_distance * cfg.min_distance
     threshold = cfg.quality_rel * lam_max
     candidates = _nms_3x3(lam) & (lam >= threshold)
     ys, xs = np.nonzero(candidates)
@@ -76,7 +76,7 @@ def detect_good_features(pixels: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     for i in order:
         x, y = float(xs[i]), float(ys[i])
         k = len(chosen)
-        if k and np.min((cx[:k] - x) ** 2 + (cy[:k] - y) ** 2) < min_distance**2:
+        if k and np.min((cx[:k] - x) ** 2 + (cy[:k] - y) ** 2) < min_dist_sq:
             continue
         cx[k], cy[k] = x, y
         chosen.append(i)

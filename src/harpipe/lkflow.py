@@ -181,7 +181,7 @@ def _refine(
     displacement, and the (n, n, L) template windows of ``p``."""
     hw = cfg.track_half_window
     eigen_floor = MIN_EIGEN_PER_PIXEL * (2 * hw + 1) ** 2
-    eps_sq = cfg.track_convergence_eps**2
+    eps_sq = cfg.track_convergence_eps * cfg.track_convergence_eps
     lh, lw = imgi.shape[-2:]
     status = np.full(len(p), TrackStatus.TRACKED, dtype=np.int8)
 

@@ -6,7 +6,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import flowdesc, goodfeat, lkflow, mlp
+from . import flowdesc, goodfeat, lkflow
 from .config import PipelineConfig
 from .frameio import Frame
 from .flowdesc import SampleVector
@@ -134,6 +134,6 @@ def majority_label(window_classes: Sequence[int]) -> int:
     ties to the earliest window whose class is among the tied leaders."""
     if len(window_classes) == 0:
         raise ValueError("no window predictions")
-    votes = np.bincount(window_classes, minlength=len(mlp.ACTION_LABELS))
+    votes = np.bincount(window_classes)
     leaders = votes == votes.max()
     return next(int(cls) for cls in window_classes if leaders[cls])

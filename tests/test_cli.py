@@ -240,8 +240,12 @@ class TestExitCodes:
         "train", "classify", "evaluate", "synth", "sweep", "dump"])
     @pytest.mark.parametrize("setting", ["seed=one", "seed"])
     def test_usage_error_on_malformed_seed(self, command, setting, tiny_corpus,
-                                           tiny_model, tmp_path, capsys):
-        # every command reads the one config main validates, before any work
+                                           tiny_model, tmp_path, tmp_path_factory,
+                                           capsys):
+        # every command takes --config and --set from one parent parser and
+        # reads the one config main validates, before any work
+        config = tmp_path_factory.mktemp("config") / "pipeline.cfg"
+        config.write_text(setting.replace("=", " = ") + "\n")
         seq = next((tiny_corpus / "test" / "boxing").iterdir())
         out = tmp_path / "out"
         argv = {"train": ["train", str(tiny_corpus / "train"), str(out)],
@@ -251,13 +255,18 @@ class TestExitCodes:
                 "sweep": ["sweep", str(tiny_corpus / "train"),
                           str(tiny_corpus / "test"), "--values", "1", "4"],
                 "dump": ["dump", str(seq), "--dump-masks", str(out)]}[command]
-        rc = cli.main(argv + ["--set", setting])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("usage error: ") and "seed" in line
-        assert not any(tmp_path.iterdir())
+        for source, expected in (
+            (["--set", setting], "--set expects key=value, got 'seed'"),
+            (["--config", str(config)], f"{config}:1: expected 'key = value'"),
+        ):
+            if setting == "seed=one":
+                expected = "seed: expected an integer, got 'one'"
+            rc = cli.main(argv + source)
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err == f"usage error: {expected}\n"
+            assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
     def test_usage_error_on_negative_synth_count(self, flag, tmp_path, capsys):
@@ -719,6 +728,27 @@ class TestDump:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert count == calls
+
+    @pytest.mark.parametrize("stage,setting", [
+        ("features", "min_distance=1e300"),
+        ("flow", "track_convergence_eps=1e300"),
+    ])
+    def test_setting_whose_square_overflows(self, stage, setting, tiny_corpus,
+                                            tmp_path):
+        # the square is inf: every later corner lies within min_distance of
+        # the first, and every track converges on its first iteration
+        seq = next((tiny_corpus / "test" / "clapping").iterdir())
+        out = tmp_path / stage
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["dump", str(seq), f"--dump-{stage}", str(out),
+                             "--set", setting]) == 0
+        files = [p.read_text().splitlines() for p in sorted(out.iterdir())]
+        if stage == "features":
+            assert len(files) == 75
+            assert all(len(lines) <= 1 for lines in files)
+        else:
+            assert len(files) == 24  # frames 0, 3, ..., 69 start a flow step
+            assert all(len(line.split()) == 7 for lines in files for line in lines)
 
 
 # one harpipe command in a fresh process; prints its exit code and the

@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import harpipe
 from harpipe.config import PipelineConfig, apply_settings, load_config
 
 
@@ -95,7 +99,7 @@ class TestLoadConfig:
             "\n"
             "seed = 3\n"
         )
-        cfg = load_config(str(path), {"epochs": "20"})
+        cfg = load_config(str(path), ["epochs=20"])
         assert cfg.feature_size == 8
         assert cfg.epochs == 20
         assert cfg.seed == 3
@@ -116,3 +120,21 @@ class TestLoadConfig:
             load_config(str(path))
         assert str(e.value).startswith(f"{path}: ")
         assert "decode" in str(e.value)
+
+    def test_malformed_set_item(self):
+        with pytest.raises(ValueError, match="^--set expects key=value, got 'seed'$"):
+            load_config(None, ["seed"])
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # an ASCII locale, with neither locale coercion nor UTF-8 mode
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("seed = 3  # caf\u00e9\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(harpipe.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        code = ("import sys; from harpipe.config import load_config; "
+                "print(load_config(sys.argv[1]).seed)")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3\n"
