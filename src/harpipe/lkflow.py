@@ -223,6 +223,7 @@ def track_points(
     xy: np.ndarray,
     cfg: PipelineConfig,
     image: np.ndarray | None = None,
+    guess: np.ndarray | None = None,
 ) -> Tracks:
     """Track every point of ``xy`` (P, 2) from pyramid ``pi`` to ``pj`` with
     the ``track_*`` settings of ``cfg``.
@@ -231,6 +232,11 @@ def track_points(
     ``image`` gives each point's (P,) index into the stacks, and a point is
     tracked from image k of ``pi`` to image k of ``pj`` exactly as it would
     be on its own pair (all points use image 0 when omitted).
+
+    ``guess`` is each point's (P, 2) initial displacement in level-0 pixels
+    (Bouguet's g), scaled to the coarsest level; level 0 starts from it
+    exactly, so a one-level ``pi[:1]``, ``pj[:1]`` refines it at full
+    resolution only. Omitted, every point starts from zero displacement.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     image = (np.zeros(len(xy), dtype=np.intp) if image is None
@@ -240,8 +246,11 @@ def track_points(
     status = np.full(len(xy), TrackStatus.TRACKED, dtype=np.int8)
     status[~_inside(xy, hw, w0 - 1 - hw, h0 - 1 - hw)] = TrackStatus.LOST_BOUNDS
 
-    # displacement after the latest level, in that level's pixels
-    shift = np.zeros_like(xy)
+    # displacement after the latest level, in that level's pixels; the level
+    # loop doubles it before each level, so a power-of-two scale hands level
+    # 0 the guess exactly
+    shift = (np.zeros_like(xy) if guess is None else
+             np.asarray(guess, dtype=np.float64).reshape(-1, 2) / (1 << len(pi)))
     live = np.flatnonzero(status == TrackStatus.TRACKED)
     # the latest level's template windows, and the live points' places in them
     iw, at = np.empty((2 * hw + 1, 2 * hw + 1, 0)), np.empty(0, dtype=np.intp)

@@ -58,8 +58,9 @@ def _track_step(
     cfg: PipelineConfig,
 ) -> tuple[np.ndarray, ...]:
     """One flow step of the (P, 2) points ``xy`` on images ``image`` of the
-    pyramids ``pi`` and ``pj``, one tracker call for the points and their
-    Jacobian probes.
+    pyramids ``pi`` and ``pj``, in two tracker calls: the points over every
+    pyramid level, then the 4 Jacobian probes of each kept point at level 0
+    only, each starting from its point's displacement.
 
     Returns the (P,) mask of points whose track was kept and, for those K
     points, their (K, 2) new positions, (K, 2) velocities in pixels per
@@ -68,14 +69,22 @@ def _track_step(
     zero Jacobian, so zero invariants.
     """
     h = cfg.jacobian_probe_offset
-    probes = flowdesc.jacobian_probes(xy, h)
-    tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg,
-                                 np.repeat(image, probes.shape[1]))
-    tracked = tracks.tracked.reshape(probes.shape[:2])
-    kept = tracked[:, 0]
-    uv = (tracks.dxy / cfg.flow_step).reshape(probes.shape)[kept]
-    jac, _ = flowdesc.flow_jacobian(uv, tracked[kept], h)
-    new_xy = tracks.xy.reshape(probes.shape)[kept, 0]
+    centres = lkflow.track_points(pi, pj, xy, cfg, image)
+    kept = centres.tracked
+    points = flowdesc.jacobian_probes(xy[kept], h)  # (K, 5, 2), each point first
+    centre_dxy = centres.dxy[kept]
+    probes = lkflow.track_points(pi[:1], pj[:1], points[:, 1:].reshape(-1, 2),
+                                 cfg, np.repeat(image[kept], 4),
+                                 np.repeat(centre_dxy, 4, axis=0))
+    # a probe whose offset rounds away lies on its point and takes its track,
+    # so the Jacobian's difference there is exactly zero
+    same = (points[:, 1:] == points[:, :1]).all(axis=2)
+    probe_dxy = np.where(same[..., None], centre_dxy[:, None],
+                         probes.dxy.reshape(-1, 4, 2))
+    uv = np.concatenate((centre_dxy[:, None], probe_dxy), axis=1) / cfg.flow_step
+    tracked = np.insert(same | probes.tracked.reshape(-1, 4), 0, True, axis=1)
+    jac, _ = flowdesc.flow_jacobian(uv, tracked, h)
+    new_xy = centres.xy[kept]
     intensity = lkflow.sample_windows(pj[0], new_xy, 0, image[kept])[0, 0]
     return kept, new_xy, uv[:, 0], flowdesc.flow_invariants(jac), intensity
 

@@ -15,6 +15,10 @@ which converts each field with the package's own ``_decimal``;
 ``flow_jacobian_per_axis``, the per-axis form of ``flowdesc.flow_jacobian``
 with the same numpy arithmetic, which also checks a one-sided difference's
 centre;
+``track_step_one_call``, the flow step that tracks each point with its
+Jacobian probes in one call over every level, whose kept mask, positions,
+velocities and intensities ``pipeline._track_step`` must reproduce (its
+invariants come from probes tracked at level 0 only);
 ``extract_window_sample``, which extracts one window
 per tracker call, the reference for the batched
 ``pipeline.sequence_samples``; ``sequence_samples_list``, which holds every
@@ -527,6 +531,29 @@ def flow_jacobian_per_axis(uv, tracked, h):
     dy, y_ok = axis_diff(3)
     ok = x_ok & y_ok
     return np.where(ok[:, None, None], np.stack((dx, dy), axis=2), 0.0), ok
+
+
+def track_step_one_call(pi, pj, xy, image, cfg):
+    """``pipeline._track_step`` in one tracker call: each point and its four
+    Jacobian probes tracked together over every pyramid level, each from
+    zero displacement. The reference for the two-call step, whose kept
+    mask, new positions, velocities and intensities must equal these bit
+    for bit; only the invariants, read from the probes, differ."""
+    import numpy as np
+
+    from harpipe import flowdesc, lkflow
+
+    h = cfg.jacobian_probe_offset
+    probes = flowdesc.jacobian_probes(xy, h)
+    tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg,
+                                 np.repeat(image, probes.shape[1]))
+    tracked = tracks.tracked.reshape(probes.shape[:2])
+    kept = tracked[:, 0]
+    uv = (tracks.dxy / cfg.flow_step).reshape(probes.shape)[kept]
+    jac, _ = flowdesc.flow_jacobian(uv, tracked[kept], h)
+    new_xy = tracks.xy.reshape(probes.shape)[kept, 0]
+    intensity = lkflow.sample_windows(pj[0], new_xy, 0, image[kept])[0, 0]
+    return kept, new_xy, uv[:, 0], flowdesc.flow_invariants(jac), intensity
 
 
 @dataclass(frozen=True)

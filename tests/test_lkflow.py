@@ -312,6 +312,30 @@ class TestTrackPoints:
             TrackStatus.TRACKED, TrackStatus.LOST_BOUNDS, TrackStatus.LOST_SINGULAR}
 
 
+class TestGuess:
+    def test_zero_guess_is_no_guess(self):
+        rng = np.random.default_rng(14)
+        f_i, f_j = shifted_pair(14, 4, -3)
+        f_i[30:70, 30:90] = f_j[30:70, 30:90] = 77  # singular tensors
+        pi, pj = build_pyramid(f_i, 3), build_pyramid(f_j, 3)
+        xy = np.column_stack([rng.uniform(-5, 165, 80), rng.uniform(-5, 125, 80)])
+        plain = track_points(pi, pj, xy, CFG)
+        zero = track_points(pi, pj, xy, CFG, guess=np.zeros_like(xy))
+        for name in ("xy", "dxy", "residual", "status"):
+            assert getattr(zero, name).tobytes() == getattr(plain, name).tobytes()
+        assert plain.tracked.any() and not plain.tracked.all()
+
+    def test_true_shift_tracked_on_one_level(self):
+        f_i, f_j = shifted_pair(15, 7, -5)
+        pi, pj = build_pyramid(f_i, 1), build_pyramid(f_j, 1)
+        xy = xy_of(interior_features(f_i, 10))
+        guess = np.tile([7.0, -5.0], (len(xy), 1))
+        t = track_points(pi, pj, xy, CFG, guess=guess)
+        assert t.tracked.all()
+        error = np.hypot(*(t.dxy - guess).T)
+        assert (error <= CFG.track_convergence_eps).all()
+
+
 def assert_matches_oracle(pi, pj, xy, cfg=CFG):
     """Batched tracks equal one-at-a-time scalar reference tracks."""
     t = track_points(pi, pj, xy, cfg)

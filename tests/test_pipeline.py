@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from harpipe import cli, flowdesc, lkflow, mlp, synth
+from harpipe import cli, flowdesc, goodfeat, lkflow, mlp, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame
 from harpipe.pipeline import (
     WINDOWS_PER_CALL,
+    _track_step,
     majority_label,
     sequence_samples,
 )
@@ -20,6 +21,7 @@ from oracles import (
     extract_window_sample,
     sequence_samples_list,
     smooth_texture,
+    track_step_one_call,
     window_sample_loop,
     window_starts,
 )
@@ -200,6 +202,39 @@ class TestJacobianPrecondition:
                 sequence_samples(frames, PipelineConfig(jacobian_probe_offset=offset))
         assert calls and all(calls)
         assert one_sided[40.0] > 0
+
+
+class TestTrackStep:
+    @pytest.mark.parametrize("label", mlp.ACTION_LABELS)
+    def test_matches_one_call_oracle(self, label):
+        # the points of two sequences, stacked as two images, over every flow
+        # step of a window: only the invariants come from the probes, whose
+        # tracks the two steps start differently
+        cfg = PipelineConfig()
+        sequences = [synth_frames(label, seed=s, count=cfg.window_frames)
+                     for s in (0, 1)]
+
+        def pyramid(k):
+            stack = np.stack([frames[k].pixels for frames in sequences])
+            return lkflow.build_pyramid(stack, cfg.pyramid_levels)
+
+        found = [goodfeat.detect_good_features(frames[0].pixels, cfg)[:, :2]
+                 for frames in sequences]
+        xy = np.concatenate(found)
+        image = np.repeat(np.arange(len(found)), [len(f) for f in found])
+        pi = pyramid(0)
+        for k in range(cfg.flow_step, cfg.window_frames, cfg.flow_step):
+            pj = pyramid(k)
+            kept, new_xy, uv, invariants, intensity = _track_step(
+                pi, pj, xy, image, cfg)
+            expected = track_step_one_call(pi, pj, xy, image, cfg)
+            for got, want in zip((kept, new_xy, uv, intensity),
+                                 expected[:3] + expected[4:]):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert np.isfinite(invariants).all()
+            xy, image, pi = new_xy, image[kept], pj
+        assert len(xy) > 0
 
 
 class TestStreamedFrames:
@@ -390,8 +425,9 @@ class TestClassify:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == (n_frames - 25) // 8 + 1
             largest[n_frames] = max(sizes)
-        # every slot of 4 windows, with its centre and 4 Jacobian probes
-        bound = WINDOWS_PER_CALL * PipelineConfig().feature_size * 5
+        # a call holds either the points of every slot of 4 windows or the
+        # 4 Jacobian probes of each of them
+        bound = 4 * WINDOWS_PER_CALL * PipelineConfig().feature_size
         assert largest[400] <= largest[50] <= bound
 
 
