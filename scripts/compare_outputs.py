@@ -17,7 +17,11 @@ three dump flags on it: its 9 windows make two full groups of
 once more with `window_stride=10` and `flow_step=4`, whose overlapping
 windows read frames that the next group reads too, and once more on an RGB
 copy of the stream, whose three channels differ so that their average
-rounds (`--raw WxH:rgb`). One line per artifact (a
+rounds (`--raw WxH:rgb`). `dump --raw --dump-masks` runs on the stream twice
+more, with `gmm_components=5 gmm_threshold=1.0` and with `gmm_components=1`:
+beside the default K = 3 and t = 0.7, the masks then cover pixels matched
+at ranks 1 to 4, a cumulative weight that rounds just below t = 1, and a
+mixture whose every miss replaces its one component. One line per artifact (a
 command's stdout, a model file, or one dump directory) says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
@@ -52,6 +56,13 @@ def run(src: str, cwd: str, name: str, args: list[str]) -> None:
         raise SystemExit(f"{src}: harpipe {' '.join(args)} exited {proc.returncode}")
     with open(os.path.join(cwd, name), "wb") as fh:
         fh.write(proc.stdout)
+
+
+def first_sequences(split: str) -> list[str]:
+    """The first sequence directory of each class of a `harpipe synth`
+    split, in class-name order."""
+    return [os.path.join(split, label, sorted(os.listdir(os.path.join(split, label)))[0])
+            for label in sorted(os.listdir(split))]
 
 
 def write_stream(seq_dirs: list[str], path: str) -> str:
@@ -136,8 +147,7 @@ def main() -> int:
         os.makedirs(os.path.join(tmp, "new"))
         run(trees["new"], tmp, "synth.out", ["synth", corpus, "--set", "seed=0"])
         train, test = os.path.join(corpus, "train"), os.path.join(corpus, "test")
-        firsts = [os.path.join(test, label, sorted(os.listdir(os.path.join(test, label)))[0])
-                  for label in sorted(os.listdir(test))]
+        firsts = first_sequences(test)
         sequence = firsts[0]
         stream = os.path.join(tmp, "stream.raw")
         raw = ["--raw", write_stream(firsts[:STREAM_SEQUENCES], stream)]
@@ -161,6 +171,10 @@ def main() -> int:
                                   "--raw", raw[1] + ":rgb"]),
             ("dump_raw.out", ["dump", stream] + raw
              + [a for d in DUMPS for a in (f"--dump-{d}", f"raw_{d}")]),
+            ("dump_k5.out", ["dump", stream] + raw + ["--dump-masks", "raw_masks_k5",
+             "--set", "gmm_components=5", "--set", "gmm_threshold=1.0"]),
+            ("dump_k1.out", ["dump", stream] + raw + ["--dump-masks", "raw_masks_k1",
+             "--set", "gmm_components=1"]),
         ]
         for side, src in trees.items():
             for name, args in steps:
@@ -169,7 +183,8 @@ def main() -> int:
         failed = False
         names = (["train.out", "model.txt", "model_probe40.txt"]
                  + [n for n, _ in steps[2:]] + list(DUMPS)
-                 + ["box3_features"] + [f"raw_{d}" for d in DUMPS])
+                 + ["box3_features"] + [f"raw_{d}" for d in DUMPS]
+                 + ["raw_masks_k5", "raw_masks_k1"])
         for name in names:
             verdict = compare(os.path.join(tmp, "old", name), os.path.join(tmp, "new", name))
             failed |= verdict == "differs"

@@ -292,7 +292,7 @@ def cmd_dump(args, cfg: PipelineConfig) -> int:
             if gmm is None:
                 gmm = bgmodel.BackgroundModel(cfg, f.pixels.shape)
             mask = gmm.update_and_classify(f.pixels)
-            pixels = np.where(mask, 255, 0).astype(np.uint8)
+            pixels = mask.view(np.uint8) * np.uint8(255)
             path = os.path.join(args.dump_masks, f"mask_{f.index:05d}.pgm")
             with open(path, "wb") as fh:
                 fh.write(encode_pgm(Frame(f.width, f.height, f.index, pixels)))

@@ -2,7 +2,11 @@
 
 These are deliberately written in the most literal, slow style possible —
 plain Python floats, per-pixel loops — so they share no code paths with the
-package under test. The exceptions are ``track_point``, which tracks one
+package under test. The exceptions are ``MaskedRowGmm``, the Gaussian
+mixture as one ``where=``-masked pass per rank row over every pixel, whose
+masks and state ``bgmodel.BackgroundModel`` must reproduce bit for bit
+(``ScalarGmmOracle`` agrees with them only to the last bits);
+``track_point``, which tracks one
 point at a time with the same numpy window arithmetic as
 ``lkflow.track_points``; ``smooth_separable_roll``, which smooths with the
 same taps in the same order as ``lkflow.build_pyramid``;
@@ -117,6 +121,135 @@ def gmm_oracle(cfg: PipelineConfig) -> ScalarGmmOracle:
         match_radius=cfg.gmm_match_radius,
         initial_variance=cfg.gmm_initial_variance,
         variance_floor=cfg.gmm_variance_floor)
+
+
+class MaskedRowGmm:
+    """``bgmodel.BackgroundModel`` as a loop over the K rank rows in which
+    every step covers a whole row in place, masked with ``where=``. The
+    bit-exact reference for the model's update: the same state layout and
+    the same arithmetic on every matched lane."""
+
+    def __init__(self, cfg: PipelineConfig, shape: tuple[int, int]):
+        import numpy as np
+
+        self.cfg = cfg
+        self.shape = tuple(shape)
+        k, n = cfg.gmm_components, shape[0] * shape[1]
+        # (k, height*width) component state, fitness-sorted per pixel
+        self.weights = np.zeros((k, n))
+        self.means = np.zeros((k, n))
+        self.variances = np.full((k, n), cfg.gmm_initial_variance)
+        self._seeded = False
+        # per-frame work buffers, reused by every update
+        self._fit = np.empty((k, n))
+        self._rows = np.zeros((5, n))
+        self._flags = np.empty((3, n), dtype=bool)
+        # rank of each pixel's matched component; k when nothing matched
+        self._pos = np.empty(n, dtype=np.min_scalar_type(k))
+
+    def update_and_classify(self, pixels: np.ndarray) -> np.ndarray:
+        """Update the model with one frame's (height, width) pixels; returns
+        its bool mask of that shape, True = foreground."""
+        import numpy as np
+
+        if pixels.shape != self.shape:
+            raise ValueError("frame dimensions do not match the model")
+        w, mu, var = self.weights, self.means, self.variances
+        cfg = self.cfg
+        k, a = cfg.gmm_components, cfg.gmm_alpha
+        x, s, d, rho, keep = self._rows
+        hit, aux, swap = self._flags
+        pos = self._pos
+        np.copyto(x, pixels.reshape(-1))
+
+        if not self._seeded:
+            # first frame seeds the dominant component at the observed value
+            w[0] = 1.0
+            mu[:] = x
+            self._seeded = True
+            return np.zeros(self.shape, dtype=bool)
+
+        # components are fitness-sorted, so the first match is the best one:
+        # scan from the last row so that earlier rows overwrite later ones
+        pos.fill(k)
+        for j in reversed(range(k)):
+            np.sqrt(var[j], out=s)
+            s *= cfg.gmm_match_radius
+            np.subtract(x, mu[j], out=d)
+            np.abs(d, out=d)
+            np.less_equal(d, s, out=hit)
+            np.copyto(pos, j, where=hit)
+
+        np.less(pos, k, out=aux)
+        np.multiply(w, 1.0 - a, out=w, where=aux)
+        for j in range(k):
+            np.equal(pos, j, out=hit)
+            if not hit.any():
+                continue
+            wj, muj, varj = w[j], mu[j], var[j]
+            np.add(wj, a, out=wj, where=hit)
+            # rho only in the matched lanes; the rest of the row is computed
+            # from the finite values left in the buffers and then dropped
+            np.divide(a, wj, out=rho, where=hit)
+            np.subtract(1.0, rho, out=keep)
+            # mu = (1 - rho) * mu + rho * x
+            np.multiply(keep, muj, out=s)
+            np.multiply(rho, x, out=d)
+            s += d
+            # var = (1 - rho) * var + rho * (x - mu)**2, with the new mean
+            np.subtract(x, s, out=d)
+            np.square(d, out=d)
+            d *= rho
+            np.copyto(muj, s, where=hit)
+            np.multiply(keep, varj, out=s)
+            s += d
+            np.copyto(varj, s, where=hit)
+
+        np.equal(pos, k, out=aux)
+        if aux.any():
+            # no match: swap the weakest component for a fresh one, renormalize
+            np.copyto(w[-1], a, where=aux)
+            np.copyto(mu[-1], x, where=aux)
+            np.copyto(var[-1], cfg.gmm_initial_variance, where=aux)
+            np.copyto(s, w[0], where=aux)
+            for j in range(1, k):
+                np.add(s, w[j], out=s, where=aux)
+            np.divide(w, s, out=w, where=aux)
+
+        np.maximum(var, cfg.gmm_variance_floor, out=var)
+
+        # stable re-sort by descending fitness: bubble passes of adjacent
+        # swaps, carrying the matched component's rank along
+        fit = self._fit
+        np.sqrt(var, out=fit)
+        np.divide(w, fit, out=fit)
+        for last in range(k - 1, 0, -1):
+            for i in range(last):
+                np.less(fit[i], fit[i + 1], out=swap)
+                if not swap.any():
+                    continue
+                for rows in (fit, w, mu, var):
+                    np.copyto(s, rows[i])
+                    np.copyto(rows[i], rows[i + 1], where=swap)
+                    np.copyto(rows[i + 1], s, where=swap)
+                np.equal(pos, i, out=hit)
+                hit &= swap
+                np.equal(pos, i + 1, out=aux)
+                aux &= swap
+                np.copyto(pos, i + 1, where=hit)
+                np.copyto(pos, i, where=aux)
+
+        # background iff the weight ranked before the match is still below t
+        background = np.equal(pos, 0, out=hit)
+        cum = s
+        np.copyto(cum, w[0])
+        for j in range(1, k):
+            np.equal(pos, j, out=swap)
+            np.less(cum, cfg.gmm_threshold, out=aux)
+            aux &= swap
+            background |= aux
+            cum += w[j]
+        return (~background).reshape(self.shape)
 
 
 def brute_force_good_features(pixels, cfg: PipelineConfig):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from harpipe.bgmodel import BackgroundModel
 from harpipe.config import PipelineConfig
 
-from oracles import gmm_oracle
+from oracles import MaskedRowGmm, gmm_oracle
 
 DEFAULT = PipelineConfig()
 
@@ -153,3 +153,41 @@ class TestModelBehavior:
         mask = model.update_and_classify(np.array([[250]], dtype=np.uint8))
         assert first.dtype == bool and first.shape == (1, 1) and not first[0, 0]
         assert mask.dtype == bool and mask.shape == (1, 1) and mask[0, 0]
+
+
+class TestMaskedRowReference:
+    @staticmethod
+    def frames(rng, shape):
+        """A still scene with per-pixel noise and short jumps, a cut to a
+        new scene at which most pixels miss their rank-0 component, then
+        uniform noise."""
+        def scene(n_frames):
+            base = rng.integers(0, 256, shape)
+            sigma = rng.uniform(0.0, 12.0, shape)
+            out = base + rng.normal(0.0, sigma, (n_frames,) + shape)
+            jumps = rng.random(out.shape) < 0.05
+            out[jumps] = rng.integers(0, 256, jumps.sum())
+            return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+        noise = rng.integers(0, 256, (10,) + shape, dtype=np.uint8)
+        return np.concatenate((scene(20), scene(10), noise))
+
+    @seed(25)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 5)),
+           st.sampled_from((0.7, 1.0)), st.sampled_from((225.0, 1.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_exact(self, rng_seed, k, t, initial_variance):
+        # an initial variance of 1 lies below the variance floor of 4, so
+        # every fresh component is floored in the frame that makes it
+        cfg = PipelineConfig(gmm_components=k, gmm_threshold=t,
+                             gmm_initial_variance=initial_variance)
+        shape = (12, 16)
+        model, reference = BackgroundModel(cfg, shape), MaskedRowGmm(cfg, shape)
+        for step, pixels in enumerate(self.frames(np.random.default_rng(rng_seed), shape)):
+            mask = model.update_and_classify(pixels)
+            want = reference.update_and_classify(pixels)
+            assert mask.dtype == bool and mask.shape == shape, step
+            assert mask.tobytes() == want.tobytes(), step
+            for name in ("weights", "means", "variances"):
+                got, expected = getattr(model, name), getattr(reference, name)
+                assert got.tobytes() == expected.tobytes(), (step, name)
