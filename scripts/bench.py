@@ -10,10 +10,11 @@ frames). Each pair then runs train and evaluate on the corpus and
 a fresh process with one BLAS thread; the tree that goes first alternates
 from one pair to the next, so a drift in the machine's load falls on both
 sides. The file records every pair's wall times per command, whether both
-trees wrote the same mask bytes, each side's held-out accuracy (the
-`csv,overall` line of `evaluate`), a digest of each tree's package sources,
-the medians and quartiles of each side's train-plus-evaluate time and of its
-dump time, the pairs NEW_SRC won on each, and `nproc`.
+trees wrote the same model file and the same mask bytes, each side's
+held-out accuracy (the `csv,overall` line of `evaluate`), a digest of each
+tree's package sources, the medians and quartiles of each side's
+train-plus-evaluate time and of its dump time, the pairs NEW_SRC won on
+each, and `nproc`.
 
 Usage: bench.py OLD_SRC NEW_SRC --pairs N --topic T
 where each path is a directory holding the `harpipe` package, such as a
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -102,6 +104,9 @@ def main() -> int:
                               "total_s": round(train_s + evaluate_s, 3),
                               "dump_s": round(dump_s, 3),
                               "accuracy_percent": accuracy(report)}
+            old_model, new_model = (pathlib.Path(tmp, f"model_{side}.txt").read_bytes()
+                                    for side in SIDES)
+            pair["same_model"] = old_model == new_model
             verdict = compare(*(os.path.join(tmp, f"masks_{side}") for side in SIDES))
             pair["same_masks"] = verdict == "identical"
             pairs.append(pair)
@@ -121,6 +126,7 @@ def main() -> int:
             summary[side][f"{key}_quartiles"] = [round(q1, 3), round(q3, 3)]
     summary["new_won"] = sum(p["new"]["total_s"] < p["old"]["total_s"] for p in pairs)
     summary["new_won_dump"] = sum(p["new"]["dump_s"] < p["old"]["dump_s"] for p in pairs)
+    summary["same_model"] = all(p["same_model"] for p in pairs)
     summary["same_masks"] = all(p["same_masks"] for p in pairs)
     result = {"topic": args.topic,
               "workload": "train then evaluate on the default synth corpus, seed 0; "

@@ -12,7 +12,7 @@ window (`tensor_half_window=3`), `min_distance=0` and 30 features, so that
 a second box size and adjacent corners are compared too.
 Then the first test sequence of three classes is written as one 225-frame
 raw stream, and each tree runs `classify --raw` and `dump --raw` with the
-three dump flags on it: its 9 windows make two full groups of
+three dump flags on it: its 9 windows make one full group of
 `WINDOWS_PER_CALL` windows and a partial one. `classify --raw` runs on it
 once more with `window_stride=10` and `flow_step=4`, whose overlapping
 windows read frames that the next group reads too, and once more on an RGB

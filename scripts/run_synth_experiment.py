@@ -36,8 +36,8 @@ def seed_accuracy(workdir: str, seed: int) -> tuple[float, float]:
     cfg = PipelineConfig(seed=seed)
     with tempfile.TemporaryDirectory(dir=workdir) as corpus:
         synth.write_corpus(corpus, seed=seed)
-        train_x, train_y, _, _ = cli._extract_dataset(os.path.join(corpus, "train"), cfg)
-        test = cli._extract_dataset(os.path.join(corpus, "test"), cfg)
+        train_x, train_y, _, _ = cli.extract_split(os.path.join(corpus, "train"), cfg)
+        test = cli.extract_split(os.path.join(corpus, "test"), cfg)
     model, _ = cli._train_model(train_x, train_y, cfg)
     _, per_sequence = cli.class_rates(cli.score_dataset(model, *test))
     values, labels = test[:2]

@@ -66,31 +66,32 @@ def _frames(seq_dir: str, cfg: PipelineConfig, raw: str | None = None
         raise DataError(f"{seq_dir}: {e}") from None
 
 
-def _extract_dataset(dataset_dir: str, cfg: PipelineConfig):
+def extract_split(dataset_dir: str, cfg: PipelineConfig):
     """Window values, label indices and sequence ids over the class layout,
-    plus the sequence directories the ids index. Frames are streamed, so at
-    most one window group of them is held at a time."""
-    values, labels, seq_ids, seq_dirs = [], [], [], []
+    plus the sequence directories the ids index. Every sequence of the split
+    streams through one ``pipeline.WindowGrouper``, so a window group may
+    span sequences and at most one group's frames are held at a time. A
+    class's line is logged once its frames have been read."""
+    grouper = pipeline.WindowGrouper(cfg)
+    labels, seq_ids, seq_dirs = [], [], []
     for label, class_seqs in _class_sequence_dirs(dataset_dir).items():
         count = 0
         for seq_dir in class_seqs:
-            samples = pipeline.sequence_samples(_frames(seq_dir, cfg), cfg)
-            for _, sample in samples:
-                values.append(sample.values)
-                seq_ids.append(len(seq_dirs))
-                count += 1
+            windows = len(grouper.add(_frames(seq_dir, cfg)))
+            seq_ids += [len(seq_dirs)] * windows
             seq_dirs.append(seq_dir)
+            count += windows
         labels += [mlp.label_index(label)] * count
         _log(f"extracted {count} samples from {label}")
-    if not values:
+    if not seq_ids:
         raise DataError(f"no samples extracted from {dataset_dir!r}")
-    return np.array(values), np.array(labels), np.array(seq_ids), seq_dirs
+    return grouper.finish(), np.array(labels), np.array(seq_ids), seq_dirs
 
 
 def score_dataset(model: mlp.MlpModel, values, labels, seq_ids, seq_dirs
                   ) -> np.ndarray:
     """Confusion matrix (rows = true class) of the per-sequence majority
-    votes over per-window predictions, from ``_extract_dataset``'s output."""
+    votes over per-window predictions, from ``extract_split``'s output."""
     classes = np.array([mlp.predict(model, v)[0] for v in values])
     matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
     for seq, seq_dir in enumerate(seq_dirs):
@@ -129,7 +130,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         raise UsageError(f"no directory {out_dir!r} for {args.model_out!r}")
     if os.path.isdir(args.model_out):
         raise UsageError(f"model file {args.model_out!r} is a directory")
-    values, labels, _, _ = _extract_dataset(args.dataset_dir, cfg)
+    values, labels, _, _ = extract_split(args.dataset_dir, cfg)
     model, trace = _train_model(values, labels, cfg)
     mlp.save_model(model, args.model_out)
     print(f"trained model written to {args.model_out}")
@@ -224,7 +225,7 @@ def format_report(matrix: np.ndarray) -> str:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model = _load_model(args.model, cfg)
-    matrix = score_dataset(model, *_extract_dataset(args.test_dir, cfg))
+    matrix = score_dataset(model, *extract_split(args.test_dir, cfg))
     print(format_report(matrix))
     return 0
 
@@ -252,8 +253,8 @@ def cmd_sweep(args, cfg: PipelineConfig) -> int:
 
     # extraction is shared at the largest N: greedy feature selection is a
     # prefix, so a smaller-N sample is the leading 12*N entries
-    train_x, train_y, _, _ = _extract_dataset(args.dataset_dir, cfgs[-1])
-    test_x, *test_rest = _extract_dataset(args.test_dir, cfgs[-1])
+    train_x, train_y, _, _ = extract_split(args.dataset_dir, cfgs[-1])
+    test_x, *test_rest = extract_split(args.test_dir, cfgs[-1])
 
     rates = []  # (per-class, overall) per feature size
     for n in values:

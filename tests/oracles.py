@@ -27,7 +27,7 @@ invariants come from probes tracked at level 0 only);
 per tracker call, the reference for the batched
 ``pipeline.sequence_samples``; ``sequence_samples_list``, which holds every
 frame and groups the windows of the whole list, the reference for the
-streamed ``pipeline.sequence_samples``; and ``window_sample_loop``, which builds a
+streamed ``pipeline.sequence_samples`` and ``cli.extract_split``; and ``window_sample_loop``, which builds a
 window's sample from per-slot, per-step ``PointDescriptor`` records on the
 package's own detector and flow step. The package must reproduce all
 of them exactly. ``structure_tensor_at`` and ``min_eigenvalue`` give one pixel of
@@ -827,8 +827,9 @@ def window_starts(n_frames, cfg):
 def sequence_samples_list(frames, cfg):
     """(window start, values) for each full window, with every frame held in
     one list and the windows of ``window_starts`` over the whole list taken
-    ``WINDOWS_PER_CALL`` at a time: the groups that the streamed
-    ``pipeline.sequence_samples`` must reproduce."""
+    ``WINDOWS_PER_CALL`` at a time: the reference for the streamed
+    ``pipeline.sequence_samples`` and, one sequence after another, for
+    ``cli.extract_split``, whose groups span sequences."""
     from harpipe import pipeline
 
     pixels = [f.pixels for f in frames]

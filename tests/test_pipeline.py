@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from harpipe import cli, flowdesc, goodfeat, lkflow, mlp, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
-from harpipe.frameio import Frame
+from harpipe.frameio import Frame, encode_pgm
 from harpipe.pipeline import (
     WINDOWS_PER_CALL,
+    WindowGrouper,
     _track_step,
     majority_label,
     sequence_samples,
@@ -136,7 +137,7 @@ class TestSequenceSamples:
     @pytest.mark.parametrize("feature_size", [1, 10, 14])
     @pytest.mark.parametrize("flow_step,window_stride,count", [
         (1, 0, 50),  # two windows in one call
-        (3, 10, 65),  # five overlapping windows: more than one call takes
+        (3, 10, 65),  # five overlapping windows in one call
     ])
     def test_matches_per_window_oracle(self, label, feature_size, flow_step,
                                        window_stride, count):
@@ -257,7 +258,7 @@ class TestStreamedFrames:
                 for i, p in enumerate(pixels)]
 
     @pytest.mark.parametrize("window_stride,count,windows", [
-        (0, 225, 9),  # groups of 4, 4 and 1 windows
+        (0, 225, 9),  # groups of 8 and 1 windows
         (10, 225, 21),  # overlapping windows
         (30, 225, 7),  # frames between windows belong to none
         (0, 24, 0),  # shorter than one window
@@ -306,8 +307,11 @@ class TestStreamedFrames:
         # 3 windows of 9 read frames each
         ({}, 75, 27),
         # overlapping windows read frames 0, 4, ..., 24 from each start 0,
-        # 10, ...: every even frame, 28 of the 55 that a group of 4 spans
-        ({"window_stride": 10, "flow_step": 4}, 225, 28),
+        # 10, ...: a group of 8 spans 7 * 10 + 25 = 95 frames, and from the
+        # second group on (starts 80 to 150) every even one of them is read,
+        # 47 frames from 80 to 172; with frame 173, still in the caller's
+        # hands as the group runs, 48
+        ({"window_stride": 10, "flow_step": 4}, 225, 48),
     ])
     def test_holds_only_read_frames(self, three_sequences, setting, count,
                                     most_read):
@@ -337,6 +341,80 @@ class TestStreamedFrames:
 
         sequence_samples(watched(), cfg)
         assert most == most_read
+
+    def test_holds_only_pending_reads_across_sequences(self, three_sequences):
+        # at the defaults a 60-frame sequence completes the windows at 0 and
+        # 25 and ends the one at 50 after 10 frames; a 160-frame one then
+        # completes 6 more, which fill the group, and ends the one at 150
+        cfg = PipelineConfig()
+        refs = []
+
+        def watched(frames):
+            for f in self.stream(frames):
+                refs.append(weakref.ref(f.pixels))
+                yield f
+
+        def alive():
+            return {i for i, ref in enumerate(refs) if ref() is not None}
+
+        grouper = WindowGrouper(cfg)
+        assert grouper.add(watched(three_sequences[:60])) == [0, 25]
+        # once a sequence ends, only the frames its pending windows read
+        # stay held
+        assert alive() == {s + k for s in (0, 25)
+                           for k in range(0, cfg.window_frames, cfg.flow_step)}
+        assert grouper.add(watched(three_sequences[60:220])) == list(range(0, 126, 25))
+        assert alive() == set()
+        assert len(grouper.finish()) == WINDOWS_PER_CALL
+
+
+class TestExtractSplit:
+    """extract_split streams every sequence of a split through one grouper,
+    whose groups span sequences; each window's values are bit-identical to
+    the per-sequence path that holds the whole list."""
+
+    # 24 frames hold no window, and no window count divides 8
+    LENGTHS = (75, 24, 50, 100)
+
+    @pytest.fixture(scope="class")
+    def split(self, tmp_path_factory):
+        """A split with one sequence per class, of LENGTHS frames; the
+        100-frame one joins two synth sequences."""
+        root = tmp_path_factory.mktemp("split")
+        sequences = []
+        for seed, (label, count) in enumerate(zip(mlp.ACTION_LABELS, self.LENGTHS)):
+            pixels = [f.pixels for s in (seed, seed + 4)
+                      for f in synth_frames(label, seed=s)][:count]
+            frames = [Frame(synth.WIDTH, synth.HEIGHT, i, p)
+                      for i, p in enumerate(pixels)]
+            seq_dir = root / label / "seq_000"
+            seq_dir.mkdir(parents=True)
+            for f in frames:
+                (seq_dir / f"frame_{f.index:03d}.pgm").write_bytes(encode_pgm(f))
+            sequences.append((label, str(seq_dir), frames))
+        return root, sequences
+
+    @pytest.mark.parametrize("settings,windows", [
+        ({}, (3, 0, 2, 4)),  # groups of 8 and 1
+        ({"window_stride": 10, "flow_step": 4}, (6, 0, 3, 8)),  # 8, 8 and 1
+    ])
+    def test_bit_identical_to_per_sequence_path(self, split, settings, windows,
+                                                capsys):
+        root, sequences = split
+        cfg = PipelineConfig(**settings)
+        values, labels, seq_ids, seq_dirs = cli.extract_split(str(root), cfg)
+        expected = [sequence_samples_list(frames, cfg) for _, _, frames in sequences]
+        assert [len(e) for e in expected] == list(windows)
+        assert (values.view(np.int64).tolist()
+                == [v.view(np.int64).tolist() for e in expected for _, v in e])
+        assert labels.tolist() == [mlp.label_index(label)
+                                   for (label, _, _), e in zip(sequences, expected)
+                                   for _ in e]
+        assert seq_ids.tolist() == [k for k, e in enumerate(expected) for _ in e]
+        assert seq_dirs == [seq_dir for _, seq_dir, _ in sequences]
+        assert capsys.readouterr().err.splitlines() == [
+            f"extracted {n} samples from {label}"
+            for (label, _, _), n in zip(sequences, windows)]
 
 
 def write_raw(path, frames):
@@ -400,8 +478,9 @@ class TestClassify:
 
     def test_tracker_calls_bounded_on_long_streams(self, tmp_path, monkeypatch,
                                                    capsys):
-        # with a stride of 8, the 50-frame stream already fills one call
-        # with 4 windows; 8 times as many frames must not make a call larger
+        # with a stride of 8, the 50-frame stream holds 4 windows, whose
+        # probes, 4 per slot, fill one call; 8 times as many frames fill
+        # groups of 8 windows, yet must not make a call larger
         sizes = []
         track_points = lkflow.track_points
 
@@ -425,9 +504,9 @@ class TestClassify:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == (n_frames - 25) // 8 + 1
             largest[n_frames] = max(sizes)
-        # a call holds either the points of every slot of 4 windows or the
-        # 4 Jacobian probes of each of them
-        bound = 4 * WINDOWS_PER_CALL * PipelineConfig().feature_size
+        # a call holds either the points of every slot of 8 windows or at
+        # most the 4 Jacobian probes of each slot of 4 windows
+        bound = 16 * PipelineConfig().feature_size
         assert largest[400] <= largest[50] <= bound
 
 
