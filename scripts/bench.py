@@ -26,31 +26,14 @@ import hashlib
 import json
 import os
 import pathlib
-import subprocess
 import sys
 import tempfile
-import time
 
 import numpy as np
 
-from compare_outputs import compare, first_sequences, write_stream
+from compare_outputs import compare, first_sequences, harpipe, write_stream
 
 SIDES = ("old", "new")
-
-
-def harpipe(src: str, args: list[str]) -> tuple[float, str]:
-    """Run one harpipe command with ``src`` on the import path; return its
-    wall time in seconds and its stdout."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "harpipe.cli", *args], env=env,
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"{src}: harpipe {' '.join(args)} exited {proc.returncode}")
-    return wall, proc.stdout
 
 
 def accuracy(report: str) -> float:
@@ -103,7 +86,7 @@ def main() -> int:
                               "evaluate_s": round(evaluate_s, 3),
                               "total_s": round(train_s + evaluate_s, 3),
                               "dump_s": round(dump_s, 3),
-                              "accuracy_percent": accuracy(report)}
+                              "accuracy_percent": accuracy(report.decode())}
             old_model, new_model = (pathlib.Path(tmp, f"model_{side}.txt").read_bytes()
                                     for side in SIDES)
             pair["same_model"] = old_model == new_model

@@ -4,7 +4,7 @@
 On the default synthetic corpus (seed 0), synthesised once, each tree runs
 `train`, then `train` once more with `jacobian_probe_offset=40`, whose
 probes so far from each point often leave an axis with one tracked probe or
-none (its model file is compared), then
+none (its report and its model file are compared), then
 `evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
 and `dump --dump-masks --dump-features --dump-flow` on one test sequence,
 then `dump --dump-features` on it once more with a 7x7 structure-tensor
@@ -21,8 +21,10 @@ rounds (`--raw WxH:rgb`). `dump --raw --dump-masks` runs on the stream twice
 more, with `gmm_components=5 gmm_threshold=1.0` and with `gmm_components=1`:
 beside the default K = 3 and t = 0.7, the masks then cover pixels matched
 at ranks 1 to 4, a cumulative weight that rounds just below t = 1, and a
-mixture whose every miss replaces its one component. One line per artifact (a
-command's stdout, a model file, or one dump directory) says `identical`,
+mixture whose every miss replaces its one component. Every command runs in
+a fresh process with one BLAS thread, through `harpipe`, the runner that
+bench.py shares. One line per artifact, 24 in all (each command's stdout,
+the two model files, and each dump directory), says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
 differs.
@@ -37,6 +39,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -45,17 +48,19 @@ NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 DUMPS = ("masks", "features", "flow")
 
 
-def run(src: str, cwd: str, name: str, args: list[str]) -> None:
-    """Run one harpipe command with ``src`` on the import path, from
-    ``cwd``, and keep its stdout as the artifact ``name``."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+def harpipe(src: str, args: list[str], cwd: str | None = None) -> tuple[float, bytes]:
+    """Run one harpipe command with ``src`` on the import path and one BLAS
+    thread, from ``cwd``; return its wall time in seconds and its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "harpipe.cli", *args], cwd=cwd,
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                          env=env, capture_output=True)
+    wall = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
         raise SystemExit(f"{src}: harpipe {' '.join(args)} exited {proc.returncode}")
-    with open(os.path.join(cwd, name), "wb") as fh:
-        fh.write(proc.stdout)
+    return wall, proc.stdout
 
 
 def first_sequences(split: str) -> list[str]:
@@ -145,7 +150,7 @@ def main() -> int:
         corpus = os.path.join(tmp, "corpus")
         os.makedirs(os.path.join(tmp, "old"))
         os.makedirs(os.path.join(tmp, "new"))
-        run(trees["new"], tmp, "synth.out", ["synth", corpus, "--set", "seed=0"])
+        harpipe(trees["new"], ["synth", corpus, "--set", "seed=0"])
         train, test = os.path.join(corpus, "train"), os.path.join(corpus, "test")
         firsts = first_sequences(test)
         sequence = firsts[0]
@@ -179,9 +184,11 @@ def main() -> int:
         for side, src in trees.items():
             for name, args in steps:
                 print(f"{side}: harpipe {args[0]}", file=sys.stderr, flush=True)
-                run(src, os.path.join(tmp, side), name, args)
+                _, stdout = harpipe(src, args, os.path.join(tmp, side))
+                with open(os.path.join(tmp, side, name), "wb") as fh:
+                    fh.write(stdout)
         failed = False
-        names = (["train.out", "model.txt", "model_probe40.txt"]
+        names = ([n for n, _ in steps[:2]] + ["model.txt", "model_probe40.txt"]
                  + [n for n, _ in steps[2:]] + list(DUMPS)
                  + ["box3_features"] + [f"raw_{d}" for d in DUMPS]
                  + ["raw_masks_k5", "raw_masks_k1"])

@@ -9,11 +9,14 @@ where every command takes N as `--set seed=N`.
 
 With `--seeds` it runs the experiment once per seed instead, in
 process: each seed's default corpus is synthesised into a temporary
-directory under workdir, extracted once, trained on and scored. It prints
-one line per seed with the per-sequence accuracy (a majority vote over each
-test sequence's windows, as `evaluate` reports it) and the per-window
-accuracy, then one line with the mean, minimum and maximum of each over the
-seeds.
+directory under workdir, extracted once, trained on and scored through the
+steps `train` and `evaluate` run: `cli.extract_split`, `cli.fit`,
+`cli.window_scores` and `cli.score_dataset`. Each test window is predicted
+once. It prints one line per seed with the per-sequence accuracy (a
+majority vote over each test sequence's window classes, as `evaluate`
+reports it) and the per-window accuracy (the share of those classes that
+are right), then one line with the mean, minimum and maximum of each over
+the seeds.
 """
 
 import argparse
@@ -26,7 +29,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from harpipe import cli, mlp, synth  # noqa: E402
+from harpipe import cli, synth  # noqa: E402
 from harpipe.config import PipelineConfig  # noqa: E402
 
 
@@ -38,10 +41,10 @@ def seed_accuracy(workdir: str, seed: int) -> tuple[float, float]:
         synth.write_corpus(corpus, seed=seed)
         train_x, train_y, _, _ = cli.extract_split(os.path.join(corpus, "train"), cfg)
         test = cli.extract_split(os.path.join(corpus, "test"), cfg)
-    model, _ = cli._train_model(train_x, train_y, cfg)
-    _, per_sequence = cli.class_rates(cli.score_dataset(model, *test))
-    values, labels = test[:2]
-    classes = np.array([mlp.predict(model, v)[0] for v in values])
+    model, _ = cli.fit(train_x, train_y, cfg)
+    values, labels, *rest = test
+    classes = cli.window_scores(model, values).argmax(axis=1)
+    _, per_sequence = cli.class_rates(cli.score_dataset(classes, labels, *rest))
     return per_sequence, 100.0 * np.mean(classes == labels)
 
 

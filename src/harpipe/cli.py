@@ -88,11 +88,19 @@ def extract_split(dataset_dir: str, cfg: PipelineConfig):
     return grouper.finish(), np.array(labels), np.array(seq_ids), seq_dirs
 
 
-def score_dataset(model: mlp.MlpModel, values, labels, seq_ids, seq_dirs
-                  ) -> np.ndarray:
+def window_scores(model: mlp.MlpModel, values) -> np.ndarray:
+    """The (W, 4) class scores of the W windows' ``values``, one
+    ``mlp.predict`` per window; a window's class is its row's ``argmax``."""
+    scores = np.empty((len(values), model.layer_sizes[-1]))
+    for w, v in enumerate(values):
+        scores[w] = mlp.predict(model, v)[1]
+    return scores
+
+
+def score_dataset(classes, labels, seq_ids, seq_dirs) -> np.ndarray:
     """Confusion matrix (rows = true class) of the per-sequence majority
-    votes over per-window predictions, from ``extract_split``'s output."""
-    classes = np.array([mlp.predict(model, v)[0] for v in values])
+    votes over the per-window ``classes``, with ``extract_split``'s labels,
+    sequence ids and directories."""
     matrix = np.zeros((len(ACTION_LABELS), len(ACTION_LABELS)), dtype=np.int64)
     for seq, seq_dir in enumerate(seq_dirs):
         rows = np.flatnonzero(seq_ids == seq)
@@ -102,17 +110,20 @@ def score_dataset(model: mlp.MlpModel, values, labels, seq_ids, seq_dirs
     return matrix
 
 
-def _train_model(inputs, labels, cfg: PipelineConfig):
+def fit(values, labels, cfg: PipelineConfig):
+    """The model trained on the window ``values`` and their label indices,
+    and its per-epoch loss trace. A class without a window is a DataError,
+    and a model carried out of the float range a UsageError."""
     counts = np.bincount(labels, minlength=len(ACTION_LABELS))
     empty = [label for label, n in zip(ACTION_LABELS, counts) if not n]
     if empty:
         raise DataError(f"no training samples for {', '.join(empty)}")
-    sizes = [inputs.shape[1], cfg.hidden_nodes, len(ACTION_LABELS)]
+    sizes = [values.shape[1], cfg.hidden_nodes, len(ACTION_LABELS)]
     model = mlp.init_model(sizes, cfg.seed, cfg.activation_a, cfg.activation_beta)
     # settings each within its bounds can still carry the net out of the
     # float range; such a model is reported, not written
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = mlp.train(model, inputs, labels, cfg.epochs,
+        trace = mlp.train(model, values, labels, cfg.epochs,
                           mlp.init_rprop(model, cfg))
     params = (*model.weights, *model.biases, model.input_mean, model.input_std)
     if not all(np.isfinite(p).all() for p in params):
@@ -131,7 +142,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     if os.path.isdir(args.model_out):
         raise UsageError(f"model file {args.model_out!r} is a directory")
     values, labels, _, _ = extract_split(args.dataset_dir, cfg)
-    model, trace = _train_model(values, labels, cfg)
+    model, trace = fit(values, labels, cfg)
     mlp.save_model(model, args.model_out)
     print(f"trained model written to {args.model_out}")
     per_class = np.bincount(labels, minlength=len(ACTION_LABELS))
@@ -167,25 +178,16 @@ def _load_model(path: str, cfg: PipelineConfig) -> mlp.MlpModel:
 
 def cmd_classify(args, cfg: PipelineConfig) -> int:
     model = _load_model(args.model, cfg)
-    n_frames = 0
-
-    def counted(frames):
-        nonlocal n_frames
-        for n_frames, f in enumerate(frames, 1):
-            yield f
-
     # every window is extracted before the first line is printed, so a data
     # error anywhere in the stream leaves stdout empty
-    samples = pipeline.sequence_samples(
-        counted(_frames(args.sequence, cfg, raw=args.raw)), cfg
-    )
-    if not samples:
-        raise DataError(f"{args.sequence}: sequence has {n_frames} frames, "
+    grouper = pipeline.WindowGrouper(cfg)
+    starts = grouper.add(_frames(args.sequence, cfg, raw=args.raw))
+    if not starts:
+        raise DataError(f"{args.sequence}: sequence has {grouper.size} frames, "
                         f"needs >= {cfg.window_frames}")
-    for start, sample in samples:
-        cls, scores = mlp.predict(model, sample.values)
+    for start, scores in zip(starts, window_scores(model, grouper.finish())):
         score_text = " ".join(f"{s:.6f}" for s in scores)
-        print(f"{start} {ACTION_LABELS[cls]} {score_text}")
+        print(f"{start} {ACTION_LABELS[scores.argmax()]} {score_text}")
     return 0
 
 
@@ -225,7 +227,8 @@ def format_report(matrix: np.ndarray) -> str:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model = _load_model(args.model, cfg)
-    matrix = score_dataset(model, *extract_split(args.test_dir, cfg))
+    values, *rest = extract_split(args.test_dir, cfg)
+    matrix = score_dataset(window_scores(model, values).argmax(axis=1), *rest)
     print(format_report(matrix))
     return 0
 
@@ -259,8 +262,9 @@ def cmd_sweep(args, cfg: PipelineConfig) -> int:
     rates = []  # (per-class, overall) per feature size
     for n in values:
         cols = n * DESCRIPTOR_DIM
-        model, _ = _train_model(train_x[:, :cols], train_y, cfg)
-        rates.append(class_rates(score_dataset(model, test_x[:, :cols], *test_rest)))
+        model, _ = fit(train_x[:, :cols], train_y, cfg)
+        classes = window_scores(model, test_x[:, :cols]).argmax(axis=1)
+        rates.append(class_rates(score_dataset(classes, *test_rest)))
         _log(f"feature size {n}: done")
 
     names = [label.capitalize() for label in ACTION_LABELS]

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import dataclasses
 import io
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -553,7 +555,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(40, cfg.feature_size * DESCRIPTOR_DIM))
         labels = np.arange(40) % len(ACTION_LABELS)
-        model, _ = cli._train_model(inputs, labels, cfg)
+        model, _ = cli.fit(inputs, labels, cfg)
         sizes = [inputs.shape[1], cfg.hidden_nodes, len(ACTION_LABELS)]
         bench = mlp.init_model(sizes, seed=cfg.seed)
         mlp.train(bench, inputs, labels, epochs=cfg.epochs,
@@ -610,7 +612,8 @@ class TestClassify:
         assert err == (f"data error: {os.devnull}: no memory for a "
                        f"{999999999 ** 2 * 3}-byte frame\n")
 
-    def test_too_short_sequence(self, tiny_corpus, tiny_model, tmp_path):
+    def test_too_short_sequence(self, tiny_corpus, tiny_model, tmp_path, capsys):
+        # a PGM directory of 24 frames holds no full 25-frame window
         src = next((tiny_corpus / "test" / "walking").iterdir())
         short = tmp_path / "short"
         short.mkdir()
@@ -618,6 +621,88 @@ class TestClassify:
             (short / name).write_bytes((src / name).read_bytes())
         rc = cli.main(["classify", str(short), str(tiny_model)] + FAST)
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"data error: {short}: sequence has 24 frames, "
+                                "needs >= 25\n")
+
+
+class TestWindowScores:
+    def test_matches_per_window_predict(self):
+        rng = np.random.default_rng(3)
+        model = mlp.init_model([12, 7, 4], seed=3)
+        values = rng.normal(size=(9, 12))
+        scores = cli.window_scores(model, values)
+        assert scores.shape == (9, 4)
+        for row, v in zip(scores, values):
+            cls, out = mlp.predict(model, v)
+            assert row.tobytes() == out.tobytes()
+            assert row.argmax() == cls
+
+    def test_tie_goes_to_lowest_class(self):
+        # zero weights: the outputs are the biases through the activation,
+        # whatever the input, so classes 1 and 2 tie
+        model = mlp.MlpModel([6, 4], [np.zeros((4, 6))], [np.array([0.1, 0.5, 0.5, 0.2])],
+                             1.0, 1.0, np.zeros(6), np.ones(6))
+        [row] = cli.window_scores(model, np.ones((1, 6)))
+        assert row[1] == row[2]
+        assert row.argmax() == mlp.predict(model, np.ones(6))[0] == 1
+
+
+class TestScoreDataset:
+    def test_vote_tie_goes_to_earliest_leader(self):
+        # sequence 0 ties classes 2 and 1 at two windows each, and its
+        # first window says 2; sequence 1 has one window
+        classes = np.array([2, 1, 1, 2, 3])
+        labels = np.array([0, 0, 0, 0, 3])
+        seq_ids = np.array([0, 0, 0, 0, 1])
+        matrix = cli.score_dataset(classes, labels, seq_ids, ["a", "b"])
+        expected = np.zeros((4, 4), dtype=np.int64)
+        expected[0, 2] = expected[3, 3] = 1
+        assert (matrix == expected).all()
+
+    def test_sequence_without_window(self):
+        with pytest.raises(cli.DataError,
+                           match="^b: sequence shorter than one window$"):
+            cli.score_dataset(np.array([0]), np.array([0]), np.array([0]),
+                              ["a", "b"])
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def private_name(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_harpipe_names(source: str) -> list[str]:
+    """The ``_``-prefixed names, dunders aside, that a script takes from
+    harpipe: imported from a harpipe module, or read as an attribute of a
+    name it imported from one."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "harpipe":
+            imported |= {a.asname or a.name for a in node.names}
+            found += [f"{node.module}.{a.name}" for a in node.names if private_name(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private_name(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in imported):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+class TestScripts:
+    def test_finds_private_names(self):
+        source = ("from harpipe import cli, mlp\nfrom harpipe.cli import _log\n"
+                  "cli._train_model; mlp._choose\n"
+                  "cli.fit; cli.__file__; other._name\n")
+        assert private_harpipe_names(source) == [
+            "harpipe.cli._log", "cli._train_model", "mlp._choose"]
+
+    @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+    def test_public_names_only(self, script):
+        assert private_harpipe_names((SCRIPTS / script).read_text()) == []
 
 
 class TestEvaluate:
