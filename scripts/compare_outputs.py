@@ -15,7 +15,9 @@ raw stream, and each tree runs `classify --raw` and `dump --raw` with the
 three dump flags on it: its 9 windows make one full group of
 `WINDOWS_PER_CALL` windows and a partial one. `classify --raw` runs on it
 once more with `window_stride=10` and `flow_step=4`, whose overlapping
-windows read frames that the next group reads too, and once more on an RGB
+windows read frames that the next group reads too, once more with
+`window_stride=30` and `window_frames=26`, whose windows leave frames between
+them and whose last frame no flow step reads, and once more on an RGB
 copy of the stream, whose three channels differ so that their average
 rounds (`--raw WxH:rgb`). `dump --raw --dump-masks` runs on the stream twice
 more, with `gmm_components=5 gmm_threshold=1.0` and with `gmm_components=1`:
@@ -23,7 +25,7 @@ beside the default K = 3 and t = 0.7, the masks then cover pixels matched
 at ranks 1 to 4, a cumulative weight that rounds just below t = 1, and a
 mixture whose every miss replaces its one component. Every command runs in
 a fresh process with one BLAS thread, through `harpipe`, the runner that
-bench.py shares. One line per artifact, 24 in all (each command's stdout,
+bench.py shares. One line per artifact, 25 in all (each command's stdout,
 the two model files, and each dump directory), says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
@@ -172,6 +174,8 @@ def main() -> int:
             ("classify_raw.out", ["classify", stream, "model.txt"] + raw),
             ("classify_overlap.out", ["classify", stream, "model.txt", "--set",
                                       "window_stride=10", "--set", "flow_step=4"] + raw),
+            ("classify_gaps.out", ["classify", stream, "model.txt", "--set",
+                                   "window_stride=30", "--set", "window_frames=26"] + raw),
             ("classify_rgb.out", ["classify", rgb_stream, "model.txt",
                                   "--raw", raw[1] + ":rgb"]),
             ("dump_raw.out", ["dump", stream] + raw

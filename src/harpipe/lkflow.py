@@ -107,11 +107,12 @@ def sample_windows(
     fx, fy = (shifted - lo).T
 
     # a window is unit-spaced from one shared fractional offset: a blend of
-    # shifted slices of one (n+1)^2 patch, whose rows and columns are clamped
-    # to the image, so a window that crosses the border repeats its edge
-    grid = np.arange(n + 1)[:, None]
-    ix = np.clip(lo[:, 0].astype(np.intp) + grid, 0, w - 1)
-    iy = np.clip(lo[:, 1].astype(np.intp) + grid, 0, h - 1) * w + offset
+    # shifted slices of one (n+1)^2 patch, whose rows and columns (one buffer)
+    # are clamped to the image, so a window that crosses the border repeats
+    # its edge
+    taps = lo.T.astype(np.intp)[:, None] + np.arange(n + 1)[:, None]
+    np.minimum(np.maximum(taps, 0, out=taps), [[[w - 1]], [[h - 1]]], out=taps)
+    ix, iy = taps[0], taps[1] * w + offset
     # each blend weighs its trailing slice in place, once its leading slice
     # has been read, so neither blend allocates a temporary
     patch = img.reshape(-1).take(iy[:, None] + ix).astype(np.float64, copy=False)

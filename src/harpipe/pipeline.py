@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,41 +27,40 @@ class WindowGrouper:
     from; a window never straddles two sequences. Every frame must be of one
     size.
 
-    Each sequence's frames are read once, as a stream, and held by their
-    position in the stream of all of them. Only the frames that a window
-    which has not yet run reads are held: a window joins the pending group
-    once its last frame arrives, and a full group runs at once. When a
-    sequence ends, its frames that no pending window reads are dropped, and
-    the pending windows run with the next sequences' or in ``finish``.
+    Each sequence's frames are read once, as a stream. A window opens every
+    ``stride`` frames and keeps the frames it reads: its first frame and
+    every ``flow_step``-th frame after it. It joins the pending group once
+    its last frame arrives, and a full group runs at once. The windows that a
+    sequence ends before they complete are dropped with it; the pending ones
+    run with the next sequences' or in ``finish``.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.held: dict[int, np.ndarray] = {}  # stream position -> pixels
-        self.group: list[int] = []  # starts of the complete windows that have not run
+        self.group: list[list[np.ndarray]] = []  # each pending window's read frames
         self.done: list[np.ndarray] = []  # each group's values, once it ran
-        self.size = 0  # frames read
+        self.size = 0  # frames in the last sequence added
 
     def add(self, frames: Iterable[Frame]) -> list[int]:
         """Reads one sequence's ``frames``, any iterable, once; returns the
         start frames of its full windows, counted from its first frame."""
         cfg = self.cfg
-        reads = range(0, cfg.window_frames, cfg.flow_step)  # offsets a window reads
-        base = first = self.size  # first: the earliest start that has not run
+        opened = {}  # start -> read frames, of each window still open
         starts = []
-        for i, f in enumerate(frames, base):
-            if any(i - s in reads for s in range(first, i + 1, cfg.stride)):
-                self.held[i] = f.pixels
+        self.size = 0
+        for i, f in enumerate(frames):
             self.size = i + 1
-            start = self.size - cfg.window_frames
-            if start >= base and (start - base) % cfg.stride == 0:
-                starts.append(start - base)
-                self.group.append(start)
-            if len(self.group) == WINDOWS_PER_CALL:
-                self._run()
-                first = start + cfg.stride
-                self.held = {k: v for k, v in self.held.items() if k >= first}
-        self.held = {s + r: self.held[s + r] for s in self.group for r in reads}
+            if i % cfg.stride == 0:
+                opened[i] = []
+            for s in opened:  # by key: a bound list would outlive its window's run
+                if (i - s) % cfg.flow_step == 0:
+                    opened[s].append(f.pixels)
+            start = i + 1 - cfg.window_frames
+            if start in opened:
+                starts.append(start)
+                self.group.append(opened.pop(start))
+                if len(self.group) == WINDOWS_PER_CALL:
+                    self._run()
         return starts
 
     def finish(self) -> np.ndarray:
@@ -69,12 +68,11 @@ class WindowGrouper:
         pending group has run."""
         if self.group:
             self._run()
-            self.held = {}
         empty = np.empty((0, flowdesc.DESCRIPTOR_DIM * self.cfg.feature_size))
         return np.concatenate([empty, *self.done])
 
     def _run(self) -> None:
-        self.done.append(_window_samples(self.held, self.group, self.cfg))
+        self.done.append(_window_samples(self.group, self.cfg))
         self.group = []
 
 
@@ -83,7 +81,7 @@ def sequence_samples(
 ) -> list[tuple[int, SampleVector]]:
     """(window start frame, sample) for each full window in the sequence:
     ``WindowGrouper``'s one-sequence case, so ``frames`` may be any
-    iterable, read once, and only one window group of them is held."""
+    iterable, read once, and only the frames its windows read are held."""
     grouper = WindowGrouper(cfg)
     starts = grouper.add(frames)
     return [(s, SampleVector(v, label=label)) for s, v in zip(starts, grouper.finish())]
@@ -138,34 +136,33 @@ def _track_step(
     return kept, new_xy, uv[:, 0], flowdesc.flow_invariants(jac), intensity
 
 
-def _window_samples(
-    pixels: Mapping[int, np.ndarray], starts: list[int], cfg: PipelineConfig
-) -> np.ndarray:
-    """The (W, 12 * N) samples of the W windows that start at ``starts``,
-    reading the (h, w) frame images ``pixels[i]`` by frame index.
+def _window_samples(windows: list[list[np.ndarray]], cfg: PipelineConfig) -> np.ndarray:
+    """The (W, 12 * N) samples of the W windows whose read frames are
+    ``windows``: each window's (h, w) frame images at every flow_step-th
+    frame from its first.
 
-    Features are detected on each window's first frame and tracked at every
-    flow_step-th frame. Window w's frames are image w of the stacked
-    pyramids, so one ``_track_step`` per step takes every window's live
-    slots. Each step adds its tracked slots' descriptors to their running
-    sums and counts, which ``flowdesc.pool_window`` averages.
+    Features are detected on each window's first frame and tracked over its
+    read frames. Window w's frames are image w of the stacked pyramids, so
+    one ``_track_step`` per step takes every window's live slots. Each step
+    adds its tracked slots' descriptors to their running sums and counts,
+    which ``flowdesc.pool_window`` averages.
     """
     steps = (cfg.window_frames - 1) // cfg.flow_step
 
     def pyramid(step: int) -> tuple[np.ndarray, ...]:
-        stack = np.stack([pixels[s + step * cfg.flow_step] for s in starts])
+        stack = np.stack([read[step] for read in windows])
         return lkflow.build_pyramid(stack, cfg.pyramid_levels)
 
     # the live points in one array: point m is slot rank[m] of window win[m],
     # with its position, last velocity and intensity
-    found = [goodfeat.detect_good_features(pixels[s], cfg)[:, :2] for s in starts]
+    found = [goodfeat.detect_good_features(read[0], cfg)[:, :2] for read in windows]
     xy = np.concatenate(found)
-    win = np.repeat(np.arange(len(starts)), [len(f) for f in found])
+    win = np.repeat(np.arange(len(windows)), [len(f) for f in found])
     rank = np.concatenate([np.arange(len(f)) for f in found])
     uv = np.zeros_like(xy)
-    sums = np.zeros((len(starts), cfg.feature_size, flowdesc.DESCRIPTOR_DIM))
-    counts = np.zeros((len(starts), cfg.feature_size), dtype=np.intp)
-    frame_size = pixels[starts[0]].shape[::-1]
+    sums = np.zeros((len(windows), cfg.feature_size, flowdesc.DESCRIPTOR_DIM))
+    counts = np.zeros((len(windows), cfg.feature_size), dtype=np.intp)
+    frame_size = windows[0][0].shape[::-1]
 
     pi = pyramid(0)
     intensity = lkflow.sample_windows(pi[0], xy, 0, win)[0, 0]

@@ -837,7 +837,8 @@ def sequence_samples_list(frames, cfg):
     out = []
     for g in range(0, len(starts), pipeline.WINDOWS_PER_CALL):
         group = starts[g : g + pipeline.WINDOWS_PER_CALL]
-        out += zip(group, pipeline._window_samples(pixels, group, cfg))
+        windows = [pixels[s : s + cfg.window_frames : cfg.flow_step] for s in group]
+        out += zip(group, pipeline._window_samples(windows, cfg))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from harpipe import cli, flowdesc, goodfeat, lkflow, mlp, synth
+from harpipe import cli, flowdesc, goodfeat, lkflow, mlp, pipeline, synth
 from harpipe.config import PipelineConfig
 from harpipe.flowdesc import DESCRIPTOR_DIM
 from harpipe.frameio import Frame, encode_pgm
@@ -307,11 +307,11 @@ class TestStreamedFrames:
         # 3 windows of 9 read frames each
         ({}, 75, 27),
         # overlapping windows read frames 0, 4, ..., 24 from each start 0,
-        # 10, ...: a group of 8 spans 7 * 10 + 25 = 95 frames, and from the
-        # second group on (starts 80 to 150) every even one of them is read,
-        # 47 frames from 80 to 172; with frame 173, still in the caller's
-        # hands as the group runs, 48
-        ({"window_stride": 10, "flow_step": 4}, 225, 48),
+        # 10, ...: the first group (starts 0 to 70) runs once frame 94
+        # arrives, and just before it the held frames are the even ones from
+        # 0 to 92 but 2 and 6, which no window reads, 45 frames; with frame
+        # 93, still in the caller's hands, 46
+        ({"window_stride": 10, "flow_step": 4}, 225, 46),
     ])
     def test_holds_only_read_frames(self, three_sequences, setting, count,
                                     most_read):
@@ -366,6 +366,75 @@ class TestStreamedFrames:
         assert grouper.add(watched(three_sequences[60:220])) == list(range(0, 126, 25))
         assert alive() == set()
         assert len(grouper.finish()) == WINDOWS_PER_CALL
+
+
+class TestWindowFrames:
+    """The frames each window gets, recorded in place of the tracker, over
+    sequences of several lengths, some shorter than a window. Each frame's
+    one pixel holds its number in the stream of all of them."""
+
+    LENGTHS = (61, 10, 26, 3, 140, 0, 55)
+
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"window_frames": 26},  # flow_step 3 leaves each window's last frame unread
+        {"window_frames": 26, "window_stride": 30},  # frames between windows
+        {"window_frames": 12, "flow_step": 5, "window_stride": 4},  # 3 open at once
+    ])
+    def test_each_window_gets_its_read_frames(self, monkeypatch, settings):
+        cfg = PipelineConfig(**settings)
+        steps = (cfg.window_frames - 1) // cfg.flow_step
+        groups = []  # each group's windows, as the numbers of their frames
+
+        def recorder(windows, cfg):
+            groups.append([[int(p[0, 0]) for p in read] for read in windows])
+            return np.zeros((len(windows), DESCRIPTOR_DIM * cfg.feature_size))
+
+        monkeypatch.setattr(pipeline, "_window_samples", recorder)
+
+        # every window that opens, as (sequence, first frame's number, its
+        # rank among the full windows or None)
+        opened, offsets, full = [], [], 0
+        for k, n in enumerate(self.LENGTHS):
+            offsets.append(sum(self.LENGTHS[:k]))
+            for s in range(0, n, cfg.stride):
+                rank = full if s + cfg.window_frames <= n else None
+                full += rank is not None
+                opened.append((k, offsets[k] + s, rank))
+        refs = []
+
+        def check(current):
+            # a frame that no pending or open window reads is dropped, but
+            # the one taken last may still be in the caller's hands
+            taken, ran = len(refs), sum(map(len, groups))
+            reads = set()
+            for k, first, rank in opened:
+                complete = first + cfg.window_frames <= taken
+                if first < taken and (k == current and not complete
+                                      or complete and rank is not None
+                                      and rank >= ran):
+                    reads |= {first + j * cfg.flow_step for j in range(steps + 1)}
+            alive = {g for g, ref in enumerate(refs) if ref() is not None}
+            assert alive - {taken - 1} <= reads
+
+        def watched(k):
+            for i in range(self.LENGTHS[k]):
+                check(k)
+                pixels = np.full((1, 1), offsets[k] + i)
+                refs.append(weakref.ref(pixels))
+                yield Frame(1, 1, i, pixels)
+            check(k)
+
+        grouper = WindowGrouper(cfg)
+        for k, n in enumerate(self.LENGTHS):
+            assert grouper.add(watched(k)) == window_starts(n, cfg)
+        assert len(grouper.finish()) == full
+        assert not any(ref() is not None for ref in refs)
+        expected = [[first + j * cfg.flow_step for j in range(steps + 1)]
+                    for _, first, rank in opened if rank is not None]
+        assert [w for group in groups for w in group] == expected
+        assert all(len(group) == WINDOWS_PER_CALL for group in groups[:-1])
+        assert 0 < len(groups[-1]) <= WINDOWS_PER_CALL
 
 
 class TestExtractSplit:
