@@ -4,9 +4,12 @@
 On the default synthetic corpus (seed 0), synthesised once, each tree runs
 `train`, then `train` once more with `jacobian_probe_offset=40`, whose
 probes so far from each point often leave an axis with one tracked probe or
-none (its report and its model file are compared), then
-`evaluate`, `classify` on one test sequence, `sweep --values 8 10 14`
-and `dump --dump-masks --dump-features --dump-flow` on one test sequence,
+none (its report and its model file are compared), and once more with
+`jacobian_probe_offset=7.105427357601002e-15` (2**-47), half the spacing
+of floats from 64 to 128, so that many probes round onto their point and
+take its own track (its report and model file too), then `evaluate`,
+`classify` on one test sequence, `sweep --values 8 10 14` and
+`dump --dump-masks --dump-features --dump-flow` on one test sequence,
 then `dump --dump-features` on it once more with a 7x7 structure-tensor
 window (`tensor_half_window=3`), `min_distance=0` and 30 features, so that
 a second box size and adjacent corners are compared too.
@@ -25,8 +28,8 @@ beside the default K = 3 and t = 0.7, the masks then cover pixels matched
 at ranks 1 to 4, a cumulative weight that rounds just below t = 1, and a
 mixture whose every miss replaces its one component. Every command runs in
 a fresh process with one BLAS thread, through `harpipe`, the runner that
-bench.py shares. One line per artifact, 25 in all (each command's stdout,
-the two model files, and each dump directory), says `identical`,
+bench.py shares. One line per artifact, 27 in all (each command's stdout,
+the three model files, and each dump directory), says `identical`,
 gives the largest absolute difference between numeric tokens when all other
 text matches, or says `differs`. The exit status is 1 if any artifact
 differs.
@@ -164,6 +167,8 @@ def main() -> int:
             ("train.out", ["train", train, "model.txt"]),
             ("train_probe40.out", ["train", train, "model_probe40.txt",
                                    "--set", "jacobian_probe_offset=40"]),
+            ("train_probe_ulp.out", ["train", train, "model_probe_ulp.txt", "--set",
+                                     "jacobian_probe_offset=7.105427357601002e-15"]),
             ("evaluate.out", ["evaluate", test, "model.txt"]),
             ("classify.out", ["classify", sequence, "model.txt"]),
             ("sweep.out", ["sweep", train, test, "--values", "8", "10", "14"]),
@@ -192,8 +197,9 @@ def main() -> int:
                 with open(os.path.join(tmp, side, name), "wb") as fh:
                     fh.write(stdout)
         failed = False
-        names = ([n for n, _ in steps[:2]] + ["model.txt", "model_probe40.txt"]
-                 + [n for n, _ in steps[2:]] + list(DUMPS)
+        names = ([n for n, _ in steps[:3]]
+                 + ["model.txt", "model_probe40.txt", "model_probe_ulp.txt"]
+                 + [n for n, _ in steps[3:]] + list(DUMPS)
                  + ["box3_features"] + [f"raw_{d}" for d in DUMPS]
                  + ["raw_masks_k5", "raw_masks_k1"])
         for name in names:

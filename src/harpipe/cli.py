@@ -1,4 +1,4 @@
-"""Command-line front end: train, classify, evaluate, synth, sweep.
+"""Command-line front end: train, classify, evaluate, synth, sweep, dump.
 
 Reports go to stdout, progress/log lines to stderr. Exit codes: 0 success,
 1 usage error, 2 data error.
@@ -281,7 +281,7 @@ def cmd_sweep(args, cfg: PipelineConfig) -> int:
 
 def cmd_dump(args, cfg: PipelineConfig) -> int:
     """Diagnostic exports: foreground masks, features, flow, per the
-    --dump-* flags on the shared parser. One pass over the frames takes each
+    --dump-* flags of the dump subcommand. One pass over the frames takes each
     frame through every requested stage in that order; the flow stage holds
     only the last flow-step frame, its pyramid and, when the features stage
     detected them, its corners."""

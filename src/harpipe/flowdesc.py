@@ -23,18 +23,18 @@ class SampleVector:
 
 
 def jacobian_probes(xy: np.ndarray, h: float) -> np.ndarray:
-    """(P, 5, 2) points whose flow ``flow_jacobian`` reads: each point of
-    ``xy`` itself, then its probes at +x, -x, +y and -y, h away."""
-    steps = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    """(P, 4, 2) probes whose flow ``flow_jacobian`` reads: each point of
+    ``xy`` moved h along +x, -x, +y and -y."""
+    steps = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     return xy[:, None, :] + h * steps
 
 
 def flow_jacobian(
-    uv: np.ndarray, tracked: np.ndarray, h: float
+    uv: np.ndarray, probe_uv: np.ndarray, probe_ok: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial flow partials of P tracked points from the (P, 5, 2) velocities
-    at their ``jacobian_probes`` and the (P, 5) mask of the probes that were
-    tracked, the point itself always; the others' velocities are ignored.
+    """Spatial flow partials of P tracked points from their (P, 2) velocities,
+    the (P, 4, 2) velocities at their ``jacobian_probes`` and the (P, 4) mask
+    of the probes that were tracked; the others' velocities are ignored.
 
     Each axis takes the central difference of its probes at p +- h, or the
     one-sided difference against the point itself when one of them failed.
@@ -42,8 +42,9 @@ def flow_jacobian(
     mask of points with a probe tracked on each axis; the partials of the
     other points are zero.
     """
-    centre, fwd, bwd = uv[:, :1], uv[:, 1::2], uv[:, 2::2]  # (P, axis, component)
-    has_fwd, has_bwd = tracked[:, 1::2], tracked[:, 2::2]
+    # fwd and bwd are (P, axis, component): the probes at +h and at -h
+    centre, fwd, bwd = uv[:, None], probe_uv[:, ::2], probe_uv[:, 1::2]
+    has_fwd, has_bwd = probe_ok[:, ::2], probe_ok[:, 1::2]
     one_sided = np.where(has_fwd[..., None], (fwd - centre) / h, -(bwd - centre) / h)
     diff = np.where((has_fwd & has_bwd)[..., None], (fwd - bwd) / (2 * h), one_sided)
     ok = (has_fwd | has_bwd).all(axis=1)

@@ -109,31 +109,30 @@ def _track_step(
     h = cfg.jacobian_probe_offset
     centres = lkflow.track_points(pi, pj, xy, cfg, image)
     kept = centres.tracked
-    points = flowdesc.jacobian_probes(xy[kept], h)  # (K, 5, 2), each point first
-    centre_dxy = centres.dxy[kept]
-    probe_xy = points[:, 1:].reshape(-1, 2)
-    probe_image = np.repeat(image[kept], 4)
-    probe_guess = np.repeat(centre_dxy, 4, axis=0)
+    xy, dxy, image = xy[kept], centres.dxy[kept], image[kept]
+    probes = flowdesc.jacobian_probes(xy, h)  # (K, 4, 2)
+    probe_xy = probes.reshape(-1, 2)
+    probe_image = np.repeat(image, probes.shape[1])
+    probe_guess = np.repeat(dxy, probes.shape[1], axis=0)
     probe_dxy = np.empty_like(probe_xy)
     probe_ok = np.empty(len(probe_xy), dtype=bool)
     # each probe is tracked on its own, so cutting the calls moves no bit
     cap = PROBES_PER_CALL * cfg.feature_size
     for c in range(0, len(probe_xy), cap):
         part = slice(c, c + cap)
-        probes = lkflow.track_points(pi[:1], pj[:1], probe_xy[part], cfg,
+        tracks = lkflow.track_points(pi[:1], pj[:1], probe_xy[part], cfg,
                                      probe_image[part], probe_guess[part])
-        probe_dxy[part], probe_ok[part] = probes.dxy, probes.tracked
+        probe_dxy[part], probe_ok[part] = tracks.dxy, tracks.tracked
     # a probe whose offset rounds away lies on its point and takes its track,
     # so the Jacobian's difference there is exactly zero
-    same = (points[:, 1:] == points[:, :1]).all(axis=2)
-    probe_dxy = np.where(same[..., None], centre_dxy[:, None],
-                         probe_dxy.reshape(-1, 4, 2))
-    uv = np.concatenate((centre_dxy[:, None], probe_dxy), axis=1) / cfg.flow_step
-    tracked = np.insert(same | probe_ok.reshape(-1, 4), 0, True, axis=1)
-    jac, _ = flowdesc.flow_jacobian(uv, tracked, h)
+    same = (probes == xy[:, None]).all(axis=2)
+    probe_dxy = np.where(same[..., None], dxy[:, None], probe_dxy.reshape(probes.shape))
+    uv = dxy / cfg.flow_step
+    jac, _ = flowdesc.flow_jacobian(uv, probe_dxy / cfg.flow_step,
+                                    same | probe_ok.reshape(same.shape), h)
     new_xy = centres.xy[kept]
-    intensity = lkflow.sample_windows(pj[0], new_xy, 0, image[kept])[0, 0]
-    return kept, new_xy, uv[:, 0], flowdesc.flow_invariants(jac), intensity
+    intensity = lkflow.sample_windows(pj[0], new_xy, 0, image)[0, 0]
+    return kept, new_xy, uv, flowdesc.flow_invariants(jac), intensity
 
 
 def _window_samples(windows: list[list[np.ndarray]], cfg: PipelineConfig) -> np.ndarray:

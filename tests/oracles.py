@@ -17,8 +17,7 @@ which converts each field with the package's own ``_decimal``;
 ``rprop_step``, the per-layer masked form of ``mlp.rprop_step``;
 ``save_model_per_value``, the per-value form of ``mlp.save_model``;
 ``flow_jacobian_per_axis``, the per-axis form of ``flowdesc.flow_jacobian``
-with the same numpy arithmetic, which also checks a one-sided difference's
-centre;
+with the same numpy arithmetic;
 ``track_step_one_call``, the flow step that tracks each point with its
 Jacobian probes in one call over every level, whose kept mask, positions,
 velocities and intensities ``pipeline._track_step`` must reproduce (its
@@ -634,10 +633,10 @@ def min_eigenvalue(z):
     return max(0.0, (z.zxx + z.zyy - disc) / 2.0)
 
 
-def flow_jacobian_per_axis(uv, tracked, h):
-    """Spatial flow partials of P points from the (P, 5, 2) velocities at
-    their ``jacobian_probes`` and the (P, 5) mask of the probes that were
-    tracked; the velocities of the others are ignored.
+def flow_jacobian_per_axis(uv, probe_uv, probe_ok, h):
+    """Spatial flow partials of P points from their (P, 2) velocities, the
+    (P, 4, 2) velocities at their ``jacobian_probes`` and the (P, 4) mask of
+    the probes that were tracked; the velocities of the others are ignored.
 
     Each axis takes the central difference of its probes at p +- h, or the
     one-sided difference against the point itself when one of them failed.
@@ -647,21 +646,18 @@ def flow_jacobian_per_axis(uv, tracked, h):
     """
     import numpy as np
 
-    centre = uv[:, 0]
-
     def axis_diff(k: int) -> tuple[np.ndarray, np.ndarray]:
-        fwd, bwd = uv[:, k], uv[:, k + 1]
-        has_fwd, has_bwd = tracked[:, k], tracked[:, k + 1]
+        fwd, bwd = probe_uv[:, k], probe_uv[:, k + 1]
+        has_fwd, has_bwd = probe_ok[:, k], probe_ok[:, k + 1]
         both = (has_fwd & has_bwd)[:, None]
         one_sided = np.where(
-            has_fwd[:, None], (fwd - centre) / h, -(bwd - centre) / h
+            has_fwd[:, None], (fwd - uv) / h, -(bwd - uv) / h
         )
         diff = np.where(both, (fwd - bwd) / (2 * h), one_sided)
-        usable = (has_fwd & has_bwd) | ((has_fwd | has_bwd) & tracked[:, 0])
-        return diff, usable
+        return diff, has_fwd | has_bwd
 
-    dx, x_ok = axis_diff(1)
-    dy, y_ok = axis_diff(3)
+    dx, x_ok = axis_diff(0)
+    dy, y_ok = axis_diff(2)
     ok = x_ok & y_ok
     return np.where(ok[:, None, None], np.stack((dx, dy), axis=2), 0.0), ok
 
@@ -677,14 +673,15 @@ def track_step_one_call(pi, pj, xy, image, cfg):
     from harpipe import flowdesc, lkflow
 
     h = cfg.jacobian_probe_offset
-    probes = flowdesc.jacobian_probes(xy, h)
-    tracks = lkflow.track_points(pi, pj, probes.reshape(-1, 2), cfg,
-                                 np.repeat(image, probes.shape[1]))
-    tracked = tracks.tracked.reshape(probes.shape[:2])
+    # (P, 5, 2): each point, then its probes
+    points = np.concatenate((xy[:, None], flowdesc.jacobian_probes(xy, h)), axis=1)
+    tracks = lkflow.track_points(pi, pj, points.reshape(-1, 2), cfg,
+                                 np.repeat(image, points.shape[1]))
+    tracked = tracks.tracked.reshape(points.shape[:2])
     kept = tracked[:, 0]
-    uv = (tracks.dxy / cfg.flow_step).reshape(probes.shape)[kept]
-    jac, _ = flowdesc.flow_jacobian(uv, tracked[kept], h)
-    new_xy = tracks.xy.reshape(probes.shape)[kept, 0]
+    uv = (tracks.dxy / cfg.flow_step).reshape(points.shape)[kept]
+    jac, _ = flowdesc.flow_jacobian(uv[:, 0], uv[:, 1:], tracked[kept, 1:], h)
+    new_xy = tracks.xy.reshape(points.shape)[kept, 0]
     intensity = lkflow.sample_windows(pj[0], new_xy, 0, image[kept])[0, 0]
     return kept, new_xy, uv[:, 0], flowdesc.flow_invariants(jac), intensity
 

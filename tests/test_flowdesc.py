@@ -24,22 +24,23 @@ def jacobian(ux, uy, vx, vy):
 
 
 def probe_flow(probe, p, h=2.0):
-    """The (5, 2) velocities and (5,) tracked mask of one point's
-    ``jacobian_probes``, reading the flow from ``probe(x, y)`` (None where
-    the track is lost); a lost probe's velocity is NaN, which
-    ``flow_jacobian`` must ignore."""
-    points = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
-    uv = [probe(x, y) for x, y in points.tolist()]
+    """The (2,) velocity of one point, and the (4, 2) velocities and (4,)
+    tracked mask of its ``jacobian_probes``, reading the flow from
+    ``probe(x, y)`` (None where the track is lost); a lost probe's velocity
+    is NaN, which ``flow_jacobian`` must ignore."""
+    probes = jacobian_probes(np.array([p], dtype=np.float64), h)[0]
+    uv = [probe(x, y) for x, y in probes.tolist()]
     tracked = np.array([v is not None for v in uv])
-    return np.array([(np.nan, np.nan) if v is None else v for v in uv]), tracked
+    probe_uv = np.array([(np.nan, np.nan) if v is None else v for v in uv])
+    return np.array(probe(*p), dtype=np.float64), probe_uv, tracked
 
 
 def jacobian_of(probe, p, h=2.0):
     """flow_jacobian of one point, its (2, 2) Jacobian, reading the flow
     from ``probe(x, y)`` (None where the track is lost); ValueError for an
     untrackable neighbourhood."""
-    uv, tracked = probe_flow(probe, p, h)
-    jac, ok = flow_jacobian(uv[None], tracked[None], h)
+    uv, probe_uv, tracked = probe_flow(probe, p, h)
+    jac, ok = flow_jacobian(uv[None], probe_uv[None], tracked[None], h)
     if not ok[0]:
         raise ValueError("flow jacobian: untrackable neighborhood")
     return jac[0]
@@ -166,15 +167,15 @@ class TestFlowJacobian:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_matches_per_axis_oracle(self, rng_seed, points, h):
-        # every centre tracked, as the pipeline passes only kept points;
-        # velocities from 1e-6 to 1e3 px, NaN at the lost probes
+        # each point's velocity and its probes' from 1e-6 to 1e3 px, NaN at
+        # the lost probes
         rng = np.random.default_rng(rng_seed)
         uv = rng.standard_normal((points, 5, 2)) * 10.0 ** rng.integers(-6, 4, (points, 1, 1))
         tracked = rng.random((points, 5)) < rng.uniform(0.0, 1.0, (points, 1))
-        tracked[:, 0] = True
-        uv[~tracked] = np.nan
-        jac, ok = flow_jacobian(uv, tracked, h)
-        want_jac, want_ok = flow_jacobian_per_axis(uv, tracked, h)
+        uv, probe_uv, probe_ok = uv[:, 0], uv[:, 1:], tracked[:, 1:]
+        probe_uv[~probe_ok] = np.nan
+        jac, ok = flow_jacobian(uv, probe_uv, probe_ok, h)
+        want_jac, want_ok = flow_jacobian_per_axis(uv, probe_uv, probe_ok, h)
         assert jac.shape == want_jac.shape and jac.tobytes() == want_jac.tobytes()
         assert ok.tolist() == want_ok.tolist()
 
@@ -190,9 +191,9 @@ class TestFlowJacobian:
             lambda x, y: None if y < 30.0 else affine(x, y),
             lambda x, y: None if x != 40.0 else (0.0, 0.0),
         ]
-        uv, tracked = (np.stack(a) for a in
-                       zip(*(probe_flow(f, (40.0, 30.0)) for f in fields)))
-        jac, ok = flow_jacobian(uv, tracked, 2.0)
+        uv, probe_uv, tracked = (np.stack(a) for a in
+                                 zip(*(probe_flow(f, (40.0, 30.0)) for f in fields)))
+        jac, ok = flow_jacobian(uv, probe_uv, tracked, 2.0)
         assert ok.tolist() == [True, True, True, False]
         for k, f in enumerate(fields[:3]):
             assert jac[k].tolist() == jacobian_of(f, (40.0, 30.0)).tolist()

@@ -181,16 +181,16 @@ class TestSequenceSamples:
 
 class TestJacobianPrecondition:
     def test_every_centre_tracked(self, monkeypatch):
-        # flow_jacobian reads its one-sided differences against a centre it
-        # assumes tracked; at offset 40 most tracked centres lose a probe
-        calls, one_sided = [], {}
+        # flow_jacobian reads its one-sided differences against the velocity
+        # of a point the tracker kept; at offset 40 many kept points lose a
+        # probe, so those differences are taken
+        one_sided = {}
         real = flowdesc.flow_jacobian
 
-        def checked(uv, tracked, h):
-            calls.append(bool(tracked[:, 0].all()))
-            lone = tracked[:, 1::2] != tracked[:, 2::2]
+        def checked(uv, probe_uv, probe_ok, h):
+            lone = probe_ok[:, ::2] != probe_ok[:, 1::2]
             one_sided[h] = one_sided.get(h, 0) + int(lone.any(axis=1).sum())
-            return real(uv, tracked, h)
+            return real(uv, probe_uv, probe_ok, h)
 
         monkeypatch.setattr(flowdesc, "flow_jacobian", checked)
         rng = np.random.default_rng(7)
@@ -201,7 +201,7 @@ class TestJacobianPrecondition:
         for offset in (2.0, 40.0):
             for frames in cases:
                 sequence_samples(frames, PipelineConfig(jacobian_probe_offset=offset))
-        assert calls and all(calls)
+        assert one_sided.keys() == {2.0, 40.0}
         assert one_sided[40.0] > 0
 
 
@@ -236,6 +236,33 @@ class TestTrackStep:
             assert np.isfinite(invariants).all()
             xy, image, pi = new_xy, image[kept], pj
         assert len(xy) > 0
+
+    def test_probe_on_its_point_takes_its_track(self, monkeypatch):
+        # at offset 2**-47, 64 + h rounds to 64 but 64 - h does not, nor
+        # 50 +- h or 40 +- h: the probe that lands on its point carries the
+        # point's own velocity, bit for bit, and counts as tracked
+        cfg = PipelineConfig(jacobian_probe_offset=2.0**-47)
+        first = smooth_texture(np.random.default_rng(3), 160, 120)
+        pi, pj = (lkflow.build_pyramid(f, cfg.pyramid_levels)
+                  for f in (first, np.roll(first, (1, 2), axis=(0, 1))))
+        xy = np.array([[64.0, 64.0], [64.0, 50.0], [40.0, 64.0]])
+        seen = []
+        real = flowdesc.flow_jacobian
+
+        def spy(uv, probe_uv, probe_ok, h):
+            seen.append((uv, probe_uv, probe_ok))
+            return real(uv, probe_uv, probe_ok, h)
+
+        monkeypatch.setattr(flowdesc, "flow_jacobian", spy)
+        kept, *_ = _track_step(pi, pj, xy, np.zeros(len(xy), dtype=np.intp), cfg)
+        assert kept.all()
+        [(uv, probe_uv, probe_ok)] = seen
+        # +x probes (column 0) of the points at x = 64, +y probes (column 2)
+        # of the points at y = 64
+        on_point = [(0, 0), (1, 0), (0, 2), (2, 2)]
+        for k, probe in on_point:
+            assert probe_uv[k, probe].tobytes() == uv[k].tobytes()
+            assert probe_ok[k, probe]
 
 
 class TestStreamedFrames:
